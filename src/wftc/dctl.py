@@ -1,17 +1,24 @@
 """Formula representation and evaluation over a built reachability graph.
 
-Boolean structure is evaluated by set algebra over state-id sets; the
-temporal operators run the usual fixed-point algorithms (one-step
-predecessor image for EX, counter-based greatest fixed point for EG,
-least fixed points for the until forms). Quantifiers range over the
-records of each state's own table instance; a quantifier whose variable
-never accesses a schema attribute degenerates to a membership test of
-that name in the table's key column.
+Satisfaction sets are int bitsets over state ids, memoised per graph on
+the structure of the formula node, so formulas that share a subformula
+compute it once. Boolean structure is bitwise algebra; the temporal
+operators run the usual fixed-point algorithms (one-step predecessor
+image for EX, counter-based greatest fixed point for EG, least fixed
+points for the until forms). Quantifiers range over the records of each
+state's own table instance; a quantifier whose variable never accesses
+a schema attribute degenerates to a membership test of that name in the
+table's key column. State-local subformulas read only the marking and
+the table, never the data items or guard values, so each is evaluated
+once per distinct marking, table or (marking, table) pair, whichever it
+reads.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Union
 
 from .model import UNDEF, token_key
@@ -91,6 +98,7 @@ class AU:
 
 
 Formula = Union[TrueF, PlaceAtom, DataAtom, Quantifier, Not, And, Or, EX, EG, EU, AU]
+_NODE_TYPES = Formula.__args__
 
 
 def formula_text(node: Formula) -> str:
@@ -126,7 +134,7 @@ def _term_text(term) -> str:
 
 
 # ---------------------------------------------------------------------------
-# atoms
+# state-local subformulas, compiled once per node
 
 
 def _record_variable(net, node: Quantifier) -> bool:
@@ -154,198 +162,405 @@ def _record_variable(net, node: Quantifier) -> bool:
     return walk(node.body)
 
 
-def _resolve(term, state: StateC, net, binding: dict):
+def _term(term, net):
+    """A comparison operand as a function of the variable binding."""
     kind = term[0]
     if kind == "empty":
-        return UNDEF
+        return lambda binding: UNDEF
     if kind == "const":
-        return term[1]
+        value = term[1]
+        return lambda binding: value
+    name = term[1]
     if kind == "var":
-        value = binding.get(term[1])
-        if value is None:
-            raise EvalError(f"unbound record variable {term[1]}")
-        return value
-    # attribute access
-    _, var, attr = term
-    record = binding.get(var)
-    if record is None:
-        raise EvalError(f"unbound record variable {var}")
-    if isinstance(record, str):
-        # degenerate literal variable: attribute tokens are plain values
-        return attr
-    if net.schema is None or attr not in net.schema.attributes:
-        raise EvalError(f"unknown attribute {attr}")
-    return record[net.schema.attr_index(attr)]
+
+        def variable(binding):
+            value = binding.get(name)
+            if value is None:
+                raise EvalError(f"unbound record variable {name}")
+            return value
+
+        return variable
+    attr = term[2]
+    schema = net.schema
+    index = schema.attr_index(attr) if schema and attr in schema.attributes else None
+
+    def attribute(binding):
+        record = binding.get(name)
+        if record is None:
+            raise EvalError(f"unbound record variable {name}")
+        if isinstance(record, str):
+            # degenerate literal variable: attribute tokens are plain values
+            return attr
+        if index is None:
+            raise EvalError(f"unknown attribute {attr}")
+        return record[index]
+
+    return attribute
 
 
-def _compare(lhs, op: str, rhs) -> bool:
-    a, b = token_key(lhs), token_key(rhs)
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise EvalError(f"unknown comparison {op}")
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def eval_atom(state: StateC, atom: DataAtom, net, binding: dict | None = None) -> bool:
-    """Truth of a comparison atom at one state under a variable binding.
+def _atom(atom: DataAtom, net):
+    """A comparison atom as a predicate over the variable binding.
 
     ``term = empty`` and ``term != empty`` test definedness; every other
     comparison with an unwritten operand is false. Ordering falls back to
     the numeric suffix of tokens sharing a prefix, plain text otherwise.
     """
-    binding = binding or {}
-    lhs = _resolve(atom.lhs, state, net, binding)
-    rhs = _resolve(atom.rhs, state, net, binding)
+    lhs, rhs, op = _term(atom.lhs, net), _term(atom.rhs, net), atom.op
     if atom.lhs[0] == "empty" or atom.rhs[0] == "empty":
         other = rhs if atom.lhs[0] == "empty" else lhs
-        if atom.op == "=":
-            return other is UNDEF
-        if atom.op == "!=":
-            return other is not UNDEF
-        return False
-    if isinstance(lhs, tuple) or isinstance(rhs, tuple):
-        # whole-record comparison between two bound record variables
-        if atom.op == "=":
-            return lhs == rhs
-        if atom.op == "!=":
-            return lhs != rhs
-        raise EvalError("ordered comparison of whole records")
-    if lhs is UNDEF or rhs is UNDEF:
-        return False
-    if atom.op == "=":
-        return lhs == rhs
-    if atom.op == "!=":
-        return lhs != rhs
-    return _compare(lhs, atom.op, rhs)
+        if op == "=":
+            return lambda binding: other(binding) is UNDEF
+        if op == "!=":
+            return lambda binding: other(binding) is not UNDEF
 
-
-def _holds_locally(node: Formula, state: StateC, net, binding: dict) -> bool:
-    """Quantifier/boolean evaluation of a temporal-free subformula at one
-    state."""
-    if isinstance(node, TrueF):
-        return True
-    if isinstance(node, PlaceAtom):
-        if node.place not in net.place_by_name:
-            raise EvalError(f"unknown place {node.place}")
-        return state.marking[net.place_by_name[node.place].index] > 0
-    if isinstance(node, DataAtom):
-        return eval_atom(state, node, net, binding)
-    if isinstance(node, Not):
-        return not _holds_locally(node.inner, state, net, binding)
-    if isinstance(node, And):
-        return _holds_locally(node.lhs, state, net, binding) and _holds_locally(
-            node.rhs, state, net, binding
-        )
-    if isinstance(node, Or):
-        return _holds_locally(node.lhs, state, net, binding) or _holds_locally(
-            node.rhs, state, net, binding
-        )
-    if isinstance(node, Quantifier):
-        if _record_variable(net, node):
-            domain = list(state.table)
-            results = (
-                _holds_locally(node.body, state, net, {**binding, node.var: rec})
-                for rec in domain
-            )
-            return all(results) if node.kind == "forall" else any(results)
-        # degenerate: the name must occur in the key column of this state
-        if node.var not in net.key_column_values(state.table):
+        def never(binding):
+            other(binding)
             return False
-        return _holds_locally(node.body, state, net, {**binding, node.var: node.var})
-    raise EvalError("temporal operator nested below a quantifier")
+
+        return never
+    order = _ORDER.get(op)
+
+    def holds(binding) -> bool:
+        a, b = lhs(binding), rhs(binding)
+        if isinstance(a, tuple) or isinstance(b, tuple):
+            # whole-record comparison between two bound record variables
+            if op == "=":
+                return a == b
+            if op == "!=":
+                return a != b
+            raise EvalError("ordered comparison of whole records")
+        if a is UNDEF or b is UNDEF:
+            return False
+        if op == "=":
+            return a == b
+        if op == "!=":
+            return a != b
+        if order is None:
+            raise EvalError(f"unknown comparison {op}")
+        return order(token_key(a), token_key(b))
+
+    return holds
+
+
+def eval_atom(state: StateC, atom: DataAtom, net, binding: dict | None = None) -> bool:
+    """Truth of a comparison atom at one state under a variable binding."""
+    return _atom(atom, net)(binding or {})
+
+
+def _local(node: Formula, net):
+    """A temporal-free subformula as a predicate over a state's marking,
+    its table and a variable binding. Quantifier classification and
+    attribute indices are settled here, once per node."""
+    if isinstance(node, TrueF):
+        return lambda marking, table, binding: True
+    if isinstance(node, PlaceAtom):
+        place = net.place_by_name.get(node.place)
+        if place is None:
+
+            def unknown(marking, table, binding):
+                raise EvalError(f"unknown place {node.place}")
+
+            return unknown
+        index = place.index
+        return lambda marking, table, binding: marking[index] > 0
+    if isinstance(node, DataAtom):
+        atom = _atom(node, net)
+        return lambda marking, table, binding: atom(binding)
+    if isinstance(node, Not):
+        inner = _local(node.inner, net)
+        return lambda marking, table, binding: not inner(marking, table, binding)
+    if isinstance(node, (And, Or)):
+        lhs, rhs = _local(node.lhs, net), _local(node.rhs, net)
+        if isinstance(node, And):
+            return lambda m, t, b: lhs(m, t, b) and rhs(m, t, b)
+        return lambda m, t, b: lhs(m, t, b) or rhs(m, t, b)
+    if isinstance(node, Quantifier):
+        body, var = _local(node.body, net), node.var
+        if not _record_variable(net, node):
+
+            def literal(m, t, b):
+                # degenerate: the name must occur in the key column of this state
+                return var in net.key_column_values(t) and body(m, t, {**b, var: var})
+
+            return literal
+        # explicit loops, not all()/any() over a generator: one frame per
+        # nesting level keeps deep formulas within the recursion limit
+        if node.kind == "forall":
+
+            def forall(m, t, b):
+                for rec in t:
+                    if not body(m, t, {**b, var: rec}):
+                        return False
+                return True
+
+            return forall
+
+        def exists(m, t, b):
+            for rec in t:
+                if body(m, t, {**b, var: rec}):
+                    return True
+            return False
+
+        return exists
+
+    def temporal(marking, table, binding):
+        raise EvalError("temporal operator nested below a quantifier")
+
+    return temporal
+
+
+def _reads(node: Formula) -> tuple[bool, bool]:
+    """Whether a state-local subformula reads the marking and whether it
+    reads the table. Nothing state-local reads the data items or the guard
+    values: comparisons only see constants and quantifier bindings."""
+    if isinstance(node, PlaceAtom):
+        return True, False
+    if isinstance(node, Quantifier):
+        return _reads(node.body)[0], True
+    if isinstance(node, Not):
+        return _reads(node.inner)
+    if isinstance(node, (And, Or)):
+        (m1, t1), (m2, t2) = _reads(node.lhs), _reads(node.rhs)
+        return m1 or m2, t1 or t2
+    return False, False
 
 
 # ---------------------------------------------------------------------------
 # satisfaction sets
+#
+# A satisfaction set is an int bitset: bit i stands for state i.
+
+
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _flags(bits: int, n: int = 0) -> bytearray:
+    """One byte per state, 1 for a member, state 0 first; at least ``n``
+    bytes long."""
+    digits = bin(bits)[:1:-1].encode("ascii")  # least significant bit first
+    return bytearray(digits.translate(_TO_FLAGS).ljust(n, b"\x00"))
+
+
+def _from_flags(flags: bytearray) -> int:
+    return int(flags.translate(_TO_DIGITS)[::-1] or b"0", 2)
+
+
+def _members(bits: int) -> list[int]:
+    return list(compress(range(bits.bit_length()), _flags(bits)))
+
+
+def _bits(states, n: int) -> int:
+    flags = bytearray(n)
+    for i in states:
+        flags[i] = 1
+    return _from_flags(flags)
+
+
+class _Evaluation:
+    """Evaluation state of one finished graph: predecessor masks, state
+    groups and the satisfaction bitset of every formula node evaluated so
+    far, keyed on the node's structure so that equal subformulas of
+    different formulas are computed once."""
+
+    def __init__(self, srg: Srg):
+        self.states, self.net = srg.states, srg.net
+        self.size = n = len(srg.states)
+        self.everything = (1 << n) - 1
+        self.preds = [srg.predecessors(i) for i in range(n)]
+        self.pred_masks = [sum(1 << p for p in pre) for pre in self.preds]
+        self.outdegree = [len(srg.successors(i)) for i in range(n)]
+        self.groups: dict[tuple[bool, bool], list] = {}
+        self.shapes: dict[tuple, int] = {}  # node shape -> structural id
+        self.fresh_ids = count()  # atomic, unlike len(shapes), for threads sharing a graph
+        self.memo: dict[int, int] = {}  # structural id -> satisfaction bitset
+
+    def partition(self, marking: bool, table: bool) -> list[tuple]:
+        """States grouped by marking, table, both or neither, as
+        ``(marking, table, mask)`` with the marking and table of the
+        group's first state."""
+        key = (marking, table)
+        if key not in self.groups:
+            members: dict[tuple, list[int]] = {}
+            for i, state in enumerate(self.states):
+                members.setdefault(
+                    (state.marking if marking else None, state.table if table else None), []
+                ).append(i)
+            self.groups[key] = [
+                (self.states[ids[0]].marking, self.states[ids[0]].table, _bits(ids, self.size))
+                for ids in members.values()
+            ]
+        return self.groups[key]
+
+    def select(self, reads: tuple[bool, bool], holds) -> int:
+        """States whose group satisfies ``holds(marking, table)``."""
+        result = 0
+        for marking, table, mask in self.partition(*reads):
+            if holds(marking, table):
+                result |= mask
+        return result
+
+    def identify(self, root: Formula) -> dict[int, int]:
+        """Structural ids of every node under ``root``, keyed by ``id(node)``.
+
+        A node's shape is its class, its own fields and the ids of its
+        subformulas, so equal subformulas of any two formulas get one id;
+        nothing hashes or compares a whole subtree, which keeps deep
+        formulas clear of the recursion limit."""
+        ids: dict[int, int] = {}
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            pending = [sub for sub in subformulas(node) if id(sub) not in ids]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            shape = (type(node),) + tuple(
+                ids[id(v)] if isinstance(v, _NODE_TYPES) else v for v in vars(node).values()
+            )
+            ids[id(node)] = self.shapes.setdefault(shape, next(self.fresh_ids))
+        return ids
+
+    def sat(self, root: Formula) -> int:
+        """Bottom-up over the formula without recursion, reusing every
+        memoised subformula; operands are evaluated left to right."""
+        ids, memo = self.identify(root), self.memo
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if ids[id(node)] in memo:
+                stack.pop()
+                continue
+            operands = _operands(node)
+            missing = [sub for sub in operands if ids[id(sub)] not in memo]
+            if missing:
+                stack.extend(reversed(missing))
+                continue
+            stack.pop()
+            memo[ids[id(node)]] = self.apply(node, [memo[ids[id(sub)]] for sub in operands])
+        return memo[ids[id(root)]]
+
+    def apply(self, node: Formula, args: list[int]) -> int:
+        if isinstance(node, TrueF):
+            return self.everything
+        if isinstance(node, Not):
+            return self.everything ^ args[0]
+        if isinstance(node, And):
+            return args[0] & args[1]
+        if isinstance(node, Or):
+            return args[0] | args[1]
+        if isinstance(node, EX):
+            return self.ex(*args)
+        if isinstance(node, EG):
+            return self.eg(*args)
+        if isinstance(node, EU):
+            return self.eu(*args)
+        if isinstance(node, AU):
+            return self.au(*args)
+        # state-local: place atoms, comparisons, quantifiers
+        holds = _local(node, self.net)
+        return self.select(_reads(node), lambda marking, table: holds(marking, table, {}))
+
+    def ex(self, target: int) -> int:
+        """States with at least one successor inside ``target``."""
+        result = 0
+        for i in _members(target):
+            result |= self.pred_masks[i]
+        return result
+
+    def eg(self, hold: int) -> int:
+        """Greatest fixed point by successor counting.
+
+        A state stays while it either has a successor that stays or has no
+        successors at all (a maximal run that never leaves ``hold``).
+        """
+        alive = _flags(hold, self.size)
+        count = list(self.outdegree)
+        dead = _members(self.everything ^ hold)
+        while dead:
+            for pred in self.preds[dead.pop()]:
+                if alive[pred]:
+                    count[pred] -= 1
+                    if count[pred] == 0:
+                        alive[pred] = 0
+                        dead.append(pred)
+        return _from_flags(alive)
+
+    def eu(self, lhs: int, rhs: int) -> int:
+        """Least fixed point of  Q = rhs | (lhs & EX Q)  via backward walk."""
+        result = frontier = rhs
+        while frontier:
+            frontier = self.ex(frontier) & lhs & ~result
+            result |= frontier
+        return result
+
+    def au(self, lhs: int, rhs: int) -> int:
+        """Least fixed point of  Q = rhs | (lhs & AX Q & not deadlock)."""
+        result = _flags(rhs, self.size)
+        allowed = _flags(lhs, self.size)
+        remaining = list(self.outdegree)
+        frontier = _members(rhs)
+        while frontier:
+            for pred in self.preds[frontier.pop()]:
+                remaining[pred] -= 1
+                if remaining[pred] == 0 and allowed[pred] and not result[pred]:
+                    result[pred] = 1
+                    frontier.append(pred)
+        return _from_flags(result)
+
+
+def _operands(node: Formula) -> tuple:
+    """Subformulas evaluated as satisfaction sets of their own."""
+    if isinstance(node, (Not, EX, EG)):
+        return (node.inner,)
+    if isinstance(node, (And, Or, EU, AU)):
+        return (node.lhs, node.rhs)
+    return ()
+
+
+def subformulas(node: Formula) -> tuple:
+    """Direct subformulas, including a quantifier's body."""
+    return (node.body,) if isinstance(node, Quantifier) else _operands(node)
+
+
+def _evaluation(srg: Srg) -> _Evaluation:
+    if srg.evaluation is None:
+        srg.evaluation = _Evaluation(srg)
+    return srg.evaluation
 
 
 def sat(srg: Srg, node: Formula) -> set[int]:
-    """Bottom-up satisfaction-set computation."""
-    net = srg.net
-    everything = set(range(len(srg.states)))
-    if isinstance(node, TrueF):
-        return set(everything)
-    if isinstance(node, Not):
-        return everything - sat(srg, node.inner)
-    if isinstance(node, And):
-        return sat(srg, node.lhs) & sat(srg, node.rhs)
-    if isinstance(node, Or):
-        return sat(srg, node.lhs) | sat(srg, node.rhs)
-    if isinstance(node, EX):
-        return sat_ex(srg, sat(srg, node.inner))
-    if isinstance(node, EG):
-        return sat_eg(srg, sat(srg, node.inner))
-    if isinstance(node, EU):
-        return sat_eu(srg, sat(srg, node.lhs), sat(srg, node.rhs))
-    if isinstance(node, AU):
-        return sat_au(srg, sat(srg, node.lhs), sat(srg, node.rhs))
-    # state-local: place atoms, comparisons, quantifiers
-    return {
-        i for i, state in enumerate(srg.states) if _holds_locally(node, state, net, {})
-    }
+    """The states satisfying ``node``, memoised per graph."""
+    return set(_members(_evaluation(srg).sat(node)))
+
+
+def _on_sets(srg: Srg, method, *sets: set[int]) -> set[int]:
+    ev = _evaluation(srg)
+    return set(_members(method(ev, *(_bits(s, ev.size) for s in sets))))
 
 
 def sat_ex(srg: Srg, target: set[int]) -> set[int]:
     """States with at least one successor inside ``target``."""
-    return {i for i in range(len(srg.states)) if srg.successors(i) & target}
+    return _on_sets(srg, _Evaluation.ex, target)
 
 
 def sat_eg(srg: Srg, hold: set[int]) -> set[int]:
-    """Greatest fixed point by successor counting.
-
-    A state stays while it either has a successor that stays or has no
-    successors at all (a maximal run that never leaves ``hold``).
-    """
-    alive = set(hold)
-    count = {i: len(srg.successors(i)) for i in hold}
-    dead = [i for i in range(len(srg.states)) if i not in hold]
-    while dead:
-        gone = dead.pop()
-        for pred in srg.predecessors(gone):
-            if pred in alive:
-                count[pred] -= 1
-                if count[pred] == 0 and srg.successors(pred):
-                    alive.discard(pred)
-                    dead.append(pred)
-    return alive
+    """States with a maximal run that never leaves ``hold``."""
+    return _on_sets(srg, _Evaluation.eg, hold)
 
 
 def sat_eu(srg: Srg, lhs: set[int], rhs: set[int]) -> set[int]:
-    """Least fixed point of  Q = rhs | (lhs & EX Q)  via backward walk."""
-    result = set(rhs)
-    frontier = list(rhs)
-    while frontier:
-        node = frontier.pop()
-        for pred in srg.predecessors(node):
-            if pred in lhs and pred not in result:
-                result.add(pred)
-                frontier.append(pred)
-    return result
+    """States with a run through ``lhs`` that reaches ``rhs``."""
+    return _on_sets(srg, _Evaluation.eu, lhs, rhs)
 
 
 def sat_au(srg: Srg, lhs: set[int], rhs: set[int]) -> set[int]:
-    """Least fixed point of  Q = rhs | (lhs & AX Q & not deadlock)."""
-    result = set(rhs)
-    remaining = {i: len(srg.successors(i)) for i in range(len(srg.states))}
-    frontier = list(rhs)
-    while frontier:
-        node = frontier.pop()
-        for pred in srg.predecessors(node):
-            remaining[pred] -= 1
-            if (
-                remaining[pred] == 0
-                and pred in lhs
-                and pred not in result
-                and srg.successors(pred)
-            ):
-                result.add(pred)
-                frontier.append(pred)
-    return result
+    """States whose every maximal run goes through ``lhs`` to ``rhs``."""
+    return _on_sets(srg, _Evaluation.au, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +570,6 @@ def sat_au(srg: Srg, lhs: set[int], rhs: set[int]) -> set[int]:
 @dataclass
 class Verdict:
     holds: bool
-    sat_initial: bool
     sat_set: set[int]
     pre_set: set[int]
     evidence: list[str] | None = None
@@ -364,43 +578,40 @@ class Verdict:
         return self.holds
 
 
-def _quantifier_prefix(node: Formula):
-    """Split a formula into its leading quantifier chain (descending
-    through the temporal/boolean skeleton) and report the chain."""
-    if isinstance(node, Quantifier):
-        inner, chain = _quantifier_prefix(node.body)
-        return inner, [node] + chain
-    if isinstance(node, (EX, EG)):
-        return _quantifier_prefix(node.inner)
-    if isinstance(node, Not):
-        return _quantifier_prefix(node.inner)
-    if isinstance(node, (EU, AU)):
-        return _quantifier_prefix(node.rhs)
-    return node, []
+def _quantifier_prefix(node: Formula) -> list[Quantifier]:
+    """The leading quantifier chain of a formula, found by descending
+    through the temporal/boolean skeleton."""
+    chain = []
+    while True:
+        if isinstance(node, Quantifier):
+            chain.append(node)
+            node = node.body
+        elif isinstance(node, (EX, EG, Not)):
+            node = node.inner
+        elif isinstance(node, (EU, AU)):
+            node = node.rhs
+        else:
+            return chain
 
 
 def precondition_set(srg: Srg, node: Formula) -> set[int]:
     """States satisfying the quantifier preconditions of the formula: the
     quantified record domains exist (non-empty table), and degenerate
     literal variables occur in the key column."""
-    _, chain = _quantifier_prefix(node)
+    chain = _quantifier_prefix(node)
     net = srg.net
     if not chain:
         return set(range(len(srg.states)))
-    result = set()
-    for i, state in enumerate(srg.states):
-        ok = True
-        for q in chain:
-            if _record_variable(net, q):
-                if not state.table:
-                    ok = False
-                    break
-            elif q.var not in net.key_column_values(state.table):
-                ok = False
-                break
-        if ok:
-            result.add(i)
-    return result
+    literals = [q.var for q in chain if not _record_variable(net, q)]
+    records = len(literals) < len(chain)
+
+    def holds(marking, table) -> bool:
+        if records and not table:
+            return False
+        keys = net.key_column_values(table)
+        return all(var in keys for var in literals)
+
+    return set(_members(_evaluation(srg).select((False, True), holds)))
 
 
 def verify(srg: Srg, node: Formula) -> Verdict:
@@ -409,12 +620,10 @@ def verify(srg: Srg, node: Formula) -> Verdict:
     the satisfaction set."""
     pre = precondition_set(srg, node)
     if not pre:
-        return Verdict(holds=False, sat_initial=False, sat_set=set(), pre_set=pre)
+        return Verdict(holds=False, sat_set=set(), pre_set=pre)
     satisfied = sat(srg, node)
     holds = srg.initial in satisfied
-    verdict = Verdict(
-        holds=holds, sat_initial=holds, sat_set=satisfied, pre_set=pre
-    )
+    verdict = Verdict(holds=holds, sat_set=satisfied, pre_set=pre)
     if not holds:
         verdict.evidence = _counterexample(srg, satisfied)
     return verdict

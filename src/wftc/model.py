@@ -287,11 +287,11 @@ class WftcNet:
             self._post.setdefault(src, set()).add(dst)
             self._pre.setdefault(dst, set()).add(src)
         # data items each guard's predicates depend on; drives both the
-        # undefined fallback and which guards a firing settles
+        # undefined fallback and which guards a firing settles. Guards may
+        # name undeclared predicates; validation reports them
         self.guard_deps = {
             g.name: frozenset().union(
-                frozenset(),
-                *(self.predicates[p].depends_on() for p in g.predicates()),
+                *(self.predicates[p].depends_on() for p in g.predicates() if p in self.predicates),
             )
             for g in self.guards.values()
         }

@@ -348,6 +348,9 @@ class Srg:
         for src, _, dst in self.edges:
             self._post[src].add(dst)
             self._pre[dst].add(src)
+        # formula-evaluation state (groups, memoised sat sets) that
+        # ``dctl`` builds on first use; stale once the graph changes
+        self.evaluation = None
         return self
 
 

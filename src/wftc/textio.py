@@ -582,6 +582,13 @@ def _tokenize_formula(text: str):
     return tokens
 
 
+# Nesting bound of a formula, checked twice: in parser frames while parsing
+# (a prefix operator costs one, a bracketed subformula up to six) and in
+# levels of the finished formula tree. Parsing and evaluation recurse about
+# this deep, within Python's default recursion limit of 1000.
+MAX_FORMULA_DEPTH = 960
+
+
 class DctlParser:
     """Recursive-descent parser for the formula language.
 
@@ -598,6 +605,7 @@ class DctlParser:
         self.pos = 0
         self.net = net
         self.bound: list[str] = []
+        self.depth = 0
 
     # -- token plumbing ---------------------------------------------------
 
@@ -618,6 +626,15 @@ class DctlParser:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", column=tok.pos + 1)
         return tok
 
+    def descend(self, frames: int):
+        self.depth += frames
+        if self.depth > MAX_FORMULA_DEPTH:
+            tok = self.peek()
+            raise ParseError(
+                f"formula nested deeper than {MAX_FORMULA_DEPTH} levels",
+                column=len(self.text) if tok is None else tok.pos + 1,
+            )
+
     # -- grammar ----------------------------------------------------------
 
     def parse(self):
@@ -628,12 +645,18 @@ class DctlParser:
         return node
 
     def parse_implies(self):
-        node = self.parse_or()
-        if self.peek() is not None and self.peek().kind == "arrow":
-            self.next()
-            rhs = self.parse_implies()
-            return dctl.Or(dctl.Not(node), rhs)
-        return node
+        # entered once per bracketed level; with the parse_unary call that
+        # opened the level, that is at most six frames
+        self.descend(5)
+        try:
+            node = self.parse_or()
+            if self.peek() is not None and self.peek().kind == "arrow":
+                self.next()
+                rhs = self.parse_implies()
+                return dctl.Or(dctl.Not(node), rhs)
+            return node
+        finally:
+            self.depth -= 5
 
     def parse_or(self):
         node = self.parse_and()
@@ -650,23 +673,27 @@ class DctlParser:
         return node
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of formula", column=len(self.text))
-        if tok.text == "!":
-            self.next()
-            return dctl.Not(self.parse_unary())
-        if tok.kind == "name" and tok.text in self.TEMPORAL:
-            self.next()
-            inner = self.parse_unary()
-            return self._temporal(tok.text, inner)
-        if tok.kind == "name" and tok.text in ("E", "A"):
-            return self.parse_until(tok.text)
-        if tok.text == "(":
-            return self.parse_group()
-        if tok.kind == "name":
-            return self.parse_atom_or_quantifier()
-        raise ParseError(f"unexpected token {tok.text!r}", column=tok.pos + 1)
+        self.descend(1)
+        try:
+            tok = self.peek()
+            if tok is None:
+                raise ParseError("unexpected end of formula", column=len(self.text))
+            if tok.text == "!":
+                self.next()
+                return dctl.Not(self.parse_unary())
+            if tok.kind == "name" and tok.text in self.TEMPORAL:
+                self.next()
+                inner = self.parse_unary()
+                return self._temporal(tok.text, inner)
+            if tok.kind == "name" and tok.text in ("E", "A"):
+                return self.parse_until(tok.text)
+            if tok.text == "(":
+                return self.parse_group()
+            if tok.kind == "name":
+                return self.parse_atom_or_quantifier()
+            raise ParseError(f"unexpected token {tok.text!r}", column=tok.pos + 1)
+        finally:
+            self.depth -= 1
 
     def _temporal(self, op, inner):
         if op == "EX":
@@ -824,7 +851,8 @@ class DctlParser:
         if tok is not None and tok.kind == "cmp":
             self.next()
             rhs = self.parse_term()
-            return dctl.DataAtom(term, tok.text, rhs)
+            # bare names inside comparisons are constant tokens
+            return dctl.DataAtom(_norm_term(term), tok.text, _norm_term(rhs))
         # bare name: constant / place / keyword
         if term[0] != "name":
             raise ParseError("comparison expected", column=0 if tok is None else tok.pos)
@@ -872,31 +900,26 @@ class DctlParser:
 
 def parse_dctl(text: str, net: WftcNet | None = None):
     """Parse a formula; when a net is supplied, place atoms are resolved
-    against it and quantifier variables are classified as record variables
-    or degenerate value literals."""
+    against it and attribute accesses outside the schema become plain
+    value tokens. Whether a quantifier ranges over records or tests a
+    literal against the key column is decided by the evaluator, once per
+    quantifier node."""
     node = DctlParser(text, net).parse()
-    return _normalize_terms(node, net)
-
-
-def _normalize_terms(node, net):
-    # bare names inside comparisons become constant tokens
-    if isinstance(node, dctl.DataAtom):
-        return dctl.DataAtom(_norm_term(node.lhs), node.op, _norm_term(node.rhs))
-    if isinstance(node, dctl.Quantifier):
-        return dctl.Quantifier(node.kind, node.var, _normalize_terms(node.body, net))
-    if isinstance(node, dctl.Not):
-        return dctl.Not(_normalize_terms(node.inner, net))
-    if isinstance(node, (dctl.And, dctl.Or)):
-        return type(node)(
-            _normalize_terms(node.lhs, net), _normalize_terms(node.rhs, net)
-        )
-    if isinstance(node, (dctl.EX, dctl.EG)):
-        return type(node)(_normalize_terms(node.inner, net))
-    if isinstance(node, (dctl.EU, dctl.AU)):
-        return type(node)(
-            _normalize_terms(node.lhs, net), _normalize_terms(node.rhs, net)
+    if _levels(node) > MAX_FORMULA_DEPTH:
+        raise ParseError(
+            f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", column=len(text)
         )
     return node
+
+
+def _levels(root) -> int:
+    """Depth of the formula tree, without recursion."""
+    deepest, stack = 0, [(root, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((sub, level + 1) for sub in dctl.subformulas(node))
+    return deepest
 
 
 def _norm_term(term):

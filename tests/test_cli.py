@@ -1,7 +1,12 @@
 """Command line behaviour and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import wftc
 from conftest import fixture_path
 from wftc.cli import EXIT_FALSE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
@@ -119,6 +124,39 @@ def test_parse_failure_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "build", str(bad))
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+def test_guard_with_undeclared_predicate_exits_usage(capsys, tmp_path):
+    bad = tmp_path / "bad.wftc"
+    text = fixture_path("motivating.wftc").read_text(encoding="utf-8")
+    bad.write_text(text.replace("g6 = pi3 & pi4 & pi5", "g6 = pi3 & pi4 & pi9"))
+    code, _, err = run(capsys, "build", str(bad))
+    assert code == EXIT_USAGE
+    assert "guard g6 references unknown predicate pi9" in err
+
+
+def run_cli(*args):
+    """The command line in a fresh interpreter, where the recursion budget
+    is that of a real invocation."""
+    return subprocess.run(
+        [sys.executable, "-m", "wftc.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(wftc.__file__).resolve().parents[1])},
+    )
+
+
+def test_deep_formula_within_the_bound_verifies():
+    proc = run_cli("verify", MOTIVATING, "--formula", "!" * 950 + "p0")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert "TRUE" in proc.stdout
+
+
+def test_formula_nested_too_deep_exits_usage():
+    proc = run_cli("verify", MOTIVATING, "--formula", "!" * 2000 + "p0")
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == "error: formula nested deeper than 960 levels, column 956\n"
 
 
 def test_missing_file_exit_code(capsys):

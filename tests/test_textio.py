@@ -259,6 +259,20 @@ def test_error_carries_position(motivating_net):
     assert err.value.column
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("(" * 200 + "p0" + ")" * 200, 161),  # six parser frames per group
+        ("AG " * 400 + "p0", 1202),  # each AG expands to three levels
+        (" & ".join(["p0"] * 1000), 4997),  # a flat chain is a deep tree
+    ],
+)
+def test_nesting_bound_reports_a_column(motivating_net, text, column):
+    with pytest.raises(ParseError, match="nested deeper than 960 levels") as err:
+        parse_dctl(text, motivating_net)
+    assert err.value.column == column
+
+
 def random_formula(rng: random.Random, net, depth=3):
     if depth == 0 or rng.random() < 0.3:
         kind = rng.randrange(4)
