@@ -280,12 +280,14 @@ class WftcNet:
         self.place_by_name = {p.name: p for p in self.places}
         self.transition_by_name = {t.name: t for t in self.transitions}
         self.guard_order = list(self.guards)
-        self._pre: dict[str, set[str]] = {n: set() for n in self._node_names()}
-        self._post: dict[str, set[str]] = {n: set() for n in self._node_names()}
+        pre: dict[str, set[str]] = {n: set() for n in self._node_names()}
+        post: dict[str, set[str]] = {n: set() for n in self._node_names()}
         for src, dst in self.arcs:
             # arcs may name undeclared nodes; validation reports them
-            self._post.setdefault(src, set()).add(dst)
-            self._pre.setdefault(dst, set()).add(src)
+            post.setdefault(src, set()).add(dst)
+            pre.setdefault(dst, set()).add(src)
+        self._pre = {n: frozenset(nodes) for n, nodes in pre.items()}
+        self._post = {n: frozenset(nodes) for n, nodes in post.items()}
         # data items each guard's predicates depend on; drives both the
         # undefined fallback and which guards a firing settles. Guards may
         # name undeclared predicates; validation reports them
@@ -302,18 +304,15 @@ class WftcNet:
     def is_place(self, name: str) -> bool:
         return name in self.place_by_name
 
-    def preset(self, node: str) -> set[str]:
+    def preset(self, node: str) -> frozenset[str]:
         if node not in self._pre:
             raise ModelError(f"unknown node {node}")
-        return set(self._pre[node])
+        return self._pre[node]
 
-    def postset(self, node: str) -> set[str]:
+    def postset(self, node: str) -> frozenset[str]:
         if node not in self._post:
             raise ModelError(f"unknown node {node}")
-        return set(self._post[node])
-
-    def has_table(self) -> bool:
-        return self.schema is not None
+        return self._post[node]
 
     def column_values(self, column: str, table) -> list[str]:
         """Non-bottom values of a column in canonical order."""
@@ -337,14 +336,16 @@ class WftcNet:
 
 @dataclass
 class ValidationReport:
+    """``errors`` name what the net references but does not declare, or
+    arcs that do not join a place and a transition; such a net cannot be
+    built. ``violations`` are findings on the workflow shape."""
+
     violations: list[str] = field(default_factory=list)
+    errors: list[str] = field(default_factory=list)
 
     @property
     def valid(self) -> bool:
-        return not self.violations
-
-    def add(self, message: str):
-        self.violations.append(message)
+        return not self.violations and not self.errors
 
 
 def _closure(seeds, step):
@@ -363,57 +364,58 @@ def validate_workflow_structure(net: WftcNet) -> ValidationReport:
     """Check the workflow shape: unique source/sink, every node on a
     source-to-sink path, and no dangling label references."""
     report = ValidationReport()
+    shape, error = report.violations.append, report.errors.append
 
     place_names = {p.name for p in net.places}
     transition_names = {t.name for t in net.transitions}
     if net.start == net.end:
-        report.add("start and end must be two distinct places")
+        shape("start and end must be two distinct places")
     if net.start not in place_names:
-        report.add(f"start place {net.start!r} not declared")
+        error(f"start place {net.start!r} not declared")
     if net.end not in place_names:
-        report.add(f"end place {net.end!r} not declared")
+        error(f"end place {net.end!r} not declared")
 
     for src, dst in sorted(net.arcs):
         if (src in place_names) == (dst in place_names):
-            report.add(f"arc {src}->{dst} does not connect a place and a transition")
+            error(f"arc {src}->{dst} does not connect a place and a transition")
         for node in (src, dst):
             if node not in place_names and node not in transition_names:
-                report.add(f"arc endpoint {node} not declared")
+                error(f"arc endpoint {node} not declared")
 
     sources = [p for p in sorted(place_names) if not net._pre.get(p)]
     sinks = [p for p in sorted(place_names) if not net._post.get(p)]
     if net.start in place_names and sources != [net.start]:
         extra = [p for p in sources if p != net.start]
         if net.start not in sources:
-            report.add(f"start place {net.start} has incoming arcs")
+            shape(f"start place {net.start} has incoming arcs")
         for p in extra:
-            report.add(f"extra source place {p}")
+            shape(f"extra source place {p}")
     if net.end in place_names and sinks != [net.end]:
         extra = [p for p in sinks if p != net.end]
         if net.end not in sinks:
-            report.add(f"end place {net.end} has outgoing arcs")
+            shape(f"end place {net.end} has outgoing arcs")
         for p in extra:
-            report.add(f"extra sink place {p}")
+            shape(f"extra sink place {p}")
 
     if net.start in place_names and net.end in place_names:
         forward = _closure({net.start}, lambda n: net._post.get(n, ()))
         backward = _closure({net.end}, lambda n: net._pre.get(n, ()))
         for node in sorted(place_names | transition_names):
             if node not in forward or node not in backward:
-                report.add(f"node {node} is not on a path from {net.start} to {net.end}")
+                shape(f"node {node} is not on a path from {net.start} to {net.end}")
 
     items = set(net.data_items)
     for label, mapping in (("rd", net.rd), ("wt", net.wt), ("dt", net.dt)):
         for t, names in mapping.items():
             if t not in transition_names:
-                report.add(f"{label} label on unknown transition {t}")
+                error(f"{label} label on unknown transition {t}")
             for d in names:
                 if d not in items:
-                    report.add(f"{label}({t}) references unknown data item {d}")
+                    error(f"{label}({t}) references unknown data item {d}")
 
     def check_source(t, source, where):
         if source and source[0] == "item" and source[1] not in items:
-            report.add(f"{where} on {t} references unknown data item {source[1]}")
+            error(f"{where} on {t} references unknown data item {source[1]}")
 
     for t, scopes in net.sel.items():
         for scope in scopes:
@@ -422,7 +424,7 @@ def validate_workflow_structure(net: WftcNet) -> ValidationReport:
                 _check_column(net, report, t, scope.table, scope.where_attr)
                 check_source(t, scope.where_source, "sel where")
             if scope.assign_item and scope.assign_item not in items:
-                report.add(f"sel on {t} assigns unknown data item {scope.assign_item}")
+                error(f"sel on {t} assigns unknown data item {scope.assign_item}")
     for t, ops in net.ins.items():
         for op in ops:
             for attr, source in op.values:
@@ -442,32 +444,32 @@ def validate_workflow_structure(net: WftcNet) -> ValidationReport:
 
     for t, ref in net.guard_of.items():
         if t not in transition_names:
-            report.add(f"guard attached to unknown transition {t}")
+            error(f"guard attached to unknown transition {t}")
         if ref.guard not in net.guards:
-            report.add(f"transition {t} references unknown guard {ref.guard}")
+            error(f"transition {t} references unknown guard {ref.guard}")
     for guard in net.guards.values():
         for pi in guard.predicates():
             if pi not in net.predicates:
-                report.add(f"guard {guard.name} references unknown predicate {pi}")
+                error(f"guard {guard.name} references unknown predicate {pi}")
     for pi in net.predicates.values():
         if pi.item not in items:
-            report.add(f"predicate {pi.name} references unknown data item {pi.item}")
+            error(f"predicate {pi.name} references unknown data item {pi.item}")
         if pi.kind == "in":
             if net.schema is None:
-                report.add(f"predicate {pi.name} needs table {pi.table} which is not declared")
+                error(f"predicate {pi.name} needs table {pi.table} which is not declared")
             elif net.schema.name != pi.table or pi.column not in net.schema.attributes:
-                report.add(f"predicate {pi.name} references unknown column {pi.table}.{pi.column}")
+                error(f"predicate {pi.name} references unknown column {pi.table}.{pi.column}")
     for constraint in net.constraints:
         for disjunct in constraint:
             for guard_name, _ in disjunct:
                 if guard_name not in net.guards:
-                    report.add(f"constraint references unknown guard {guard_name}")
+                    error(f"constraint references unknown guard {guard_name}")
 
     return report
 
 
 def _check_column(net, report, t, table, column):
     if net.schema is None or net.schema.name != table:
-        report.add(f"operation on {t} references unknown table {table}")
+        report.errors.append(f"operation on {t} references unknown table {table}")
     elif column and column not in net.schema.attributes:
-        report.add(f"operation on {t} references unknown column {table}.{column}")
+        report.errors.append(f"operation on {t} references unknown column {table}.{column}")

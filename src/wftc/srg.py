@@ -22,6 +22,7 @@ from .model import (
     TRUE,
     UNDEF,
     ModelError,
+    SelScope,
     WftcNet,
     canonical_table,
     constraint_consistent,
@@ -54,9 +55,6 @@ class StateC:
     def marked_places(self, net: WftcNet) -> list[str]:
         return [p.name for p in net.places if self.marking[p.index] > 0]
 
-    def data_map(self, net: WftcNet) -> dict:
-        return dict(zip(net.data_items, self.data))
-
     def sigma_map(self, net: WftcNet) -> dict:
         return dict(zip(net.guard_order, self.sigma))
 
@@ -88,26 +86,38 @@ def fresh_token(item: str, used) -> str:
     return f"{item}{top + 1}"
 
 
-def _scope_values(net: WftcNet, state: StateC, scope) -> list[str]:
-    col = net.schema.attr_index(scope.column)
-    rows = state.table
-    if scope.where_attr:
-        wcol = net.schema.attr_index(scope.where_attr)
-        needle = _resolve_source(state, net, scope.where_source)
-        rows = [rec for rec in rows if rec[wcol] == needle]
-    seen = []
-    for rec in rows:
-        v = rec[col]
-        if v is not UNDEF and v not in seen:
-            seen.append(v)
-    return seen
-
-
-def _resolve_source(state: StateC, net: WftcNet, source):
+def _value(net: WftcNet, data: tuple, source):
     kind, name = source
-    if kind == "const":
-        return name
-    return state.data[net.data_items.index(name)]
+    return name if kind == "const" else data[net.data_items.index(name)]
+
+
+def _rows(net: WftcNet, data: tuple, rows, attr: str, source) -> list:
+    """The rows whose ``attr`` cell holds the value of ``source``."""
+    col = net.schema.attr_index(attr)
+    needle = _value(net, data, source)
+    return [rec for rec in rows if rec[col] == needle]
+
+
+def _scope_values(net: WftcNet, data: tuple, table, scope) -> list[str]:
+    if scope.where_attr:
+        table = _rows(net, data, table, scope.where_attr, scope.where_source)
+    return net.column_values(scope.column, table)
+
+
+def _item_scope(net: WftcNet, item: str, scopes=()):
+    """The scope a written item refines over: the first of ``scopes``
+    on the column its membership predicate is bound to, else that whole
+    column; ``None`` for an item without a membership binding."""
+    binding = next(
+        ((pi.table, pi.column) for pi in net.predicates.values() if pi.kind == "in" and pi.item == item),
+        None,
+    )
+    if binding is None:
+        return None
+    for scope in scopes:
+        if not scope.assign_item and (scope.table, scope.column) == binding:
+            return scope
+    return SelScope(*binding)
 
 
 def refine(net: WftcNet, state: StateC, item: str, scope=None) -> list[str]:
@@ -120,121 +130,65 @@ def refine(net: WftcNet, state: StateC, item: str, scope=None) -> list[str]:
     if item not in net.data_items:
         raise ModelError(f"unknown data item {item}")
     if scope is None:
-        scope = _default_scope(net, item)
+        scope = _item_scope(net, item)
     if scope is None or net.schema is None:
         return [item]
-    values = _scope_values(net, state, scope)
+    values = _scope_values(net, state.data, state.table, scope)
     column = net.column_values(scope.column, state.table)
     values.append(fresh_token(item, column))
     return values
-
-
-def _default_scope(net: WftcNet, item: str):
-    # fall back to the membership predicate binding of the item
-    from .model import SelScope
-
-    for pi in net.predicates.values():
-        if pi.kind == "in" and pi.item == item:
-            return SelScope(table=pi.table, column=pi.column)
-    return None
-
-
-def _wt_scope(net: WftcNet, t: str, item: str):
-    for scope in net.sel.get(t, ()):
-        if not scope.assign_item and _scope_item_match(net, scope, item):
-            return scope
-    return _default_scope(net, item)
-
-
-def _scope_item_match(net: WftcNet, scope, item: str) -> bool:
-    # a sel scope feeds the written items whose membership predicate is
-    # bound to the same column; unbound items never pick up a scope
-    binding = _default_scope(net, item)
-    return binding is not None and (binding.table, binding.column) == (
-        scope.table,
-        scope.column,
-    )
 
 
 # ---------------------------------------------------------------------------
 # enabling and firing
 
 
-def enabled(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED) -> bool:
+def enabled(net: WftcNet, state: StateC, t: str) -> bool:
     if t not in net.transition_by_name:
         raise ModelError(f"unknown transition {t}")
     for p in net.preset(t):
         if state.marking[net.place_by_name[p].index] < 1:
             return False
-    data = state.data_map(net)
     for d in net.rd.get(t, ()):
-        if data.get(d, UNDEF) is UNDEF:
+        if state.data[net.data_items.index(d)] is UNDEF:
             return False
     for scope in net.sel.get(t, ()):
-        if scope.assign_item and not _scope_values(net, state, scope):
+        if scope.assign_item and not _scope_values(net, state.data, state.table, scope):
             return False
-    for op in net.dele.get(t, ()):
-        if not _rows_matching(net, state.table, op.where_attr, op.where_source, state):
-            return False
-    for op in net.upd.get(t, ()):
-        if not _rows_matching(net, state.table, op.where_attr, op.where_source, state):
+    for op in net.dele.get(t, ()) + net.upd.get(t, ()):
+        if not _rows(net, state.data, state.table, op.where_attr, op.where_source):
             return False
     ref = net.guard_of.get(t)
     if ref is not None:
-        value = state.sigma_map(net)[ref.guard]
+        value = state.sigma[net.guard_order.index(ref.guard)]
         if value != (TRUE if ref.positive else FALSE):
             return False
     return True
 
 
-def _rows_matching(net, table, attr, source, state):
-    col = net.schema.attr_index(attr)
-    needle = _resolve_source(state, net, source)
-    return [rec for rec in table if rec[col] == needle]
-
-
-def _move_tokens(net: WftcNet, marking, t: str):
-    out = list(marking)
-    for p in net.preset(t):
-        out[net.place_by_name[p].index] -= 1
-        if out[net.place_by_name[p].index] < 0:
-            raise FiringError(f"firing {t} underflows place {p}")
-    for p in net.postset(t):
-        out[net.place_by_name[p].index] += 1
-    return tuple(out)
-
-
-def _apply_table_ops(net: WftcNet, t: str, table, state_after):
-    records = [list(rec) for rec in table]
+def _apply_table_ops(net: WftcNet, t: str, table, data: tuple):
+    if t not in net.ins and t not in net.dele and t not in net.upd:
+        return table  # states hold canonical tables already
+    records = list(table)
     for op in net.ins.get(t, ()):
         rec = [UNDEF] * len(net.schema.attributes)
         for attr, source in op.values:
-            rec[net.schema.attr_index(attr)] = _resolve_source(state_after, net, source)
-        if tuple(rec) not in {tuple(r) for r in records}:
-            records.append(rec)
+            rec[net.schema.attr_index(attr)] = _value(net, data, source)
+        records.append(tuple(rec))
     for op in net.dele.get(t, ()):
-        col = net.schema.attr_index(op.where_attr)
-        needle = _resolve_source(state_after, net, op.where_source)
-        records = [r for r in records if r[col] != needle]
+        gone = _rows(net, data, records, op.where_attr, op.where_source)
+        records = [rec for rec in records if rec not in gone]
     for op in net.upd.get(t, ()):
-        col = net.schema.attr_index(op.where_attr)
-        needle = _resolve_source(state_after, net, op.where_source)
-        for rec in records:
-            if rec[col] == needle:
-                for attr, source in op.sets:
-                    rec[net.schema.attr_index(attr)] = _resolve_source(state_after, net, source)
+        hit = _rows(net, data, records, op.where_attr, op.where_source)
+        records = [rec for rec in records if rec not in hit]
+        for rec in map(list, hit):
+            for attr, source in op.sets:
+                rec[net.schema.attr_index(attr)] = _value(net, data, source)
+            records.append(tuple(rec))
     return canonical_table(records)
 
 
-def _touched_guards(net: WftcNet, t: str) -> list[str]:
-    """Guards settled by firing ``t``: those depending on an item the
-    transition writes or deletes. Items filled by a select assignment do
-    not count as written; every other guard keeps its previous value."""
-    moved = set(net.wt.get(t, ())) | set(net.dt.get(t, ()))
-    return [g for g in net.guard_order if net.guard_deps[g] & moved]
-
-
-def _sigma_after(net: WftcNet, parent_sigma, data, table, touched, mode):
+def _sigma_after(net: WftcNet, parent_sigma, data: dict, table, touched, mode):
     """Yield successor guard valuations.
 
     Untouched guards keep their previous value; guards over now-unwritten
@@ -242,79 +196,70 @@ def _sigma_after(net: WftcNet, parent_sigma, data, table, touched, mode):
     value (constrained) or branch over both truth values (unconstrained,
     and constrained when the net has no table to decide a membership).
     """
-    pi_values = {
-        name: pi.evaluate(data, table, net.schema)
-        for name, pi in net.predicates.items()
-    }
-    base = {}
-    choice_guards = []
-    for name, prev in zip(net.guard_order, parent_sigma):
-        guard = net.guards[name]
-        value = guard.evaluate(pi_values)
-        if any(data.get(d, UNDEF) is UNDEF for d in net.guard_deps[name]):
-            base[name] = BOT
+    sigma = []
+    choices = []
+    for name, value in zip(net.guard_order, parent_sigma):
+        if any(data[d] is UNDEF for d in net.guard_deps[name]):
+            value = BOT
         elif name in touched:
+            guard = net.guards[name]
+            value = guard.evaluate(
+                {p: net.predicates[p].evaluate(data, table, net.schema) for p in guard.predicates()}
+            )
             if mode == UNCONSTRAINED or value == BOT:
-                choice_guards.append(name)
-                base[name] = BOT
-            else:
-                base[name] = value
-        else:
-            base[name] = prev
-    if not choice_guards:
-        yield tuple(base[g] for g in net.guard_order)
-        return
-    for combo in itertools.product((TRUE, FALSE), repeat=len(choice_guards)):
-        valuation = dict(base)
-        valuation.update(zip(choice_guards, combo))
-        yield tuple(valuation[g] for g in net.guard_order)
+                choices.append(len(sigma))
+                value = BOT
+        sigma.append(value)
+    for combo in itertools.product((TRUE, FALSE), repeat=len(choices)):
+        for i, value in zip(choices, combo):
+            sigma[i] = value
+        yield tuple(sigma)
 
 
 def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED) -> list[StateC]:
     """All successor configurations of firing ``t``, after constraint
     filtering in constrained mode."""
-    if not enabled(net, state, t, mode):
+    if not enabled(net, state, t):
         raise FiringError(f"transition {t} is not enabled")
-    marking = _move_tokens(net, state.marking, t)
+    marking = list(state.marking)
+    for p in net.preset(t):
+        marking[net.place_by_name[p].index] -= 1
+    for p in net.postset(t):
+        marking[net.place_by_name[p].index] += 1
+    marking = tuple(marking)
 
-    base = dict(state.data_map(net))
+    base = dict(zip(net.data_items, state.data))
     for d in net.dt.get(t, ()):
         base[d] = UNDEF
+    written = net.wt.get(t, ())
+    scopes = net.sel.get(t, ())
+    domains = [refine(net, state, d, _item_scope(net, d, scopes)) for d in written]
+    # guards settled by the firing: those depending on an item it writes
+    # or deletes; items filled by a select assignment do not count
+    moved = set(written) | set(net.dt.get(t, ()))
+    touched = {g for g in net.guard_order if net.guard_deps[g] & moved}
 
-    written = list(net.wt.get(t, ()))
-    domains = [refine(net, state, d, _wt_scope(net, t, d)) for d in written]
-
-    touched = _touched_guards(net, t)
     successors = []
-    for combo in itertools.product(*domains) if domains else [()]:
+    for combo in itertools.product(*domains):
         data = dict(base)
         data.update(zip(written, combo))
-        probe = StateC(marking, tuple(data[d] for d in net.data_items), state.table, state.sigma)
-        stuck = False
-        for scope in net.sel.get(t, ()):
+        # the keys of ``data`` stay in declaration order
+        probe = tuple(data.values())
+        for scope in scopes:
             if scope.assign_item:
-                values = _scope_values(net, probe, scope)
+                values = _scope_values(net, probe, state.table, scope)
                 if not values:
-                    stuck = True  # this write combination selects nothing
-                    break
+                    break  # this write combination selects nothing
                 data[scope.assign_item] = values[0]
-        if stuck:
-            continue
-        snapshot = StateC(marking, tuple(data[d] for d in net.data_items), state.table, state.sigma)
-        table = _apply_table_ops(net, t, state.table, snapshot)
-        for sigma in _sigma_after(net, state.sigma, data, table, touched, mode):
-            if mode == CONSTRAINED and not constraint_consistent(
-                dict(zip(net.guard_order, sigma)), net.constraints
-            ):
-                continue
-            successors.append(StateC(marking, snapshot.data, table, sigma))
-    seen = set()
-    unique = []
-    for s in successors:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    return unique
+        else:
+            snapshot = tuple(data.values())
+            table = _apply_table_ops(net, t, state.table, snapshot)
+            for sigma in _sigma_after(net, state.sigma, data, table, touched, mode):
+                if mode != CONSTRAINED or constraint_consistent(
+                    dict(zip(net.guard_order, sigma)), net.constraints
+                ):
+                    successors.append(StateC(marking, snapshot, table, sigma))
+    return list(dict.fromkeys(successors))
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +327,12 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
     srg.states.append(root)
     srg.pseudo.append(not constraint_consistent(root.sigma_map(net), net.constraints))
     queue = deque([root])
-    edge_seen = set()
 
     while queue:
         state = queue.popleft()
         sid = index[state]
         for t in net.transitions:
-            if not enabled(net, state, t.name, mode):
+            if not enabled(net, state, t.name):
                 continue
             for succ in fire(net, state, t.name, mode):
                 if succ not in index:
@@ -399,13 +343,13 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
                     index[succ] = len(srg.states)
                     srg.states.append(succ)
                     srg.pseudo.append(
-                        not constraint_consistent(succ.sigma_map(net), net.constraints)
+                        mode == UNCONSTRAINED
+                        and not constraint_consistent(succ.sigma_map(net), net.constraints)
                     )
                     queue.append(succ)
-                key = (sid, t.name, index[succ])
-                if key not in edge_seen:
-                    edge_seen.add(key)
-                    srg.edges.append(key)
+                # each (state, transition) pair is fired once and ``fire``
+                # returns distinct successors, so no edge repeats
+                srg.edges.append((sid, t.name, index[succ]))
 
     srg.build_millis = (time.perf_counter() - started) * 1000.0
     return srg.finish()

@@ -28,6 +28,7 @@ from .model import (
     UpdateOp,
     WftcNet,
     canonical_table,
+    validate_workflow_structure,
 )
 from .srg import Srg
 
@@ -178,21 +179,12 @@ def parse_model(text: str) -> WftcNet:
     net.start, net.end = initial[0], final[0]
 
     net._index()
-    _check_references(net)
+    # a net of the wrong workflow shape still parses; dangling references
+    # do not
+    errors = validate_workflow_structure(net).errors
+    if errors:
+        raise ParseError("; ".join(errors))
     return net
-
-
-def _check_references(net: WftcNet):
-    from .model import validate_workflow_structure
-
-    report = validate_workflow_structure(net)
-    hard = [
-        v
-        for v in report.violations
-        if "unknown" in v or "not declared" in v or "does not connect" in v
-    ]
-    if hard:
-        raise ParseError("; ".join(hard))
 
 
 def _source(net: WftcNet, token: str):
@@ -219,6 +211,16 @@ def _parse_ops(net: WftcNet, lines):
             raise ParseError(f"malformed operations {body!r}", lineno)
         for op, args in _OP_RE.findall(body):
             _add_op(net, current, op, args.strip(), lineno)
+
+
+def _assignments(net: WftcNet, text: str, op: str, lineno: int):
+    pairs = []
+    for pair in text.split(","):
+        if "=" not in pair:
+            raise ParseError(f"{op}: expected attribute=value, got {pair.strip()!r}", lineno)
+        attr, value = pair.split("=", 1)
+        pairs.append((attr.strip(), _source(net, value)))
+    return tuple(pairs)
 
 
 def _add_op(net: WftcNet, t: str, op: str, args: str, lineno: int):
@@ -250,10 +252,7 @@ def _add_op(net: WftcNet, t: str, op: str, args: str, lineno: int):
         m = re.match(rf"^({_NAME})\s*:\s*(.+)$", args)
         if not m:
             raise ParseError(f"malformed ins({args})", lineno)
-        values = tuple(
-            (a.strip(), _source(net, v))
-            for a, v in (pair.split("=", 1) for pair in m.group(2).split(","))
-        )
+        values = _assignments(net, m.group(2), op, lineno)
         net.ins[t] = net.ins.get(t, ()) + (InsertOp(m.group(1), values),)
         return
     if op == "del":
@@ -270,10 +269,7 @@ def _add_op(net: WftcNet, t: str, op: str, args: str, lineno: int):
         )
         if not m:
             raise ParseError(f"malformed upd({args})", lineno)
-        sets = tuple(
-            (a.strip(), _source(net, v.strip()))
-            for a, v in (pair.split("=", 1) for pair in m.group(2).split(","))
-        )
+        sets = _assignments(net, m.group(2), op, lineno)
         net.upd[t] = net.upd.get(t, ()) + (
             UpdateOp(m.group(1), sets, m.group(3), _source(net, m.group(4))),
         )

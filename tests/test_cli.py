@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wftc
-from conftest import fixture_path
+from conftest import fixture_path, fixture_text
 from wftc.cli import EXIT_FALSE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
 MOTIVATING = str(fixture_path("motivating.wftc"))
@@ -133,6 +135,62 @@ def test_guard_with_undeclared_predicate_exits_usage(capsys, tmp_path):
     code, _, err = run(capsys, "build", str(bad))
     assert code == EXIT_USAGE
     assert "guard g6 references unknown predicate pi9" in err
+
+
+@pytest.mark.parametrize(
+    "good, bad, message",
+    [
+        ("t2: ins(User: Id=id)", "t2: ins(User: Id)", "ins: expected attribute=value, got 'Id'"),
+        (
+            "t13: upd(User: License=license",
+            "t13: upd(User: License",
+            "upd: expected attribute=value, got 'License'",
+        ),
+    ],
+    ids=["ins", "upd"],
+)
+def test_operation_without_equals_exits_usage(capsys, tmp_path, good, bad, message):
+    text = fixture_text("motivating.wftc")
+    line = text[: text.index(good)].count("\n") + 1
+    model = tmp_path / "bad.wftc"
+    model.write_text(text.replace(good, bad), encoding="utf-8")
+    code, _, err = run(capsys, "build", str(model))
+    assert code == EXIT_USAGE
+    assert err == f"error: {message} at line {line}\n"
+
+
+@pytest.mark.parametrize("place", ["zz1", "unknown1"])
+def test_isolated_place_is_no_parse_error(capsys, tmp_path, place):
+    # a workflow-shape finding, whatever the place is called
+    model = tmp_path / "extra.wftc"
+    model.write_text(fixture_text("motivating.wftc").replace("[PLACES] p0", f"[PLACES] {place} p0"))
+    code, out, _ = run(capsys, "build", str(model))
+    assert code == EXIT_OK
+    assert "states         54" in out
+
+
+def test_arc_to_undeclared_place_exits_usage(capsys, tmp_path):
+    model = tmp_path / "bad.wftc"
+    model.write_text(fixture_text("motivating.wftc").replace("t18->p13", "t18->p13 t18->unknown1"))
+    code, _, err = run(capsys, "build", str(model))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "arc endpoint unknown1 not declared" in err
+
+
+@pytest.mark.parametrize("content", [None, b"\xff"], ids=["directory", "undecodable"])
+@pytest.mark.parametrize("where", ["model", "formula-file"])
+def test_unreadable_file_exits_usage(capsys, tmp_path, content, where):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "input"
+        path.write_bytes(content)
+    if where == "model":
+        args = ["build", str(path)]
+    else:
+        args = ["verify", MOTIVATING, "--formula-file", str(path)]
+    code, _, err = run(capsys, *args)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def run_cli(*args):

@@ -33,6 +33,7 @@ ISOLATED = """
 def test_isolated_place_is_flagged():
     report = validate_workflow_structure(parse_model(ISOLATED))
     assert any("p99" in v for v in report.violations)
+    assert report.errors == [] and not report.valid
 
 
 def brute_force_on_path(net, node):

@@ -1,5 +1,7 @@
 """States, refinement, firing, and graph construction."""
 
+import hashlib
+
 import pytest
 
 from wftc import (
@@ -9,6 +11,7 @@ from wftc import (
     build_srg,
     constraint_consistent,
     enabled,
+    export_json,
     fire,
     initial_state,
     parse_model,
@@ -148,6 +151,23 @@ def test_build_wfd_counts(wfd_srg):
     stats = srg_stats(wfd_srg)
     assert stats.state_count == 147
     assert stats.pseudo_count == 113
+
+
+# SHA-256 of export_json: counts alone would miss renumbered states,
+# reordered edges or changed data, tables and guard values
+PINNED_GRAPHS = [
+    ("motivating.wftc", CONSTRAINED, "a32af85afc401100aed9530704bacf349ae91d3f978cd8413ca4b5edd97adc24"),
+    ("motivating.wftc", UNCONSTRAINED, "ccfdf0995243453cfa8e174771f23c162330f6291f95aa07414676a772042d8f"),
+    ("motivating-wfd.wftc", UNCONSTRAINED, "1df116436241396577ff3b3c55568dd905f51079958b9d11d083b3069dc2419e"),
+]
+
+
+@pytest.mark.parametrize("name, mode, digest", PINNED_GRAPHS)
+def test_exported_graph_is_pinned(name, mode, digest):
+    from conftest import fixture_text
+
+    srg = build_srg(parse_model(fixture_text(name)), mode)
+    assert hashlib.sha256(export_json(srg).encode("utf-8")).hexdigest() == digest
 
 
 def test_two_place_chain(tiny_net):
