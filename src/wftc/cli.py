@@ -69,9 +69,16 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _build(args):
-    with open(args.model, encoding="utf-8") as handle:
-        net = parse_model(handle.read())
+    net = parse_model(_read(args.model))
     srg = build_srg(net, args.mode)
     return net, srg
 
@@ -119,12 +126,8 @@ def cmd_verify(args) -> int:
     report = _report(args, srg)
     texts = list(args.formula or [])
     for path in args.formula_file or []:
-        with open(path, encoding="utf-8") as handle:
-            texts.extend(
-                line.strip()
-                for line in handle
-                if line.strip() and not line.strip().startswith("#")
-            )
+        lines = (line.strip() for line in _read(path).split("\n"))
+        texts.extend(line for line in lines if line and not line.startswith("#"))
     if not texts:
         raise ParseError("no formula given (use --formula or --formula-file)")
     all_hold = True
@@ -201,7 +204,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ModelError, EvalError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, ModelError, EvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

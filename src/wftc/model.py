@@ -9,6 +9,7 @@ guard values.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -55,6 +56,12 @@ class TableSchema:
 # A table instance is a canonically sorted tuple of records.
 
 
+# Sort keys are memoised per token and per record: canonical tables are
+# re-sorted on every firing with table operations, and ordered
+# comparisons in formulas compare the same few tokens over and over.
+
+
+@functools.lru_cache(maxsize=1 << 16)
 def record_key(record):
     # UNDEF cells sort first; tokens sort by (prefix, numeric suffix, text)
     return tuple((0, "", 0, "") if v is None else (1,) + token_key(v) for v in record)
@@ -63,6 +70,7 @@ def record_key(record):
 _SUFFIX_RE = re.compile(r"^(.*?)(\d+)$")
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def token_key(token: str):
     m = _SUFFIX_RE.match(token)
     if m:
@@ -71,7 +79,12 @@ def token_key(token: str):
 
 
 def canonical_table(records) -> tuple[tuple, ...]:
-    return tuple(sorted(set(tuple(r) for r in records), key=record_key))
+    return tuple(sorted(set(map(tuple, records)), key=record_key))
+
+
+def column_of(table, col: int) -> list[str]:
+    """Non-bottom values of column ``col`` in table order."""
+    return [v for v in dict.fromkeys([rec[col] for rec in table]) if v is not UNDEF]
 
 
 # ---------------------------------------------------------------------------
@@ -98,19 +111,31 @@ class Predicate:
     def depends_on(self) -> frozenset[str]:
         return frozenset((self.item,))
 
-    def evaluate(self, data: dict, table, schema: TableSchema | None) -> str:
-        value = data.get(self.item, UNDEF)
-        if value is UNDEF:
-            return BOT
+    def bind(self, net: WftcNet):
+        """This predicate as a function of a data tuple (declaration
+        order) and a table, with the item position and the membership
+        column resolved once."""
+        pos = net.data_items.index(self.item)
         if self.kind == "def":
-            return TRUE
+            return lambda data, table: BOT if data[pos] is UNDEF else TRUE
         if self.kind == "eq":
-            return TRUE if value == self.const else FALSE
+            const = self.const
+            return lambda data, table: (
+                BOT if data[pos] is UNDEF else TRUE if data[pos] == const else FALSE
+            )
         # membership; a net without the referenced table cannot decide it
+        schema = net.schema
         if schema is None or schema.name != self.table:
-            return BOT
+            return lambda data, table: BOT
         col = schema.attr_index(self.column)
-        return TRUE if any(rec[col] == value for rec in table) else FALSE
+
+        def member(data, table) -> str:
+            value = data[pos]
+            if value is UNDEF:
+                return BOT
+            return TRUE if value in [rec[col] for rec in table] else FALSE
+
+        return member
 
 
 # Guard expressions are trees over predicate names:
@@ -121,24 +146,26 @@ class Predicate:
 class Guard:
     name: str
     expr: tuple
+    _predicates: frozenset[str] = field(init=False, repr=False, compare=False)
 
-    def predicates(self) -> frozenset[str]:
+    def __post_init__(self):
         out = set()
-
-        def walk(node):
+        stack = [self.expr]
+        while stack:
+            node = stack.pop()
             if node[0] == "pi":
                 out.add(node[1])
             else:
-                for child in node[1:]:
-                    walk(child)
+                stack.extend(node[1:])
+        object.__setattr__(self, "_predicates", frozenset(out))
 
-        walk(self.expr)
-        return frozenset(out)
+    def predicates(self) -> frozenset[str]:
+        return self._predicates
 
     def evaluate(self, pi_values: dict) -> str:
         # strict three-valued logic: any undetermined predicate makes the
         # whole guard undetermined, regardless of absorption
-        if any(pi_values[p] == BOT for p in self.predicates()):
+        if any(pi_values[p] == BOT for p in self._predicates):
             return BOT
 
         def walk(node) -> bool:
@@ -297,6 +324,9 @@ class WftcNet:
             )
             for g in self.guards.values()
         }
+        # per-transition firing plans, compiled by ``srg`` on first use;
+        # a net changed after indexing is re-indexed, which drops them
+        self.compiled = None
 
     def _node_names(self):
         return [p.name for p in self.places] + [t.name for t in self.transitions]
@@ -316,13 +346,7 @@ class WftcNet:
 
     def column_values(self, column: str, table) -> list[str]:
         """Non-bottom values of a column in canonical order."""
-        col = self.schema.attr_index(column)
-        seen = []
-        for rec in table:
-            v = rec[col]
-            if v is not UNDEF and v not in seen:
-                seen.append(v)
-        return seen
+        return column_of(table, self.schema.attr_index(column))
 
     def key_column_values(self, table) -> list[str]:
         if self.schema is None:

@@ -6,15 +6,21 @@ transition branches over the finite refinement domain of each written
 item (scoped column values plus one fresh token) and re-derives exactly
 the guards whose predicates depend on an item the firing wrote or
 deleted; every other guard keeps its previous value.
+
+What firing needs from the net is compiled once per net into a plan per
+transition (``_Plan``), and ``build_srg`` tries at each state only the
+transitions whose preset its marking covers, listed once per marking.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .model import (
     BOT,
@@ -25,6 +31,7 @@ from .model import (
     SelScope,
     WftcNet,
     canonical_table,
+    column_of,
     constraint_consistent,
 )
 
@@ -70,38 +77,7 @@ def initial_state(net: WftcNet) -> StateC:
 
 
 # ---------------------------------------------------------------------------
-# data refinement
-
-
-def fresh_token(item: str, used) -> str:
-    """Deterministic new token: the item name suffixed just past the
-    largest numeric suffix already in use for it."""
-    top = 0
-    for value in used:
-        if value is UNDEF or not value.startswith(item):
-            continue
-        rest = value[len(item):]
-        if rest.isdigit():
-            top = max(top, int(rest))
-    return f"{item}{top + 1}"
-
-
-def _value(net: WftcNet, data: tuple, source):
-    kind, name = source
-    return name if kind == "const" else data[net.data_items.index(name)]
-
-
-def _rows(net: WftcNet, data: tuple, rows, attr: str, source) -> list:
-    """The rows whose ``attr`` cell holds the value of ``source``."""
-    col = net.schema.attr_index(attr)
-    needle = _value(net, data, source)
-    return [rec for rec in rows if rec[col] == needle]
-
-
-def _scope_values(net: WftcNet, data: tuple, table, scope) -> list[str]:
-    if scope.where_attr:
-        table = _rows(net, data, table, scope.where_attr, scope.where_source)
-    return net.column_values(scope.column, table)
+# the compiled net
 
 
 def _item_scope(net: WftcNet, item: str, scopes=()):
@@ -120,6 +96,135 @@ def _item_scope(net: WftcNet, item: str, scopes=()):
     return SelScope(*binding)
 
 
+def _source(net: WftcNet, source):
+    """A value source as a function of a data tuple."""
+    kind, name = source
+    if kind == "const":
+        return lambda data: name
+    return itemgetter(net.data_items.index(name))
+
+
+def _where(net: WftcNet, attr: str, source):
+    """The row filter ``attr = source`` as (column index, source)."""
+    return net.schema.attr_index(attr), _source(net, source)
+
+
+def _rows(table, where, data: tuple) -> list:
+    """The rows whose ``where`` column holds the value of its source."""
+    col, source = where
+    needle = source(data)
+    return [rec for rec in table if rec[col] == needle]
+
+
+def _scope(net: WftcNet, scope: SelScope):
+    """A ``sel`` scope as (column index, row filter or ``None``)."""
+    where = _where(net, scope.where_attr, scope.where_source) if scope.where_attr else None
+    return net.schema.attr_index(scope.column), where
+
+
+def _scope_values(scope, data: tuple, table) -> list[str]:
+    col, where = scope
+    return column_of(table if where is None else _rows(table, where, data), col)
+
+
+class _Plan:
+    """What firing one transition needs from the net, resolved once:
+    place, item and column positions, scopes, value sources, the guard
+    value it requires and the guards it settles."""
+
+    def __init__(self, net: WftcNet, t: str, bound: dict):
+        item = net.data_items.index
+        self.pre = tuple(net.place_by_name[p].index for p in net.preset(t))
+        self.post = tuple(net.place_by_name[p].index for p in net.postset(t))
+        self.rd = tuple(map(item, net.rd.get(t, ())))
+        self.dt = tuple(map(item, net.dt.get(t, ())))
+        written = net.wt.get(t, ())
+        self.wt = tuple(map(item, written))
+        scopes = net.sel.get(t, ())
+        # each written item with the scope ``refine`` branches it over
+        self.refined = tuple((d, _item_scope(net, d, scopes)) for d in written)
+        self.assigns = tuple((item(s.assign_item), _scope(net, s)) for s in scopes if s.assign_item)
+        self.ins = tuple(
+            tuple((net.schema.attr_index(attr), _source(net, source)) for attr, source in op.values)
+            for op in net.ins.get(t, ())
+        )
+        self.dele = tuple(_where(net, op.where_attr, op.where_source) for op in net.dele.get(t, ()))
+        self.upd = tuple(
+            (
+                _where(net, op.where_attr, op.where_source),
+                tuple((net.schema.attr_index(attr), _source(net, source)) for attr, source in op.sets),
+            )
+            for op in net.upd.get(t, ())
+        )
+        # the rows a ``del`` or ``upd`` must find to be enabled
+        self.matches = self.dele + tuple(where for where, _ in self.upd)
+        self.width = len(net.schema.attributes) if net.schema is not None else 0
+        ref = net.guard_of.get(t)
+        self.guard = None
+        if ref is not None:
+            self.guard = (net.guard_order.index(ref.guard), TRUE if ref.positive else FALSE)
+        # every guard with the positions of the items it depends on; the
+        # guards the firing settles (those over an item it writes or
+        # deletes; items filled by a select assignment do not count) also
+        # carry their predicates
+        moved = set(written) | set(net.dt.get(t, ()))
+        settle = []
+        for gi, name in enumerate(net.guard_order):
+            deps = net.guard_deps[name]
+            guard = preds = None
+            if deps & moved:
+                guard = net.guards[name]
+                preds = tuple((p, bound[p]) for p in guard.predicates())
+            settle.append((gi, frozenset(map(item, deps)), guard, preds))
+        self.settle = tuple(settle)
+
+
+class _Compiled:
+    """A net's firing plans, kept on the net until it is re-indexed, and
+    per distinct marking the transitions whose preset it marks."""
+
+    def __init__(self, net: WftcNet):
+        bound = {name: pi.bind(net) for name, pi in net.predicates.items()}
+        self.plans = {t.name: _Plan(net, t.name, bound) for t in net.transitions}
+        self._candidates: dict[tuple, list[str]] = {}
+
+    def candidates(self, marking: tuple) -> list[str]:
+        """Transitions in declaration order whose every input place holds a token."""
+        names = self._candidates.get(marking)
+        if names is None:
+            names = self._candidates[marking] = [
+                t for t, plan in self.plans.items() if all(marking[i] >= 1 for i in plan.pre)
+            ]
+        return names
+
+
+def _compiled(net: WftcNet) -> _Compiled:
+    if net.compiled is None:
+        net.compiled = _Compiled(net)
+    return net.compiled
+
+
+# ---------------------------------------------------------------------------
+# data refinement
+
+
+def fresh_token(item: str, used) -> str:
+    """Deterministic new token: the item name suffixed just past the
+    largest numeric suffix already in use for it."""
+    top = 0
+    for value in used:
+        if value is UNDEF or not value.startswith(item):
+            continue
+        rest = value[len(item):]
+        if rest.isdigit():
+            top = max(top, int(rest))
+    return f"{item}{top + 1}"
+
+
+# most firings see a column they have seen before
+_fresh_token = functools.lru_cache(maxsize=1 << 12)(fresh_token)
+
+
 def refine(net: WftcNet, state: StateC, item: str, scope=None) -> list[str]:
     """Candidate values for writing ``item`` at ``state``.
 
@@ -133,9 +238,8 @@ def refine(net: WftcNet, state: StateC, item: str, scope=None) -> list[str]:
         scope = _item_scope(net, item)
     if scope is None or net.schema is None:
         return [item]
-    values = _scope_values(net, state.data, state.table, scope)
-    column = net.column_values(scope.column, state.table)
-    values.append(fresh_token(item, column))
+    values = _scope_values(_scope(net, scope), state.data, state.table)
+    values.append(_fresh_token(item, tuple(net.column_values(scope.column, state.table))))
     return values
 
 
@@ -144,51 +248,52 @@ def refine(net: WftcNet, state: StateC, item: str, scope=None) -> list[str]:
 
 
 def enabled(net: WftcNet, state: StateC, t: str) -> bool:
-    if t not in net.transition_by_name:
+    plan = _compiled(net).plans.get(t)
+    if plan is None:
         raise ModelError(f"unknown transition {t}")
-    for p in net.preset(t):
-        if state.marking[net.place_by_name[p].index] < 1:
+    marking, data, table = state.marking, state.data, state.table
+    for i in plan.pre:
+        if marking[i] < 1:
             return False
-    for d in net.rd.get(t, ()):
-        if state.data[net.data_items.index(d)] is UNDEF:
+    for i in plan.rd:
+        if data[i] is UNDEF:
             return False
-    for scope in net.sel.get(t, ()):
-        if scope.assign_item and not _scope_values(net, state.data, state.table, scope):
+    for _, scope in plan.assigns:
+        if not _scope_values(scope, data, table):
             return False
-    for op in net.dele.get(t, ()) + net.upd.get(t, ()):
-        if not _rows(net, state.data, state.table, op.where_attr, op.where_source):
+    for where in plan.matches:
+        if not _rows(table, where, data):
             return False
-    ref = net.guard_of.get(t)
-    if ref is not None:
-        value = state.sigma[net.guard_order.index(ref.guard)]
-        if value != (TRUE if ref.positive else FALSE):
+    if plan.guard is not None:
+        gi, value = plan.guard
+        if state.sigma[gi] != value:
             return False
     return True
 
 
-def _apply_table_ops(net: WftcNet, t: str, table, data: tuple):
-    if t not in net.ins and t not in net.dele and t not in net.upd:
+def _apply_table_ops(plan: _Plan, table, data: tuple):
+    if not (plan.ins or plan.dele or plan.upd):
         return table  # states hold canonical tables already
     records = list(table)
-    for op in net.ins.get(t, ()):
-        rec = [UNDEF] * len(net.schema.attributes)
-        for attr, source in op.values:
-            rec[net.schema.attr_index(attr)] = _value(net, data, source)
+    for cells in plan.ins:
+        rec = [UNDEF] * plan.width
+        for col, source in cells:
+            rec[col] = source(data)
         records.append(tuple(rec))
-    for op in net.dele.get(t, ()):
-        gone = _rows(net, data, records, op.where_attr, op.where_source)
+    for where in plan.dele:
+        gone = _rows(records, where, data)
         records = [rec for rec in records if rec not in gone]
-    for op in net.upd.get(t, ()):
-        hit = _rows(net, data, records, op.where_attr, op.where_source)
+    for where, sets in plan.upd:
+        hit = _rows(records, where, data)
         records = [rec for rec in records if rec not in hit]
         for rec in map(list, hit):
-            for attr, source in op.sets:
-                rec[net.schema.attr_index(attr)] = _value(net, data, source)
+            for col, source in sets:
+                rec[col] = source(data)
             records.append(tuple(rec))
     return canonical_table(records)
 
 
-def _sigma_after(net: WftcNet, parent_sigma, data: dict, table, touched, mode):
+def _sigma_after(plan: _Plan, parent_sigma, data: tuple, table, mode):
     """Yield successor guard valuations.
 
     Untouched guards keep their previous value; guards over now-unwritten
@@ -196,20 +301,18 @@ def _sigma_after(net: WftcNet, parent_sigma, data: dict, table, touched, mode):
     value (constrained) or branch over both truth values (unconstrained,
     and constrained when the net has no table to decide a membership).
     """
-    sigma = []
+    sigma = list(parent_sigma)
     choices = []
-    for name, value in zip(net.guard_order, parent_sigma):
-        if any(data[d] is UNDEF for d in net.guard_deps[name]):
-            value = BOT
-        elif name in touched:
-            guard = net.guards[name]
-            value = guard.evaluate(
-                {p: net.predicates[p].evaluate(data, table, net.schema) for p in guard.predicates()}
-            )
+    unwritten = {i for i, value in enumerate(data) if value is UNDEF}
+    for gi, deps, guard, preds in plan.settle:
+        if not unwritten.isdisjoint(deps):
+            sigma[gi] = BOT
+        elif guard is not None:
+            value = guard.evaluate({name: pi(data, table) for name, pi in preds})
             if mode == UNCONSTRAINED or value == BOT:
-                choices.append(len(sigma))
+                choices.append(gi)
                 value = BOT
-        sigma.append(value)
+            sigma[gi] = value
     for combo in itertools.product((TRUE, FALSE), repeat=len(choices)):
         for i, value in zip(choices, combo):
             sigma[i] = value
@@ -221,44 +324,38 @@ def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED) -> list[S
     filtering in constrained mode."""
     if not enabled(net, state, t):
         raise FiringError(f"transition {t} is not enabled")
+    plan = _compiled(net).plans[t]
     marking = list(state.marking)
-    for p in net.preset(t):
-        marking[net.place_by_name[p].index] -= 1
-    for p in net.postset(t):
-        marking[net.place_by_name[p].index] += 1
+    for i in plan.pre:
+        marking[i] -= 1
+    for i in plan.post:
+        marking[i] += 1
     marking = tuple(marking)
 
-    base = dict(zip(net.data_items, state.data))
-    for d in net.dt.get(t, ()):
-        base[d] = UNDEF
-    written = net.wt.get(t, ())
-    scopes = net.sel.get(t, ())
-    domains = [refine(net, state, d, _item_scope(net, d, scopes)) for d in written]
-    # guards settled by the firing: those depending on an item it writes
-    # or deletes; items filled by a select assignment do not count
-    moved = set(written) | set(net.dt.get(t, ()))
-    touched = {g for g in net.guard_order if net.guard_deps[g] & moved}
+    base = list(state.data)
+    for i in plan.dt:
+        base[i] = UNDEF
+    domains = [refine(net, state, d, scope) for d, scope in plan.refined]
 
     successors = []
     for combo in itertools.product(*domains):
-        data = dict(base)
-        data.update(zip(written, combo))
-        # the keys of ``data`` stay in declaration order
-        probe = tuple(data.values())
-        for scope in scopes:
-            if scope.assign_item:
-                values = _scope_values(net, probe, state.table, scope)
-                if not values:
-                    break  # this write combination selects nothing
-                data[scope.assign_item] = values[0]
+        data = base.copy()
+        for i, value in zip(plan.wt, combo):
+            data[i] = value
+        probe = tuple(data)
+        for i, scope in plan.assigns:
+            values = _scope_values(scope, probe, state.table)
+            if not values:
+                break  # this write combination selects nothing
+            data[i] = values[0]
         else:
-            snapshot = tuple(data.values())
-            table = _apply_table_ops(net, t, state.table, snapshot)
-            for sigma in _sigma_after(net, state.sigma, data, table, touched, mode):
+            data = tuple(data)
+            table = _apply_table_ops(plan, state.table, data)
+            for sigma in _sigma_after(plan, state.sigma, data, table, mode):
                 if mode != CONSTRAINED or constraint_consistent(
                     dict(zip(net.guard_order, sigma)), net.constraints
                 ):
-                    successors.append(StateC(marking, snapshot, table, sigma))
+                    successors.append(StateC(marking, data, table, sigma))
     return list(dict.fromkeys(successors))
 
 
@@ -327,20 +424,22 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
     srg.states.append(root)
     srg.pseudo.append(not constraint_consistent(root.sigma_map(net), net.constraints))
     queue = deque([root])
+    candidates = _compiled(net).candidates
 
     while queue:
         state = queue.popleft()
         sid = index[state]
-        for t in net.transitions:
-            if not enabled(net, state, t.name):
+        for t in candidates(state.marking):
+            if not enabled(net, state, t):
                 continue
-            for succ in fire(net, state, t.name, mode):
-                if succ not in index:
+            for succ in fire(net, state, t, mode):
+                dst = index.get(succ)
+                if dst is None:
                     if len(srg.states) >= ceiling:
                         raise ResourceLimitError(
                             f"state ceiling of {ceiling} states exceeded"
                         )
-                    index[succ] = len(srg.states)
+                    dst = index[succ] = len(srg.states)
                     srg.states.append(succ)
                     srg.pseudo.append(
                         mode == UNCONSTRAINED
@@ -349,7 +448,7 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
                     queue.append(succ)
                 # each (state, transition) pair is fired once and ``fire``
                 # returns distinct successors, so no edge repeats
-                srg.edges.append((sid, t.name, index[succ]))
+                srg.edges.append((sid, t, dst))
 
     srg.build_millis = (time.perf_counter() - started) * 1000.0
     return srg.finish()

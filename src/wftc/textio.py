@@ -8,9 +8,11 @@ quantifiers over table records and comparisons over record attributes.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import dctl
 from .model import (
@@ -944,37 +946,64 @@ def export_dot(srg: Srg) -> str:
 
 def export_json(srg: Srg) -> str:
     """Full state dump: marking, data valuation, table and guard values
-    per state, plus the labeled edge list."""
+    per state, plus the labeled edge list.
+
+    The text is exactly what ``json.dumps(payload, indent=2,
+    sort_keys=True)`` prints for that payload, written directly: the
+    indenting ``json`` encoder is pure Python and builds the whole
+    payload first, while states share markings, data, tables and guard
+    values, which are rendered once each here."""
     net = srg.net
-    payload = {
-        "mode": srg.mode,
-        "initial": srg.state_id(srg.initial),
-        "states": [
-            {
-                "id": srg.state_id(i),
-                "marking": {
-                    p.name: s.marking[p.index]
-                    for p in net.places
-                    if s.marking[p.index]
-                },
-                "data": {
-                    d: (None if v is UNDEF else v)
-                    for d, v in zip(net.data_items, s.data)
-                },
-                "table": [
-                    [None if v is UNDEF else v for v in rec] for rec in s.table
-                ],
-                "guards": dict(zip(net.guard_order, s.sigma)),
-                "pseudo": srg.pseudo[i],
-            }
-            for i, s in enumerate(srg.states)
-        ],
-        "edges": [
-            {"from": srg.state_id(a), "transition": t, "to": srg.state_id(b)}
-            for a, t, b in srg.edges
-        ],
+
+    def scalar(value) -> str:
+        if value is None:
+            return "null"
+        return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
+
+    def obj(pairs, pad: str) -> str:
+        if not pairs:
+            return "{}"
+        inner = ",\n".join(f"{pad}  {encode_basestring_ascii(k)}: {v}" for k, v in sorted(pairs.items()))
+        return f"{{\n{inner}\n{pad}}}"
+
+    def arr(texts, pad: str) -> str:
+        if not texts:
+            return "[]"
+        inner = ",\n".join(f"{pad}  {text}" for text in texts)
+        return f"[\n{inner}\n{pad}]"
+
+    pad = " " * 6
+    marking = functools.cache(
+        lambda m: obj({p.name: scalar(m[p.index]) for p in net.places if m[p.index]}, pad)
+    )
+    data = functools.cache(
+        lambda d: obj({name: scalar(v) for name, v in zip(net.data_items, d)}, pad)
+    )
+    table = functools.cache(
+        lambda t: arr([arr([scalar(v) for v in rec], pad + "  ") for rec in t], pad)
+    )
+    guards = functools.cache(
+        lambda sigma: obj({name: scalar(v) for name, v in zip(net.guard_order, sigma)}, pad)
+    )
+    ids = [scalar(srg.state_id(i)) for i in range(len(srg.states))]
+    states = [
+        f"{{\n{pad}\"data\": {data(s.data)},\n{pad}\"guards\": {guards(s.sigma)},"
+        f"\n{pad}\"id\": {ids[i]},\n{pad}\"marking\": {marking(s.marking)},"
+        f"\n{pad}\"pseudo\": {scalar(srg.pseudo[i])},\n{pad}\"table\": {table(s.table)}\n    }}"
+        for i, s in enumerate(srg.states)
+    ]
+    label = functools.cache(scalar)
+    edges = [
+        f"{{\n{pad}\"from\": {ids[a]},\n{pad}\"to\": {ids[b]},\n{pad}\"transition\": {label(t)}\n    }}"
+        for a, t, b in srg.edges
+    ]
+    top = {
+        "edges": arr(edges, "  "),
+        "initial": scalar(srg.state_id(srg.initial)),
+        "mode": scalar(srg.mode),
+        "states": arr(states, "  "),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return obj(top, "") + "\n"
 
 
 def import_json(text: str):

@@ -16,6 +16,13 @@ def fixture_text(name: str) -> str:
     return fixture_path(name).read_text(encoding="utf-8")
 
 
+def table_model(n: int) -> str:
+    """``motivating.wftc`` with the ``User`` rows ``idK, licenseK, copyK``
+    for K = 1..n."""
+    rows = "".join(f"  id{k}, license{k}, copy{k}\n" for k in range(1, n + 1))
+    return fixture_text("motivating.wftc").replace("  id1, license1, copy1\n  id2, license2, copy2\n", rows)
+
+
 @pytest.fixture(scope="session")
 def motivating_net():
     return parse_model(fixture_text("motivating.wftc"))

@@ -191,6 +191,17 @@ def test_unreadable_file_exits_usage(capsys, tmp_path, content, where):
     code, _, err = run(capsys, *args)
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_undecodable_formula_file_is_named(capsys, tmp_path):
+    good, bad = tmp_path / "ok.dctl", tmp_path / "bad.dctl"
+    good.write_text("EF p13\n", encoding="utf-8")
+    bad.write_bytes("EF p13 # \u0434".encode("utf-8")[:-1] + b"\n")
+    code, out, err = run(capsys, "verify", MOTIVATING, "--formula-file", str(good), "--formula-file", str(bad))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xd0 ")
+    assert err.count("\n") == 1
 
 
 def run_cli(*args):

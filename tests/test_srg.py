@@ -170,6 +170,17 @@ def test_exported_graph_is_pinned(name, mode, digest):
     assert hashlib.sha256(export_json(srg).encode("utf-8")).hexdigest() == digest
 
 
+def test_twelve_row_table_graph_is_pinned():
+    # with ten rows or more, string order (id10 < id2) differs from the
+    # numeric-suffix order of canonical tables
+    from conftest import table_model
+
+    srg = build_srg(parse_model(table_model(12)), CONSTRAINED)
+    assert len(srg.states) == 624
+    digest = hashlib.sha256(export_json(srg).encode("utf-8")).hexdigest()
+    assert digest == "7e1ccfc20c1dbb35b4bc74f8f087a52652c60fd9f07067c3efc08c6b1e20fe64"
+
+
 def test_two_place_chain(tiny_net):
     srg = build_srg(tiny_net)
     assert len(srg.states) == 2

@@ -1,5 +1,6 @@
 """Model format, formula grammar, and graph exports."""
 
+import json
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from wftc import (
     serialize_model,
 )
 from wftc import dctl as ast
+from conftest import TINY_CHAIN
 from wftc.dctl import formula_text
 from wftc.model import (
     Guard,
@@ -28,6 +30,7 @@ from wftc.model import (
     WftcNet,
     canonical_table,
 )
+from wftc.srg import UNCONSTRAINED, Srg, StateC
 
 
 def test_parse_motivating_counts(motivating_net):
@@ -363,3 +366,57 @@ def test_json_roundtrip(motivating_net, motivating_srg):
     )
     # re-exporting the same graph is byte-identical
     assert export_json(motivating_srg) == export_json(motivating_srg)
+
+
+def json_module_export(srg) -> str:
+    """What ``export_json`` must print: the payload through the ``json``
+    module's indenting encoder."""
+    net = srg.net
+    payload = {
+        "mode": srg.mode,
+        "initial": srg.state_id(srg.initial),
+        "states": [
+            {
+                "id": srg.state_id(i),
+                "marking": {p.name: s.marking[p.index] for p in net.places if s.marking[p.index]},
+                "data": dict(zip(net.data_items, s.data)),
+                "table": [list(rec) for rec in s.table],
+                "guards": dict(zip(net.guard_order, s.sigma)),
+                "pseudo": srg.pseudo[i],
+            }
+            for i, s in enumerate(srg.states)
+        ],
+        "edges": [
+            {"from": srg.state_id(a), "transition": t, "to": srg.state_id(b)}
+            for a, t, b in srg.edges
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_export_matches_the_json_module(motivating_srg, wfd_srg):
+    for srg in (motivating_srg, wfd_srg, build_srg(parse_model(TINY_CHAIN))):
+        assert export_json(srg) == json_module_export(srg)
+
+
+def test_json_export_escapes_like_the_json_module():
+    net = WftcNet(
+        places=[Place("zz", 0), Place("aé", 1), Place('q"', 2)],
+        transitions=[Transition("t\\1", 0)],
+        data_items=["d ", "b"],
+        schema=TableSchema("T", ("A", "B")),
+        start="zz",
+        end='q"',
+    )
+    net.guards["gÿ"] = Guard("gÿ", ("pi", "pi"))
+    net._index()
+    srg = Srg(net=net, mode=UNCONSTRAINED)
+    srg.states += [
+        StateC((1, 0, 0), (None, "x\ty"), (), ("U",)),
+        StateC((0, 2, 1), ("\U0001f600", None), ((None, "bé"), ("a1", "</>")), ("T",)),
+    ]
+    srg.pseudo += [False, True]
+    srg.edges.append((0, "t\\1", 1))
+    assert export_json(srg) == json_module_export(srg.finish())
+    srg.edges.clear()
+    assert export_json(srg) == json_module_export(srg.finish())
