@@ -100,7 +100,7 @@ def _verdict_entry(name: str, verdict) -> dict:
         entry = {
             "name": name,
             "verdict": "TRUE" if verdict.holds else "FALSE",
-            "satCount": len(verdict.sat_set),
+            "satCount": verdict.sat_bits.bit_count(),
         }
         if verdict.evidence:
             entry["evidence"] = verdict.evidence

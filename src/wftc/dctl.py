@@ -11,13 +11,16 @@ a schema attribute degenerates to a membership test of that name in the
 table's key column. State-local subformulas read only the marking and
 the table, never the data items or guard values, so each is evaluated
 once per distinct marking, table or (marking, table) pair, whichever it
-reads.
+reads. A subformula without a quantifier reads only markings, so it is
+evaluated on the graph's quotient by bisimulation, which is far smaller
+than the graph.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, count
 from typing import Union
 
@@ -360,23 +363,122 @@ def _bits(states, n: int) -> int:
     return _from_flags(flags)
 
 
-class _Evaluation:
-    """Evaluation state of one finished graph: predecessor masks, state
-    groups and the satisfaction bitset of every formula node evaluated so
-    far, keyed on the node's structure so that equal subformulas of
-    different formulas are computed once."""
+class _Shapes:
+    """Structural ids of formula nodes, shared by a graph and its quotient.
 
-    def __init__(self, srg: Srg):
-        self.states, self.net = srg.states, srg.net
+    A node's shape is its class, its own fields and the ids of its
+    subformulas, so equal subformulas of any two formulas get one id;
+    nothing hashes or compares a whole subtree, which keeps deep formulas
+    clear of the recursion limit. ``quantified`` holds the ids of the
+    nodes with a quantifier in them."""
+
+    def __init__(self):
+        self.ids: dict[tuple, int] = {}
+        self.fresh = count()  # atomic, unlike len(ids), for threads sharing a graph
+        self.quantified: set[int] = set()
+        # ``verify`` identifies a formula to route it, then ``sat`` again
+        self.last: tuple = (None, {})
+
+    def identify(self, root: Formula) -> dict[int, int]:
+        """Structural ids of every node under ``root``, keyed by ``id(node)``."""
+        last_root, ids = self.last
+        if last_root is root:
+            return ids
+        ids, shapes, quantified = {}, self.ids, self.quantified
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            subs = subformulas(node)
+            pending = [sub for sub in subs if id(sub) not in ids]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            shape = (type(node),) + tuple(
+                ids[id(v)] if isinstance(v, _NODE_TYPES) else v for v in vars(node).values()
+            )
+            sid = shapes.get(shape)
+            if sid is None:
+                sid = next(self.fresh)
+                # flagged before it is published, for threads sharing a graph
+                if isinstance(node, Quantifier) or any(ids[id(sub)] in quantified for sub in subs):
+                    quantified.add(sid)
+                sid = shapes.setdefault(shape, sid)
+            ids[id(node)] = sid
+        self.last = (root, ids)
+        return ids
+
+
+class _Evaluation:
+    """Evaluation state of one finished graph: state groups, the
+    satisfaction bitset of every formula node evaluated so far, keyed on
+    the node's structure so that equal subformulas of different formulas
+    are computed once, and the graph's bisimulation quotient, which
+    decides every subformula without a quantifier."""
+
+    def __init__(self, srg: Srg, shapes: _Shapes | None = None):
+        self.srg, self.states, self.net = srg, srg.states, srg.net
         self.size = n = len(srg.states)
         self.everything = (1 << n) - 1
-        self.preds = [srg.predecessors(i) for i in range(n)]
-        self.pred_masks = [sum(1 << p for p in pre) for pre in self.preds]
-        self.outdegree = [len(srg.successors(i)) for i in range(n)]
         self.groups: dict[tuple[bool, bool], list] = {}
-        self.shapes: dict[tuple, int] = {}  # node shape -> structural id
-        self.fresh_ids = count()  # atomic, unlike len(shapes), for threads sharing a graph
+        self.shapes = shapes or _Shapes()
         self.memo: dict[int, int] = {}  # structural id -> satisfaction bitset
+
+    # the fixed points' view of the graph, built when one first runs here
+
+    @cached_property
+    def preds(self) -> list[set[int]]:
+        return [self.srg.predecessors(i) for i in range(self.size)]
+
+    @cached_property
+    def pred_masks(self) -> list[int]:
+        return [sum(1 << p for p in pre) for pre in self.preds]
+
+    @cached_property
+    def outdegree(self) -> list[int]:
+        return [len(self.srg.successors(i)) for i in range(self.size)]
+
+    @cached_property
+    def quotient(self) -> _Evaluation:
+        """The evaluator of the quotient graph by the coarsest bisimulation
+        that keeps states with different markings apart; itself when no
+        two states are bisimilar.
+
+        Without a quantifier a subformula reads nothing of a state but its
+        marking, and bisimilar states satisfy the same such formulas,
+        deadlocks included (Browne, Clarke and Grumberg, TCS 1988), so a
+        quantifier-free subformula holds exactly at the states of the
+        blocks satisfying it in the quotient. A block's arcs are those of
+        its first state."""
+        block, blocks = _bisimulation(self.srg)
+        if blocks == self.size:
+            return self
+        members: list[list[int]] = [[] for _ in range(blocks)]
+        for i, b in enumerate(block):
+            members[b].append(i)
+        first = [group[0] for group in members]
+        graph = Srg(net=self.net, mode=self.srg.mode, initial=block[self.srg.initial])
+        graph.states = [self.states[i] for i in first]
+        graph.edges = [
+            (block[src], t, block[dst]) for src, t, dst in self.srg.edges if first[block[src]] == src
+        ]
+        graph.finish()
+        quotient = graph.evaluation = _Evaluation(graph, self.shapes)
+        quotient.quotient = quotient
+        self.block_masks = [_bits(ids, self.size) for ids in members]
+        return quotient
+
+    def decider(self, sid: int) -> _Evaluation:
+        """The evaluator of a node: the quotient unless a quantifier in
+        the node reads tables, which barely merges any states."""
+        return self if sid in self.shapes.quantified else self.quotient
+
+    def lift(self, bits: int) -> int:
+        """The states of the quotient blocks in ``bits``."""
+        result = 0
+        for b in _members(bits):
+            result |= self.block_masks[b]
+        return result
 
     def partition(self, marking: bool, table: bool) -> list[tuple]:
         """States grouped by marking, table, both or neither, as
@@ -403,37 +505,25 @@ class _Evaluation:
                 result |= mask
         return result
 
-    def identify(self, root: Formula) -> dict[int, int]:
-        """Structural ids of every node under ``root``, keyed by ``id(node)``.
-
-        A node's shape is its class, its own fields and the ids of its
-        subformulas, so equal subformulas of any two formulas get one id;
-        nothing hashes or compares a whole subtree, which keeps deep
-        formulas clear of the recursion limit."""
-        ids: dict[int, int] = {}
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            pending = [sub for sub in subformulas(node) if id(sub) not in ids]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            shape = (type(node),) + tuple(
-                ids[id(v)] if isinstance(v, _NODE_TYPES) else v for v in vars(node).values()
-            )
-            ids[id(node)] = self.shapes.setdefault(shape, next(self.fresh_ids))
-        return ids
-
     def sat(self, root: Formula) -> int:
+        return self.evaluate(root, self.shapes.identify(root))
+
+    def evaluate(self, root: Formula, ids: dict[int, int]) -> int:
         """Bottom-up over the formula without recursion, reusing every
-        memoised subformula; operands are evaluated left to right."""
-        ids, memo = self.identify(root), self.memo
+        memoised subformula and handing each quantifier-free one to the
+        quotient; operands are evaluated left to right."""
+        memo = self.memo
         stack = [root]
         while stack:
             node = stack[-1]
-            if ids[id(node)] in memo:
+            sid = ids[id(node)]
+            if sid in memo:
                 stack.pop()
+                continue
+            decider = self.decider(sid)
+            if decider is not self:
+                stack.pop()
+                memo[sid] = self.lift(decider.evaluate(node, ids))
                 continue
             operands = _operands(node)
             missing = [sub for sub in operands if ids[id(sub)] not in memo]
@@ -441,7 +531,7 @@ class _Evaluation:
                 stack.extend(reversed(missing))
                 continue
             stack.pop()
-            memo[ids[id(node)]] = self.apply(node, [memo[ids[id(sub)]] for sub in operands])
+            memo[sid] = self.apply(node, [memo[ids[id(sub)]] for sub in operands])
         return memo[ids[id(root)]]
 
     def apply(self, node: Formula, args: list[int]) -> int:
@@ -527,6 +617,46 @@ def subformulas(node: Formula) -> tuple:
     return (node.body,) if isinstance(node, Quantifier) else _operands(node)
 
 
+def _numbered(keys: list) -> tuple[list[int], int]:
+    """Each key's number in order of first occurrence, and how many distinct keys there are."""
+    numbers: dict = {}
+    return [numbers.setdefault(key, len(numbers)) for key in keys], len(numbers)
+
+
+def _bisimulation(srg: Srg) -> tuple[list[int], int]:
+    """The block of each state in the coarsest partition that keeps states
+    with different markings apart and in which the states of a block have
+    successors in the same blocks, and the number of blocks.
+
+    Blocks start as the sets of states with one marking. A block splits
+    by the set of blocks its states step into, and a split sends the
+    blocks holding predecessors of its states back for another look, until
+    no block splits. Blocks are then numbered by their first state, so the
+    numbering does not depend on the hash seed."""
+    successors = [tuple(srg.successors(i)) for i in range(len(srg.states))]
+    block, blocks = _numbered([state.marking for state in srg.states])
+    members: list[list[int]] = [[] for _ in range(blocks)]
+    for i, b in enumerate(block):
+        members[b].append(i)
+    get = block.__getitem__
+    todo = set(range(blocks))
+    while todo:
+        moved: list[int] = []
+        for b in todo:
+            parts: dict[frozenset, list[int]] = {}
+            for i in members[b]:
+                parts.setdefault(frozenset(map(get, successors[i])), []).append(i)
+            if len(parts) > 1:
+                moved += members[b]
+                members[b], *rest = parts.values()
+                for part in rest:
+                    for i in part:
+                        block[i] = len(members)
+                    members.append(part)
+        todo = {block[p] for i in moved for p in srg.predecessors(i)}
+    return _numbered(block)
+
+
 def _evaluation(srg: Srg) -> _Evaluation:
     if srg.evaluation is None:
         srg.evaluation = _Evaluation(srg)
@@ -569,10 +699,22 @@ def sat_au(srg: Srg, lhs: set[int], rhs: set[int]) -> set[int]:
 
 @dataclass
 class Verdict:
+    """A formula's verdict with its satisfaction and precondition sets as
+    bitsets over state ids (bit i for state ``ci``); ``sat_set`` and
+    ``pre_set`` list them as sets, built on first access."""
+
     holds: bool
-    sat_set: set[int]
-    pre_set: set[int]
+    sat_bits: int
+    pre_bits: int
     evidence: list[str] | None = None
+
+    @cached_property
+    def sat_set(self) -> set[int]:
+        return set(_members(self.sat_bits))
+
+    @cached_property
+    def pre_set(self) -> set[int]:
+        return set(_members(self.pre_bits))
 
     def __bool__(self):
         return self.holds
@@ -617,30 +759,38 @@ def precondition_set(srg: Srg, node: Formula) -> set[int]:
 def verify(srg: Srg, node: Formula) -> Verdict:
     """Full check: empty quantifier precondition refutes the formula
     outright, otherwise the verdict is membership of the initial state in
-    the satisfaction set."""
-    pre = precondition_set(srg, node)
+    the satisfaction set. A quantifier-free formula is decided on the
+    graph's quotient, whose blocks ``sat`` returns."""
+    ev = _evaluation(srg)
+    pre = ev.everything
+    if _quantifier_prefix(node):
+        pre = _bits(precondition_set(srg, node), ev.size)
     if not pre:
-        return Verdict(holds=False, sat_set=set(), pre_set=pre)
-    satisfied = sat(srg, node)
-    holds = srg.initial in satisfied
-    verdict = Verdict(holds=holds, sat_set=satisfied, pre_set=pre)
+        return Verdict(holds=False, sat_bits=0, pre_bits=pre)
+    decider = ev.decider(ev.shapes.identify(node)[id(node)])
+    satisfied = _bits(sat(decider.srg, node), decider.size)
+    if decider is not ev:
+        satisfied = ev.lift(satisfied)
+    holds = bool(satisfied >> srg.initial & 1)
+    verdict = Verdict(holds=holds, sat_bits=satisfied, pre_bits=pre)
     if not holds:
         verdict.evidence = _counterexample(srg, satisfied)
     return verdict
 
 
-def _counterexample(srg: Srg, satisfied: set[int]) -> list[str]:
+def _counterexample(srg: Srg, satisfied: int) -> list[str]:
     """Best-effort witness: a shortest path from the initial state to a
     state outside the satisfaction set (the initial state itself when it
     already fails)."""
     from collections import deque
 
+    inside = _flags(satisfied, len(srg.states))
     target = None
     parent = {srg.initial: None}
     queue = deque([srg.initial])
     while queue:
         node = queue.popleft()
-        if node not in satisfied:
+        if not inside[node]:
             target = node
             break
         for succ in sorted(srg.successors(node)):

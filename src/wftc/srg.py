@@ -58,6 +58,19 @@ class StateC:
     data: tuple  # value token or UNDEF per data item, in declaration order
     table: tuple  # canonically sorted records
     sigma: tuple[str, ...]  # guard values in declaration order
+    # a state is looked up several times while the graph is built, and
+    # hashing its table is the costly part
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.marking, self.data, self.table, self.sigma)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: an unpickled state hashes anew
+        return StateC, (self.marking, self.data, self.table, self.sigma)
 
     def marked_places(self, net: WftcNet) -> list[str]:
         return [p.name for p in net.places if self.marking[p.index] > 0]

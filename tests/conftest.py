@@ -73,3 +73,28 @@ def make_random_srg(rng: random.Random, max_states: int = 20) -> Srg:
             if i != j and rng.random() < 2.5 / n:
                 srg.edges.append((i, "t", j))
     return srg.finish()
+
+
+def make_copied_srg(rng: random.Random, max_states: int = 16, markings: int = 2) -> Srg:
+    """A synthetic graph whose states are copies of the nodes of a small
+    random base graph, each base node marking one of ``markings`` places.
+    A copy of a base node steps to at least one copy of each of its base
+    successors and to nothing else, so copies of one base node are
+    bisimilar, and base nodes sharing a marking may or may not be."""
+    nodes = rng.randint(2, 6)
+    places = [Place(f"q{i}", i) for i in range(markings)]
+    net = WftcNet(places=places, transitions=[Transition("t", 0)], start="q0", end=f"q{markings - 1}")
+    label = [rng.randrange(markings) for _ in range(nodes)]
+    base = [[v for v in range(nodes) if rng.random() < 1.5 / nodes] for _ in range(nodes)]
+    # the first copies are the base nodes themselves, in order
+    origin = list(range(nodes)) + [rng.randrange(nodes) for _ in range(rng.randint(0, max_states - nodes))]
+    copies = [[s for s, u in enumerate(origin) if u == v] for v in range(nodes)]
+    srg = Srg(net=net, mode=CONSTRAINED)
+    for u in origin:
+        srg.states.append(StateC(tuple(int(p == label[u]) for p in range(markings)), (), (), ()))
+        srg.pseudo.append(False)
+    for s, u in enumerate(origin):
+        for v in base[u]:
+            for dst in rng.sample(copies[v], rng.randint(1, len(copies[v]))):
+                srg.edges.append((s, "t", dst))
+    return srg.finish()

@@ -11,7 +11,8 @@ import json
 import random
 import re
 
-from conftest import fixture_text, make_random_srg
+from conftest import fixture_text, make_copied_srg, make_random_srg
+from test_bisimulation import classes
 from wftc import CONSTRAINED, build_srg, parse_dctl, parse_model, sat, verify
 from wftc import dctl as ast
 from wftc.cli import main
@@ -178,13 +179,17 @@ def assert_agrees(srg, formula):
 # random formulas on random graphs
 
 
-def random_formula(rng, n, depth):
+def random_formula(rng, n, depth, quantifiers=True):
+    """Over places q0..q{n-1}; without ``quantifiers`` the leaves that
+    would be quantifiers are ``deadlock`` (``!EX true``) instead."""
     if depth == 0 or rng.random() < 0.2:
         roll = rng.random()
         if roll < 0.1:
             return ast.TrueF()
         place = ast.PlaceAtom(f"q{rng.randrange(n)}")
         if roll < 0.2:
+            if not quantifiers:
+                return ast.Not(ast.EX(ast.TrueF()))
             # the random graphs have no table: quantifiers range over nothing
             return ast.Quantifier(rng.choice(("forall", "exists")), "r", place)
         return place
@@ -192,8 +197,10 @@ def random_formula(rng, n, depth):
     binary = (ast.And, ast.Or, ast.EU, ast.AU)
     op = rng.choice(unary + binary)
     if op in unary:
-        return op(random_formula(rng, n, depth - 1))
-    return op(random_formula(rng, n, depth - 1), random_formula(rng, n, depth - 1))
+        return op(random_formula(rng, n, depth - 1, quantifiers))
+    return op(
+        random_formula(rng, n, depth - 1, quantifiers), random_formula(rng, n, depth - 1, quantifiers)
+    )
 
 
 def test_random_formulas_on_random_graphs():
@@ -202,6 +209,19 @@ def test_random_formulas_on_random_graphs():
         srg = make_random_srg(rng, max_states=16)
         for _ in range(8):
             assert_agrees(srg, random_formula(rng, len(srg.states), 4))
+
+
+def test_quantifier_free_formulas_on_graphs_with_shared_markings():
+    # few markings, so bisimilar states merge and formulas are decided on
+    # a quotient smaller than the graph
+    rng = random.Random(2025)
+    merged = 0
+    for _ in range(150):
+        srg = make_copied_srg(rng, max_states=16, markings=2)
+        merged += len(classes(srg)) < len(srg.states)
+        for _ in range(8):
+            assert_agrees(srg, random_formula(rng, 2, 4, quantifiers=False))
+    assert merged >= 120
 
 
 def test_memo_is_per_graph():

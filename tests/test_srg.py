@@ -1,9 +1,15 @@
 """States, refinement, firing, and graph construction."""
 
 import hashlib
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wftc
 from wftc import (
     CONSTRAINED,
     UNCONSTRAINED,
@@ -220,6 +226,18 @@ def test_build_is_deterministic(motivating_net, motivating_srg):
     again = build_srg(motivating_net, CONSTRAINED)
     assert again.states == motivating_srg.states
     assert again.edges == motivating_srg.edges
+
+
+def test_unpickled_state_hashes_in_its_new_process(motivating_srg):
+    # a state caches its hash, and string hashes differ between processes
+    state = motivating_srg.states[-1]
+    check = (
+        "import pickle, sys; from wftc.srg import StateC; "
+        "state = pickle.loads(sys.stdin.buffer.read()); "
+        "assert hash(state) == hash(StateC(state.marking, state.data, state.table, state.sigma))"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": str(Path(wftc.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", check], input=pickle.dumps(state), env=env, timeout=120, check=True)
 
 
 def test_mode_relationship(wfd_net, wfd_srg):
