@@ -9,11 +9,14 @@ points for the until forms). Quantifiers range over the records of each
 state's own table instance; a quantifier whose variable never accesses
 a schema attribute degenerates to a membership test of that name in the
 table's key column. State-local subformulas read only the marking and
-the table, never the data items or guard values, so each is evaluated
-once per distinct marking, table or (marking, table) pair, whichever it
-reads. A subformula without a quantifier reads only markings, so it is
-evaluated on the graph's quotient by bisimulation, which is far smaller
-than the graph.
+the table, never the data items or guard values, so each is compiled
+once to a function of the two and run once per distinct marking, table
+or (marking, table) pair, whichever it reads. A pair of record
+quantifiers of one kind whose matrix only relates the two records on
+one column is decided from a few witness pairs of rows, not from every
+pair of rows. A temporal subformula without a quantifier reads only markings, so
+it is evaluated on the graph's quotient by bisimulation, which is far
+smaller than the graph.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, islice
 from typing import Union
 
 from .model import UNDEF, token_key
@@ -165,154 +168,310 @@ def _record_variable(net, node: Quantifier) -> bool:
     return walk(node.body)
 
 
-def _term(term, net):
-    """A comparison operand as a function of the variable binding."""
-    kind = term[0]
-    if kind == "empty":
-        return lambda binding: UNDEF
-    if kind == "const":
-        value = term[1]
-        return lambda binding: value
-    name = term[1]
-    if kind == "var":
-
-        def variable(binding):
-            value = binding.get(name)
-            if value is None:
-                raise EvalError(f"unbound record variable {name}")
-            return value
-
-        return variable
-    attr = term[2]
-    schema = net.schema
-    index = schema.attr_index(attr) if schema and attr in schema.attributes else None
-
-    def attribute(binding):
-        record = binding.get(name)
-        if record is None:
-            raise EvalError(f"unbound record variable {name}")
-        if isinstance(record, str):
-            # degenerate literal variable: attribute tokens are plain values
-            return attr
-        if index is None:
-            raise EvalError(f"unknown attribute {attr}")
-        return record[index]
-
-    return attribute
+# comparisons of two defined tokens: tokens sharing a prefix order by
+# their numeric suffix, other tokens as text
+_TESTS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": lambda a, b: token_key(a) < token_key(b),
+    "<=": lambda a, b: token_key(a) <= token_key(b),
+    ">": lambda a, b: token_key(a) > token_key(b),
+    ">=": lambda a, b: token_key(a) >= token_key(b),
+}
+# the comparison with its operands swapped
+_FLIP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_KEY = operator.itemgetter(0)
 
 
-_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+def _has_key(table, name: str) -> bool:
+    """Whether ``name`` occurs in the key column of ``table``."""
+    return name in map(_KEY, table)
 
 
-def _atom(atom: DataAtom, net):
-    """A comparison atom as a predicate over the variable binding.
+def _test(op: str):
+    """The comparison of two defined tokens under ``op``."""
+    if op in _TESTS:
+        return _TESTS[op]
 
-    ``term = empty`` and ``term != empty`` test definedness; every other
-    comparison with an unwritten operand is false. Ordering falls back to
-    the numeric suffix of tokens sharing a prefix, plain text otherwise.
-    """
-    lhs, rhs, op = _term(atom.lhs, net), _term(atom.rhs, net), atom.op
-    if atom.lhs[0] == "empty" or atom.rhs[0] == "empty":
-        other = rhs if atom.lhs[0] == "empty" else lhs
-        if op == "=":
-            return lambda binding: other(binding) is UNDEF
-        if op == "!=":
-            return lambda binding: other(binding) is not UNDEF
+    def unknown(a, b):
+        raise EvalError(f"unknown comparison {op}")
 
-        def never(binding):
-            other(binding)
-            return False
+    return unknown
 
-        return never
-    order = _ORDER.get(op)
 
-    def holds(binding) -> bool:
-        a, b = lhs(binding), rhs(binding)
-        if isinstance(a, tuple) or isinstance(b, tuple):
-            # whole-record comparison between two bound record variables
+def _const(value):
+    return lambda marking, table, env: value
+
+
+def _raise(message: str):
+    def fail(marking, table, env):
+        raise EvalError(message)
+
+    return fail
+
+
+def _safe(atom: DataAtom, terms) -> bool:
+    """Whether a comparison whose operands compile to ``terms`` never raises."""
+    if atom.op not in _TESTS or any(term[0] == "error" for term in terms):
+        return False
+    ordered = atom.op not in ("=", "!=") and "empty" not in (atom.lhs[0], atom.rhs[0])
+    return not (ordered and any(term[0] == "record" for term in terms))
+
+
+class _Compiler:
+    """Compiles the state-local subformulas of one net to functions of
+    ``(marking, table, env)``.
+
+    ``env`` has one position per record quantifier: the quantifier puts
+    its current record there and every term that reads the variable
+    indexes it directly, so no binding is built per record. A scope maps a
+    record variable to its position and a literal variable to the token
+    it stands for. Literal variables, attribute indices, the token test
+    of each operator and comparisons between constants are settled here.
+    Every ``EvalError`` (unbound variable, unknown attribute or place,
+    ordered comparison of whole records, temporal operator below a
+    quantifier) is still raised only when evaluation reaches it, so an
+    error on a path that no table reaches changes no verdict."""
+
+    def __init__(self, net):
+        self.net = net
+        self.width = 0  # positions handed out
+
+    def position(self) -> int:
+        self.width += 1
+        return self.width - 1
+
+    def term(self, term, scope: dict) -> tuple:
+        """An operand as ``("value", token)``, ``("record", position)``,
+        ``("cell", position, index)`` or ``("error", message)``."""
+        kind = term[0]
+        if kind == "empty":
+            return "value", UNDEF
+        if kind == "const":
+            return "value", term[1]
+        bound = scope.get(term[1])
+        if bound is None:
+            return "error", f"unbound record variable {term[1]}"
+        if isinstance(bound, str):
+            # literal variable: its attribute tokens are plain values
+            return "value", bound if kind == "var" else term[2]
+        if kind == "var":
+            return "record", bound
+        schema = self.net.schema
+        if schema is None or term[2] not in schema.attributes:
+            return "error", f"unknown attribute {term[2]}"
+        return "cell", bound, schema.attr_index(term[2])
+
+    def atom(self, atom: DataAtom, scope: dict):
+        """A comparison. ``term = empty`` and ``term != empty`` test
+        definedness; every other comparison with an undefined operand is
+        false. Whole records compare by value; in a canonical table, which
+        holds each record once, that is the same row."""
+        lhs, rhs, op = self.term(atom.lhs, scope), self.term(atom.rhs, scope), atom.op
+        for side in (lhs, rhs):
+            if side[0] == "error":
+                return _raise(side[1])
+        if "empty" in (atom.lhs[0], atom.rhs[0]):
+            other = rhs if atom.lhs[0] == "empty" else lhs
+            if op not in ("=", "!="):
+                return _const(False)
+            if other[0] == "cell":
+                pos, index = other[1:]
+                if op == "=":
+                    return lambda marking, table, env: env[pos][index] is UNDEF
+                return lambda marking, table, env: env[pos][index] is not UNDEF
+            return _const((other == ("value", UNDEF)) == (op == "="))
+        if "record" in (lhs[0], rhs[0]):
+            if op not in ("=", "!="):
+                return _raise("ordered comparison of whole records")
+            if lhs[0] != rhs[0]:
+                return _const(op == "!=")  # a record never equals a token
+            a, b = lhs[1], rhs[1]
             if op == "=":
-                return a == b
-            if op == "!=":
-                return a != b
-            raise EvalError("ordered comparison of whole records")
-        if a is UNDEF or b is UNDEF:
-            return False
-        if op == "=":
-            return a == b
-        if op == "!=":
-            return a != b
-        if order is None:
-            raise EvalError(f"unknown comparison {op}")
-        return order(token_key(a), token_key(b))
+                return lambda marking, table, env: env[a] == env[b]
+            return lambda marking, table, env: env[a] != env[b]
+        if lhs[0] == "value":
+            if rhs[0] != "value":
+                lhs, rhs, op = rhs, lhs, _FLIP.get(op, op)
+            elif lhs[1] is UNDEF or rhs[1] is UNDEF:
+                return _const(False)
+            else:
+                try:
+                    return _const(_test(op)(lhs[1], rhs[1]))
+                except EvalError as exc:
+                    return _raise(str(exc))
+        test, (pos, index) = _test(op), lhs[1:]  # a cell from here on
+        if rhs[0] == "value":
+            value = rhs[1]
+            if value is UNDEF:
+                return _const(False)
+            return lambda marking, table, env: (a := env[pos][index]) is not UNDEF and test(a, value)
+        pos2, index2 = rhs[1:]
+        return lambda marking, table, env: (
+            (a := env[pos][index]) is not UNDEF and (b := env[pos2][index2]) is not UNDEF and test(a, b)
+        )
 
-    return holds
-
-
-def eval_atom(state: StateC, atom: DataAtom, net, binding: dict | None = None) -> bool:
-    """Truth of a comparison atom at one state under a variable binding."""
-    return _atom(atom, net)(binding or {})
-
-
-def _local(node: Formula, net):
-    """A temporal-free subformula as a predicate over a state's marking,
-    its table and a variable binding. Quantifier classification and
-    attribute indices are settled here, once per node."""
-    if isinstance(node, TrueF):
-        return lambda marking, table, binding: True
-    if isinstance(node, PlaceAtom):
-        place = net.place_by_name.get(node.place)
-        if place is None:
-
-            def unknown(marking, table, binding):
-                raise EvalError(f"unknown place {node.place}")
-
-            return unknown
-        index = place.index
-        return lambda marking, table, binding: marking[index] > 0
-    if isinstance(node, DataAtom):
-        atom = _atom(node, net)
-        return lambda marking, table, binding: atom(binding)
-    if isinstance(node, Not):
-        inner = _local(node.inner, net)
-        return lambda marking, table, binding: not inner(marking, table, binding)
-    if isinstance(node, (And, Or)):
-        lhs, rhs = _local(node.lhs, net), _local(node.rhs, net)
-        if isinstance(node, And):
-            return lambda m, t, b: lhs(m, t, b) and rhs(m, t, b)
-        return lambda m, t, b: lhs(m, t, b) or rhs(m, t, b)
-    if isinstance(node, Quantifier):
-        body, var = _local(node.body, net), node.var
-        if not _record_variable(net, node):
-
-            def literal(m, t, b):
-                # degenerate: the name must occur in the key column of this state
-                return var in net.key_column_values(t) and body(m, t, {**b, var: var})
-
-            return literal
-        # explicit loops, not all()/any() over a generator: one frame per
-        # nesting level keeps deep formulas within the recursion limit
+    def code(self, node: Formula, scope: dict):
+        """A subformula under ``scope``; one frame per nesting level, here
+        and when the result runs, keeps deep formulas within the recursion
+        limit."""
+        if isinstance(node, TrueF):
+            return _const(True)
+        if isinstance(node, PlaceAtom):
+            place = self.net.place_by_name.get(node.place)
+            if place is None:
+                return _raise(f"unknown place {node.place}")
+            index = place.index
+            return lambda marking, table, env: marking[index] > 0
+        if isinstance(node, DataAtom):
+            return self.atom(node, scope)
+        if isinstance(node, Not):
+            inner = self.code(node.inner, scope)
+            return lambda marking, table, env: not inner(marking, table, env)
+        if isinstance(node, (And, Or)):
+            lhs, rhs = self.code(node.lhs, scope), self.code(node.rhs, scope)
+            if isinstance(node, And):
+                return lambda m, t, env: lhs(m, t, env) and rhs(m, t, env)
+            return lambda m, t, env: lhs(m, t, env) or rhs(m, t, env)
+        if not isinstance(node, Quantifier):
+            return _raise("temporal operator nested below a quantifier")
+        var = node.var
+        if not _record_variable(self.net, node):
+            body = self.code(node.body, {**scope, var: var})
+            # degenerate: the name must occur in the key column of this state
+            return lambda m, t, env: _has_key(t, var) and body(m, t, env)
+        pos = self.position()
+        joined = self.join(node, scope, pos)
+        if joined is not None:
+            return joined
+        body = self.code(node.body, {**scope, var: pos})
+        # explicit loops over the records, left to right with short circuit
         if node.kind == "forall":
 
-            def forall(m, t, b):
-                for rec in t:
-                    if not body(m, t, {**b, var: rec}):
+            def forall(m, t, env):
+                for record in t:
+                    env[pos] = record
+                    if not body(m, t, env):
                         return False
                 return True
 
             return forall
 
-        def exists(m, t, b):
-            for rec in t:
-                if body(m, t, {**b, var: rec}):
+        def exists(m, t, env):
+            for record in t:
+                env[pos] = record
+                if body(m, t, env):
                     return True
             return False
 
         return exists
 
-    def temporal(marking, table, binding):
-        raise EvalError("temporal operator nested below a quantifier")
+    def join(self, node: Quantifier, scope: dict, first: int):
+        """The join plan of a block ``Q v1, Q v2, [matrix]``, or None.
 
-    return temporal
+        It applies when both quantifiers are of one kind over records, the
+        matrix is a boolean combination of atoms that cannot raise, and
+        every atom reading either variable reads both, comparing them
+        whole or on one shared column with ``=`` or ``!=``. The matrix
+        then holds of a pair of rows according to how the two relate: the
+        same row, or two rows with equal, different or undefined column
+        values. So the block is decided on one witness pair for each
+        relation that the table realises. Every other block runs the
+        record loops."""
+        inner = node.body
+        if not (
+            isinstance(inner, Quantifier)
+            and inner.kind == node.kind
+            and inner.var != node.var
+            and _record_variable(self.net, inner)
+        ):
+            return None
+        second = self.position()
+        scope = {**scope, node.var: first, inner.var: second}
+        column, stack = None, [inner.body]
+        while stack:
+            sub = stack.pop()
+            if isinstance(sub, (Not, And, Or)):
+                stack.extend(_operands(sub))
+            elif isinstance(sub, PlaceAtom):
+                if sub.place not in self.net.place_by_name:
+                    return None
+            elif isinstance(sub, DataAtom):
+                terms = [self.term(term, scope) for term in (sub.lhs, sub.rhs)]
+                if not _safe(sub, terms):
+                    return None
+                reads = [term[1] for term in terms if term[0] in ("record", "cell")]
+                if not {first, second} & set(reads):
+                    continue
+                if sorted(reads) != [first, second] or sub.op not in ("=", "!="):
+                    return None
+                (kind, _, *index), (kind2, _, *index2) = terms
+                if kind != kind2 or index != index2 or index and column not in (None, index[0]):
+                    return None
+                column = index[0] if index else column
+            elif not isinstance(sub, TrueF):
+                return None
+        matrix = self.code(inner.body, scope)
+        # without a compared column, every row has the same value
+        key = (lambda record: True) if column is None else operator.itemgetter(column)
+        decide = all if node.kind == "forall" else any
+
+        def joined(m, t, env):
+            def holds(pair) -> bool:
+                env[first], env[second] = pair
+                return matrix(m, t, env)
+
+            return decide(map(holds, _pairs(t, key)))
+
+        return joined
+
+
+def _pairs(rows: tuple, key):
+    """One pair of ``rows`` for each relation of their ``key`` values
+    that the rows hold: one row, defined or undefined; two rows with
+    equal, different or undefined values. Two undefined values compare
+    like one, since every comparison with an undefined cell is false."""
+    values = list(map(key, rows))
+    distinct = dict.fromkeys(values)  # in table order
+    # UNDEF is one value, so three distinct values hold two defined ones
+    defined = [v for v in islice(distinct, 3) if v is not UNDEF][:2]
+    if defined:
+        row = rows[values.index(defined[0])]
+        yield row, row
+    if UNDEF in distinct:
+        undefined = rows[values.index(UNDEF)]
+        yield undefined, undefined
+        if len(rows) > 1:
+            yield undefined, rows[1] if rows[0] is undefined else rows[0]
+    if len(defined) > 1:
+        yield rows[values.index(defined[0])], rows[values.index(defined[1])]
+    if len(values) - values.count(UNDEF) > len(distinct) - (UNDEF in distinct):
+        seen: dict = {}
+        for row, value in zip(rows, values):
+            if value in seen and value is not UNDEF:
+                yield seen[value], row
+                break
+            seen[value] = row
+
+
+def _compile(node: Formula, net):
+    """A state-local subformula as a function of ``(marking, table)``."""
+    compiler = _Compiler(net)
+    code, width = compiler.code(node, {}), compiler.width
+    return lambda marking, table: code(marking, table, [None] * width)
+
+
+def eval_atom(state: StateC, atom: DataAtom, net, binding: dict | None = None) -> bool:
+    """Truth of a comparison atom at one state under a variable binding of
+    records or, for literal variables, tokens."""
+    scope, env = {}, []
+    for name, value in (binding or {}).items():
+        if isinstance(value, tuple):
+            scope[name] = len(env)
+            env.append(value)
+        elif value is not None:
+            scope[name] = value
+    return _Compiler(net).atom(atom, scope)(state.marking, state.table, env)
 
 
 def _reads(node: Formula) -> tuple[bool, bool]:
@@ -357,6 +516,14 @@ def _members(bits: int) -> list[int]:
 
 
 def _bits(states, n: int) -> int:
+    """The bitset of a collection of states below ``n``: a few states bit
+    by bit, more through a flag array, since each added bit copies the
+    whole int."""
+    if len(states) < 64:
+        result = 0
+        for i in states:
+            result |= 1 << i
+        return result
     flags = bytearray(n)
     for i in states:
         flags[i] = 1
@@ -369,13 +536,15 @@ class _Shapes:
     A node's shape is its class, its own fields and the ids of its
     subformulas, so equal subformulas of any two formulas get one id;
     nothing hashes or compares a whole subtree, which keeps deep formulas
-    clear of the recursion limit. ``quantified`` holds the ids of the
-    nodes with a quantifier in them."""
+    clear of the recursion limit. ``quantified`` and ``temporal`` hold the
+    ids of the nodes with a quantifier and with a temporal operator in
+    them."""
 
     def __init__(self):
         self.ids: dict[tuple, int] = {}
         self.fresh = count()  # atomic, unlike len(ids), for threads sharing a graph
         self.quantified: set[int] = set()
+        self.temporal: set[int] = set()
         # ``verify`` identifies a formula to route it, then ``sat`` again
         self.last: tuple = (None, {})
 
@@ -384,7 +553,7 @@ class _Shapes:
         last_root, ids = self.last
         if last_root is root:
             return ids
-        ids, shapes, quantified = {}, self.ids, self.quantified
+        ids, shapes, quantified, temporal = {}, self.ids, self.quantified, self.temporal
         stack = [root]
         while stack:
             node = stack[-1]
@@ -403,6 +572,8 @@ class _Shapes:
                 # flagged before it is published, for threads sharing a graph
                 if isinstance(node, Quantifier) or any(ids[id(sub)] in quantified for sub in subs):
                     quantified.add(sid)
+                if isinstance(node, (EX, EG, EU, AU)) or any(ids[id(sub)] in temporal for sub in subs):
+                    temporal.add(sid)
                 sid = shapes.setdefault(shape, sid)
             ids[id(node)] = sid
         self.last = (root, ids)
@@ -469,9 +640,13 @@ class _Evaluation:
         return quotient
 
     def decider(self, sid: int) -> _Evaluation:
-        """The evaluator of a node: the quotient unless a quantifier in
-        the node reads tables, which barely merges any states."""
-        return self if sid in self.shapes.quantified else self.quotient
+        """The evaluator of a node: the quotient for a temporal node
+        without a quantifier; the graph itself for a node with a
+        quantifier, which reads tables (they barely merge any states), and
+        for a state-local one, which walks no arcs and so gains nothing
+        from the quotient that would pay for computing it."""
+        shapes = self.shapes
+        return self.quotient if sid in shapes.temporal and sid not in shapes.quantified else self
 
     def lift(self, bits: int) -> int:
         """The states of the quotient blocks in ``bits``."""
@@ -552,8 +727,7 @@ class _Evaluation:
         if isinstance(node, AU):
             return self.au(*args)
         # state-local: place atoms, comparisons, quantifiers
-        holds = _local(node, self.net)
-        return self.select(_reads(node), lambda marking, table: holds(marking, table, {}))
+        return self.select(_reads(node), _compile(node, self.net))
 
     def ex(self, target: int) -> int:
         """States with at least one successor inside ``target``."""
@@ -748,10 +922,7 @@ def precondition_set(srg: Srg, node: Formula) -> set[int]:
     records = len(literals) < len(chain)
 
     def holds(marking, table) -> bool:
-        if records and not table:
-            return False
-        keys = net.key_column_values(table)
-        return all(var in keys for var in literals)
+        return (bool(table) or not records) and all(_has_key(table, var) for var in literals)
 
     return set(_members(_evaluation(srg).select((False, True), holds)))
 
@@ -760,14 +931,16 @@ def verify(srg: Srg, node: Formula) -> Verdict:
     """Full check: empty quantifier precondition refutes the formula
     outright, otherwise the verdict is membership of the initial state in
     the satisfaction set. A quantifier-free formula is decided on the
-    graph's quotient, whose blocks ``sat`` returns."""
+    graph's quotient, whose blocks ``sat`` returns: a set of at most one
+    block per state class instead of one element per state."""
     ev = _evaluation(srg)
     pre = ev.everything
     if _quantifier_prefix(node):
         pre = _bits(precondition_set(srg, node), ev.size)
     if not pre:
         return Verdict(holds=False, sat_bits=0, pre_bits=pre)
-    decider = ev.decider(ev.shapes.identify(node)[id(node)])
+    quantified = ev.shapes.identify(node)[id(node)] in ev.shapes.quantified
+    decider = ev if quantified else ev.quotient
     satisfied = _bits(sat(decider.srg, node), decider.size)
     if decider is not ev:
         satisfied = ev.lift(satisfied)

@@ -59,7 +59,7 @@ def tiny_net():
 
 def make_random_srg(rng: random.Random, max_states: int = 20) -> Srg:
     """A synthetic graph over a one-hot net: state i marks place q{i}, so
-    place atoms select single states."""
+    place atoms select single states. The initial state is random."""
     n = rng.randint(2, max_states)
     places = [Place(f"q{i}", i) for i in range(n)]
     net = WftcNet(places=places, transitions=[Transition("t", 0)], start="q0", end=f"q{n - 1}")
@@ -72,6 +72,7 @@ def make_random_srg(rng: random.Random, max_states: int = 20) -> Srg:
         for j in range(n):
             if i != j and rng.random() < 2.5 / n:
                 srg.edges.append((i, "t", j))
+    srg.initial = rng.randrange(n)
     return srg.finish()
 
 
@@ -80,7 +81,8 @@ def make_copied_srg(rng: random.Random, max_states: int = 16, markings: int = 2)
     random base graph, each base node marking one of ``markings`` places.
     A copy of a base node steps to at least one copy of each of its base
     successors and to nothing else, so copies of one base node are
-    bisimilar, and base nodes sharing a marking may or may not be."""
+    bisimilar, and base nodes sharing a marking may or may not be. The
+    initial state is random."""
     nodes = rng.randint(2, 6)
     places = [Place(f"q{i}", i) for i in range(markings)]
     net = WftcNet(places=places, transitions=[Transition("t", 0)], start="q0", end=f"q{markings - 1}")
@@ -97,4 +99,5 @@ def make_copied_srg(rng: random.Random, max_states: int = 16, markings: int = 2)
         for v in base[u]:
             for dst in rng.sample(copies[v], rng.randint(1, len(copies[v]))):
                 srg.edges.append((s, "t", dst))
+    srg.initial = rng.randrange(len(origin))
     return srg.finish()

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from conftest import make_random_srg
+from conftest import make_random_srg, table_model
 from wftc import (
+    CONSTRAINED,
     build_srg,
     builtin_metrics,
     eval_atom,
@@ -19,7 +20,8 @@ from wftc import (
     verify,
 )
 from wftc import dctl as ast
-from wftc.dctl import EvalError, Verdict
+from wftc.dctl import EvalError, Verdict, _Compiler
+from wftc.srg import Srg, StateC
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +286,129 @@ def test_pm2_matches_record_pair_scan(motivating_net, motivating_srg):
                     clean = False
     results = builtin_metrics(motivating_srg)
     assert results["PM2"].holds == clean
+
+
+# ---------------------------------------------------------------------------
+# compiled quantifier blocks: errors where evaluation reaches them
+
+
+def with_rows(srg, rows: int):
+    """The graph with every state's table cut to its first ``rows`` rows."""
+    cut = Srg(net=srg.net, mode=srg.mode, initial=srg.initial)
+    cut.states = [StateC(s.marking, s.data, s.table[:rows], s.sigma) for s in srg.states]
+    cut.pseudo, cut.edges = list(srg.pseudo), list(srg.edges)
+    return cut.finish()
+
+
+def test_ordered_record_comparison_raises_where_reached(motivating_net, motivating_srg):
+    formula = parse_dctl("forall r in R, [r.Id = empty | r < r]", motivating_net)
+    with pytest.raises(EvalError, match="ordered comparison of whole records"):
+        verify(motivating_srg, formula)
+    # no record to compare: every table empty
+    assert not verify(with_rows(motivating_srg, 0), formula).holds
+    # never reached: the first row already satisfies the left operand
+    reached = parse_dctl("exists r in R, [r.Id = r.Id | r < r]", motivating_net)
+    assert len(verify(motivating_srg, reached).sat_set) == 54
+
+
+def test_temporal_operator_below_quantifier_raises_where_reached(motivating_net, motivating_srg):
+    formula = parse_dctl("forall r in R, [EX r.Id = id1]", motivating_net)
+    with pytest.raises(EvalError, match="temporal operator nested below a quantifier"):
+        verify(motivating_srg, formula)
+    assert sat(with_rows(motivating_srg, 0), formula) == set(range(54))
+
+
+def test_unknown_attribute_in_a_block_raises_where_reached(motivating_net, motivating_srg):
+    # the join plan refuses a block that can raise; the record loops raise
+    # at the first pair of rows with different ids
+    block = ast.Quantifier(
+        "forall",
+        "r",
+        ast.Quantifier(
+            "forall",
+            "s",
+            ast.Or(
+                ast.DataAtom(("attr", "r", "Id"), "=", ("attr", "s", "Id")),
+                ast.DataAtom(("attr", "r", "Nope"), "=", ("const", "x")),
+            ),
+        ),
+    )
+    with pytest.raises(EvalError, match="unknown attribute Nope"):
+        sat(motivating_srg, block)
+    assert sat(with_rows(motivating_srg, 1), block) == set(range(54))
+
+
+def test_join_plan_covers_two_variable_blocks(motivating_net):
+    def planned(text):
+        code = _Compiler(motivating_net).code(parse_dctl(text, motivating_net), {})
+        return code.__name__ == "joined"
+
+    assert planned("forall r1 in R, forall r2 in R, [r1 != r2 -> r1.Id != r2.Id]")
+    assert planned("exists r in R, exists s in R, [r != s & r.Id = s.Id & p3]")
+    assert planned("forall r in R, forall s in R, [r = s | r.License != s.License]")
+    # mixed kinds, a one-variable atom, ordered, two columns, a whole-record
+    # order, three variables: record loops
+    assert not planned("forall r in R, exists s in R, [r.License = s.License]")
+    assert not planned("forall r in R, forall s in R, [r.License = empty | s.License != r.License]")
+    assert not planned("exists r in R, [exists s in R, [r = s | r.Id < s.Id]]")
+    assert not planned("forall r in R, forall s in R, [r.Id = s.Id | r.Copy = s.Copy]")
+    assert not planned("forall r in R, forall s in R, [r.Id = s.Id | r < s]")
+    assert not planned("forall r in R, forall s in R, forall u in R, [r.Id != u.Id]")
+
+
+def test_eval_atom_compares_whole_records_by_value(motivating_net, motivating_srg):
+    state = motivating_srg.states[0]
+    row = state.table[0]
+    same = ast.DataAtom(("var", "r"), "=", ("var", "s"))
+    assert eval_atom(state, same, motivating_net, {"r": row, "s": tuple(list(row))})
+    assert not eval_atom(state, same, motivating_net, {"r": row, "s": state.table[1]})
+
+
+def test_quantifier_free_operand_without_arcs_skips_the_quotient():
+    # AG q is !E(true U !q): its `true` needs no walk, so no partition
+    net = parse_model(table_model(8))
+    srg = build_srg(net, CONSTRAINED)
+    verdict = verify(srg, parse_dctl("AG((forall r in R), [r.Id != empty])", net))
+    assert verdict.holds and len(verdict.sat_set) == 324
+    assert "quotient" not in srg.evaluation.__dict__
+    p3 = net.place_by_name["p3"].index
+    assert sat(srg, parse_dctl("!p3", net)) == {i for i, s in enumerate(srg.states) if not s.marking[p3]}
+    assert "quotient" not in srg.evaluation.__dict__
+
+
+# ---------------------------------------------------------------------------
+# verdicts pinned at the tree before the compiled blocks
+
+
+def metric_counts(srg):
+    return {name: (v.holds, len(v.sat_set)) for name, v in builtin_metrics(srg).items()}
+
+
+def test_duplicate_id_variant_verdicts():
+    text = table_model(8).replace("  id2, license2, copy2\n", "  id1, license2, copy2\n")
+    net = parse_model(text)
+    srg = build_srg(net, CONSTRAINED)
+    assert (len(srg.states), len(srg.edges)) == (285, 386)
+    assert metric_counts(srg) == {
+        "PM1": (True, 285),
+        "PM2": (False, 0),
+        "PM3": (False, 0),
+        "PM4": (True, 285),
+        "PM5": (False, 0),
+    }
+    unique = verify(srg, parse_dctl("forall r1 in R, forall r2 in R, [r1 != r2 -> r1.Id != r2.Id]", net))
+    assert (unique.holds, len(unique.sat_set), len(unique.pre_set)) == (False, 0, 285)
+    shared = verify(srg, parse_dctl("exists r in R, [exists s in R, [r != s & r.Id = s.Id]]", net))
+    assert (shared.holds, len(shared.sat_set)) == (True, 285)
+
+
+def test_table16_metric_verdicts():
+    srg = build_srg(parse_model(table_model(16)), CONSTRAINED)
+    assert (len(srg.states), len(srg.edges)) == (1020, 1375)
+    assert metric_counts(srg) == {
+        "PM1": (True, 1019),
+        "PM2": (True, 1020),
+        "PM3": (True, 13),
+        "PM4": (True, 1019),
+        "PM5": (False, 0),
+    }

@@ -17,6 +17,8 @@ from wftc import CONSTRAINED, build_srg, parse_dctl, parse_model, sat, verify
 from wftc import dctl as ast
 from wftc.cli import main
 from wftc.dctl import metric_formulas
+from wftc.model import Place, TableSchema, Transition, WftcNet, canonical_table
+from wftc.srg import Srg, StateC
 
 # ---------------------------------------------------------------------------
 # reference evaluator
@@ -242,6 +244,146 @@ def test_refinishing_a_graph_drops_its_memo():
         srg.edges = [(pred, "t", 0)]
         srg.finish()
         assert sat(srg, ex_q0) == {pred}
+
+
+# ---------------------------------------------------------------------------
+# quantified formulas over hand-built tables
+
+ATTRIBUTES = ("Id", "License", "Copy")
+# per column: numeric-suffix tokens that order differently as text, and UNDEF
+CELLS = (("id1", "id2", "id10", None), ("license2", "license10", None), ("copy1", None))
+TOKENS = ("id1", "id10", "license2", "license10", "copy1", "zz")
+OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
+# literal variables name key tokens, and one token found only outside the key column
+RECORD_VARIABLES, LITERAL_VARIABLES = ("r", "s", "u"), ("id1", "id10", "license2")
+
+
+def make_table_srg(rng, max_states=10, tables=None):
+    """A random graph whose states carry the canonical forms of ``tables``
+    of ``R(Id, License, Copy)`` or else random ones: empty and one-row
+    tables, repeated column values and UNDEF cells. Each state marks
+    three places at random."""
+    net = WftcNet(
+        places=[Place(f"q{i}", i) for i in range(3)],
+        transitions=[Transition("t", 0)],
+        schema=TableSchema("R", ATTRIBUTES),
+        start="q0",
+        end="q2",
+    )
+    srg = Srg(net=net, mode=CONSTRAINED)
+    if tables is None:
+        sizes = (rng.choice((0, 1, 1, 2, 3, 4, 6)) for _ in range(rng.randint(2, max_states)))
+        tables = [[tuple(map(rng.choice, CELLS)) for _ in range(k)] for k in sizes]
+    n = len(tables)
+    for rows in tables:
+        marking = tuple(rng.randrange(2) for _ in range(3))
+        srg.states.append(StateC(marking, (), canonical_table(rows), ()))
+        srg.pseudo.append(False)
+    srg.edges = [(i, "t", j) for i in range(n) for j in range(n) if rng.random() < 2 / n]
+    srg.initial = rng.randrange(n)
+    return srg.finish()
+
+
+def random_term(rng, bound):
+    roll, var = rng.random(), rng.choice(bound) if bound else None
+    if var is None or roll < 0.2:
+        return ("const", rng.choice(TOKENS))
+    if roll < 0.3:
+        return ("empty",)
+    if roll < 0.5 or var in LITERAL_VARIABLES and roll < 0.7:
+        return ("var", var)
+    # a literal variable's attribute outside the schema is a plain token
+    return ("attr", var, rng.choice(("copy1",) if var in LITERAL_VARIABLES else ATTRIBUTES))
+
+
+def random_comparison(rng, bound):
+    lhs, rhs = random_term(rng, bound), random_term(rng, bound)
+    records = [t for t in (lhs, rhs) if t[0] == "var" and t[1] in RECORD_VARIABLES]
+    # an ordered comparison of whole records is an EvalError, pinned in test_dctl
+    ordered = not records or "empty" in (lhs[0], rhs[0])
+    return ast.DataAtom(lhs, rng.choice(OPERATORS if ordered else ("=", "!=")), rhs)
+
+
+def random_block(rng):
+    """Two or three directly nested record quantifiers, of one kind or
+    mixed, over a matrix that compares the variables on one column or
+    whole and, in half of the blocks, each against tokens."""
+    names = rng.sample(RECORD_VARIABLES, rng.choice((2, 2, 3)))
+    column = rng.choice(ATTRIBUTES)
+    kind = rng.choice(("forall", "exists"))
+    kinds = [kind if rng.random() < 0.5 else rng.choice(("forall", "exists")) for _ in names]
+    filters = rng.random() < 0.5
+
+    def matrix(depth):
+        roll = rng.random()
+        if depth and roll < 0.45:
+            if roll < 0.1:
+                return ast.Not(matrix(depth - 1))
+            return rng.choice((ast.And, ast.Or))(matrix(depth - 1), matrix(depth - 1))
+        a, b = rng.sample(names, 2)
+        if roll < 0.65 or roll >= 0.8 and not filters:
+            return ast.DataAtom(("attr", a, column), rng.choice(("=", "!=")), ("attr", b, column))
+        if roll < 0.75:
+            return ast.DataAtom(("var", a), rng.choice(("=", "!=")), ("var", b))
+        if roll < 0.8:
+            return ast.PlaceAtom(f"q{rng.randrange(3)}")
+        return random_comparison(rng, [a])
+
+    node = matrix(3)
+    for name, kind in zip(reversed(names), reversed(kinds)):
+        node = ast.Quantifier(kind, name, node)
+    return node
+
+
+def random_quantified(rng, bound=(), quantifiers=3, depth=3):
+    """A state-local formula with up to ``quantifiers`` nested quantifiers
+    over record variables (r, s, u) and literal ones (id1, id10, license2)."""
+    roll = rng.random()
+    if quantifiers and (not bound or roll < 0.3):
+        var = rng.choice(RECORD_VARIABLES + LITERAL_VARIABLES)
+        body = random_quantified(rng, bound + (var,), quantifiers - 1, depth)
+        return ast.Quantifier(rng.choice(("forall", "exists")), var, body)
+    if depth and roll < 0.6:
+        if roll < 0.4:
+            return ast.Not(random_quantified(rng, bound, quantifiers, depth - 1))
+        op = rng.choice((ast.And, ast.Or))
+        return op(*(random_quantified(rng, bound, quantifiers, depth - 1) for _ in range(2)))
+    if roll < 0.7:
+        return ast.PlaceAtom(f"q{rng.randrange(3)}")
+    return random_comparison(rng, bound)
+
+
+def test_quantified_formulas_on_hand_built_tables():
+    rng = random.Random(2026)
+    for _ in range(150):
+        srg = make_table_srg(rng)
+        for _ in range(8):
+            local = random_block(rng) if rng.random() < 0.5 else random_quantified(rng)
+            wrap = rng.choice((lambda f: f, ast.EX, ast.EG, lambda f: ast.EU(ast.PlaceAtom("q0"), f)))
+            assert_agrees(srg, wrap(local))
+
+
+def test_block_with_a_one_variable_atom_and_an_undefined_cell():
+    # only the pair of the row without a Copy and the other row, which
+    # fails `s.Id = id1`, falsifies the matrix
+    srg = make_table_srg(random.Random(1), tables=[[("id1", None, None), ("id2", None, "copy1")]])
+    text = "forall r in R, forall s in R, [r.Copy = s.Copy | r.Copy != s.Copy | s.Id = id1]"
+    assert_agrees(srg, parse_dctl(text, srg.net))
+    assert not verify(srg, parse_dctl(text, srg.net)).holds
+
+
+def test_blocks_the_witness_pairs_would_misjudge():
+    # the rows (id1, copy1) and (id2, copy2) are the witnesses of two
+    # different ids; the third row falsifies the matrix with either, so
+    # the record loops must decide a one-variable atom or a second column
+    for third, text in (
+        (("id3", None, None), "forall r in R, forall s in R, [r.Id = s.Id | r.Copy = copy1]"),
+        (("id3", None, "copy1"), "forall r in R, forall s in R, [r = s | r.Id = s.Id | r.Copy != s.Copy]"),
+    ):
+        rows = [("id1", None, "copy1"), ("id2", None, "copy2"), third]
+        srg = make_table_srg(random.Random(1), tables=[rows])
+        assert_agrees(srg, parse_dctl(text, srg.net))
+        assert not verify(srg, parse_dctl(text, srg.net)).holds
 
 
 # ---------------------------------------------------------------------------
