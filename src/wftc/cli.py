@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .dctl import PM_NAMES, EvalError, Verdict, builtin_metrics, verify
-from .model import ModelError
+from .model import ModelError, Struct
 from .srg import CONSTRAINED, UNCONSTRAINED, ResourceLimitError, build_srg, srg_stats
 from .textio import ParseError, export_dot, export_json, parse_dctl, parse_model
 
@@ -22,15 +21,28 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
-class RunReport:
-    model: str
-    mode: str
-    state_count: int
-    arc_count: int
-    pseudo_count: int
-    build_millis: float
-    formulas: list[dict] = field(default_factory=list)
+class RunReport(Struct):
+    __slots__ = _fields = (
+        "model", "mode", "state_count", "arc_count", "pseudo_count", "build_millis", "formulas"
+    )
+
+    def __init__(
+        self,
+        model: str,
+        mode: str,
+        state_count: int,
+        arc_count: int,
+        pseudo_count: int,
+        build_millis: float,
+        formulas: list[dict] | None = None,
+    ):
+        self.model = model
+        self.mode = mode
+        self.state_count = state_count
+        self.arc_count = arc_count
+        self.pseudo_count = pseudo_count
+        self.build_millis = build_millis
+        self.formulas = [] if formulas is None else formulas
 
     def to_json(self) -> str:
         payload = {

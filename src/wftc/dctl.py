@@ -22,12 +22,10 @@ smaller than the graph.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, islice
-from typing import Union
 
-from .model import UNDEF, token_key
+from .model import UNDEF, Frozen, Struct, token_key
 from .srg import Srg, StateC
 
 
@@ -39,72 +37,85 @@ class EvalError(Exception):
 # AST
 
 
-@dataclass(frozen=True)
-class TrueF:
-    pass
+# Nodes of different classes never compare equal, even with equal fields:
+# Not(p) != EX(p).
 
 
-@dataclass(frozen=True)
-class PlaceAtom:
-    place: str
+class TrueF(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DataAtom:
-    # terms: ("const", token) | ("attr", var, attribute) | ("var", var) | ("empty",)
-    lhs: tuple
-    op: str
-    rhs: tuple
+class PlaceAtom(Frozen):
+    __slots__ = _fields = ("place",)
+
+    def __init__(self, place: str):
+        self.place = place
 
 
-@dataclass(frozen=True)
-class Quantifier:
-    kind: str  # "forall" | "exists"
-    var: str
-    body: "Formula"
+class DataAtom(Frozen):
+    __slots__ = _fields = ("lhs", "op", "rhs")
+
+    def __init__(self, lhs: tuple, op: str, rhs: tuple):
+        # terms: ("const", token) | ("attr", var, attribute) | ("var", var) | ("empty",)
+        self.lhs = lhs
+        self.op = op
+        self.rhs = rhs
 
 
-@dataclass(frozen=True)
-class Not:
-    inner: "Formula"
+class Quantifier(Frozen):
+    __slots__ = _fields = ("kind", "var", "body")
+
+    def __init__(self, kind: str, var: str, body: Formula):
+        self.kind = kind  # "forall" | "exists"
+        self.var = var
+        self.body = body
 
 
-@dataclass(frozen=True)
-class And:
-    lhs: "Formula"
-    rhs: "Formula"
+class _Unary(Frozen):
+    __slots__ = _fields = ("inner",)
+
+    def __init__(self, inner: Formula):
+        self.inner = inner
 
 
-@dataclass(frozen=True)
-class Or:
-    lhs: "Formula"
-    rhs: "Formula"
+class _Binary(Frozen):
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass(frozen=True)
-class EX:
-    inner: "Formula"
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EG:
-    inner: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EU:
-    lhs: "Formula"
-    rhs: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AU:
-    lhs: "Formula"
-    rhs: "Formula"
+class EX(_Unary):
+    __slots__ = ()
 
 
-Formula = Union[TrueF, PlaceAtom, DataAtom, Quantifier, Not, And, Or, EX, EG, EU, AU]
-_NODE_TYPES = Formula.__args__
+class EG(_Unary):
+    __slots__ = ()
+
+
+class EU(_Binary):
+    __slots__ = ()
+
+
+class AU(_Binary):
+    __slots__ = ()
+
+
+# the node classes; a ``Formula`` annotation names an instance of one
+Formula = (TrueF, PlaceAtom, DataAtom, Quantifier, Not, And, Or, EX, EG, EU, AU)
 
 
 def formula_text(node: Formula) -> str:
@@ -533,12 +544,12 @@ def _bits(states, n: int) -> int:
 class _Shapes:
     """Structural ids of formula nodes, shared by a graph and its quotient.
 
-    A node's shape is its class, its own fields and the ids of its
-    subformulas, so equal subformulas of any two formulas get one id;
-    nothing hashes or compares a whole subtree, which keeps deep formulas
-    clear of the recursion limit. ``quantified`` and ``temporal`` hold the
-    ids of the nodes with a quantifier and with a temporal operator in
-    them."""
+    A node's shape is its class and its fields in ``_fields`` order, each
+    subformula replaced by its id, so equal subformulas of any two
+    formulas get one id; nothing hashes or compares a whole subtree, which
+    keeps deep formulas clear of the recursion limit. ``quantified`` and
+    ``temporal`` hold the ids of the nodes with a quantifier and with a
+    temporal operator in them."""
 
     def __init__(self):
         self.ids: dict[tuple, int] = {}
@@ -564,7 +575,7 @@ class _Shapes:
                 continue
             stack.pop()
             shape = (type(node),) + tuple(
-                ids[id(v)] if isinstance(v, _NODE_TYPES) else v for v in vars(node).values()
+                ids[id(v)] if isinstance(v, Formula) else v for v in node._astuple()
             )
             sid = shapes.get(shape)
             if sid is None:
@@ -661,11 +672,19 @@ class _Evaluation:
         group's first state."""
         key = (marking, table)
         if key not in self.groups:
+            # states reached over arcs without table operations share their
+            # parent's table object, so tables are numbered by value once
+            # per object, not hashed once per state
+            numbers: dict[int, int] = {}  # id of a table -> number of its value
+            values: dict[tuple, int] = {}
             members: dict[tuple, list[int]] = {}
             for i, state in enumerate(self.states):
-                members.setdefault(
-                    (state.marking if marking else None, state.table if table else None), []
-                ).append(i)
+                number = None
+                if table:
+                    number = numbers.get(id(state.table))
+                    if number is None:
+                        number = numbers[id(state.table)] = values.setdefault(state.table, len(values))
+                members.setdefault((state.marking if marking else None, number), []).append(i)
             self.groups[key] = [
                 (self.states[ids[0]].marking, self.states[ids[0]].table, _bits(ids, self.size))
                 for ids in members.values()
@@ -779,9 +798,9 @@ class _Evaluation:
 
 def _operands(node: Formula) -> tuple:
     """Subformulas evaluated as satisfaction sets of their own."""
-    if isinstance(node, (Not, EX, EG)):
+    if isinstance(node, _Unary):
         return (node.inner,)
-    if isinstance(node, (And, Or, EU, AU)):
+    if isinstance(node, _Binary):
         return (node.lhs, node.rhs)
     return ()
 
@@ -871,16 +890,19 @@ def sat_au(srg: Srg, lhs: set[int], rhs: set[int]) -> set[int]:
 # verification driver
 
 
-@dataclass
-class Verdict:
+class Verdict(Struct):
     """A formula's verdict with its satisfaction and precondition sets as
     bitsets over state ids (bit i for state ``ci``); ``sat_set`` and
     ``pre_set`` list them as sets, built on first access."""
 
-    holds: bool
-    sat_bits: int
-    pre_bits: int
-    evidence: list[str] | None = None
+    _fields = ("holds", "sat_bits", "pre_bits", "evidence")
+    __slots__ = _fields + ("__dict__",)  # where the cached sets go
+
+    def __init__(self, holds: bool, sat_bits: int, pre_bits: int, evidence: list[str] | None = None):
+        self.holds = holds
+        self.sat_bits = sat_bits
+        self.pre_bits = pre_bits
+        self.evidence = evidence
 
     @cached_property
     def sat_set(self) -> set[int]:

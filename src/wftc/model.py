@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 
 UNDEF = None  # bottom: an unwritten data item / empty table cell
 
@@ -25,25 +24,75 @@ class ModelError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# plain value classes
+
+
+class Struct:
+    """Base of the package's plain classes: an instance equals another of
+    the same class whose ``_fields`` are equal. Subclasses list their
+    fields in ``__slots__`` and write their own ``__init__``, which keeps
+    start-up cheap (README, "Start-up")."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        fields = []
+        for name in self._fields:  # a loop, not a generator: one frame per nested node
+            fields.append(f"{name}={getattr(self, name)!r}")
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class Frozen(Struct):
+    """A ``Struct`` whose fields never change after ``__init__``, so it
+    hashes by them; ``Struct`` itself is unhashable. ``__init__`` takes
+    the fields in ``_fields`` order."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        # unpickled through ``__init__``, which recomputes what a subclass
+        # caches: string hashes differ between processes
+        return type(self), self._astuple()
+
+
+# ---------------------------------------------------------------------------
 # basic net elements
 
 
-@dataclass(frozen=True)
-class Place:
-    name: str
-    index: int
+class Place(Frozen):
+    __slots__ = _fields = ("name", "index")
+
+    def __init__(self, name: str, index: int):
+        self.name = name
+        self.index = index
 
 
-@dataclass(frozen=True)
-class Transition:
-    name: str
-    index: int
+class Transition(Frozen):
+    __slots__ = _fields = ("name", "index")
+
+    def __init__(self, name: str, index: int):
+        self.name = name
+        self.index = index
 
 
-@dataclass(frozen=True)
-class TableSchema:
-    name: str
-    attributes: tuple[str, ...]
+class TableSchema(Frozen):
+    __slots__ = _fields = ("name", "attributes")
+
+    def __init__(self, name: str, attributes: tuple[str, ...]):
+        self.name = name
+        self.attributes = attributes
 
     def attr_index(self, attr: str) -> int:
         try:
@@ -91,8 +140,7 @@ def column_of(table, col: int) -> list[str]:
 # predicates and guards
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(Frozen):
     """Three-valued condition over data items and the table.
 
     kinds:
@@ -101,12 +149,17 @@ class Predicate:
       def  -- item carries a value                     def(id)
     """
 
-    name: str
-    kind: str  # "in" | "eq" | "def"
-    item: str
-    table: str = ""
-    column: str = ""
-    const: str = ""
+    __slots__ = _fields = ("name", "kind", "item", "table", "column", "const")
+
+    def __init__(
+        self, name: str, kind: str, item: str, table: str = "", column: str = "", const: str = ""
+    ):
+        self.name = name
+        self.kind = kind  # "in" | "eq" | "def"
+        self.item = item
+        self.table = table
+        self.column = column
+        self.const = const
 
     def depends_on(self) -> frozenset[str]:
         return frozenset((self.item,))
@@ -142,22 +195,22 @@ class Predicate:
 #   ("pi", name) | ("not", e) | ("and", e, e) | ("or", e, e)
 
 
-@dataclass(frozen=True)
-class Guard:
-    name: str
-    expr: tuple
-    _predicates: frozenset[str] = field(init=False, repr=False, compare=False)
+class Guard(Frozen):
+    __slots__ = ("name", "expr", "_predicates")
+    _fields = ("name", "expr")
 
-    def __post_init__(self):
+    def __init__(self, name: str, expr: tuple):
+        self.name = name
+        self.expr = expr
         out = set()
-        stack = [self.expr]
+        stack = [expr]
         while stack:
             node = stack.pop()
             if node[0] == "pi":
                 out.add(node[1])
             else:
                 stack.extend(node[1:])
-        object.__setattr__(self, "_predicates", frozenset(out))
+        self._predicates = frozenset(out)
 
     def predicates(self) -> frozenset[str]:
         return self._predicates
@@ -222,8 +275,7 @@ def constraint_consistent(valuation: dict, constraints) -> bool:
 Source = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class SelScope:
+class SelScope(Frozen):
     """Refinement scope for a written item: a column, optionally filtered.
 
     ``sel(User.Id)`` scopes over the full Id column; ``sel(User.License
@@ -232,76 +284,128 @@ class SelScope:
     instead (the item takes the single scoped value, no branching).
     """
 
-    table: str
-    column: str
-    where_attr: str = ""
-    where_source: Source | None = None
-    assign_item: str = ""
+    __slots__ = _fields = ("table", "column", "where_attr", "where_source", "assign_item")
+
+    def __init__(
+        self,
+        table: str,
+        column: str,
+        where_attr: str = "",
+        where_source: Source | None = None,
+        assign_item: str = "",
+    ):
+        self.table = table
+        self.column = column
+        self.where_attr = where_attr
+        self.where_source = where_source
+        self.assign_item = assign_item
 
 
-@dataclass(frozen=True)
-class InsertOp:
-    table: str
-    values: tuple[tuple[str, Source], ...]  # (attribute, source)
+class InsertOp(Frozen):
+    __slots__ = _fields = ("table", "values")
+
+    def __init__(self, table: str, values: tuple[tuple[str, Source], ...]):
+        self.table = table
+        self.values = values  # (attribute, source)
 
 
-@dataclass(frozen=True)
-class DeleteOp:
-    table: str
-    where_attr: str
-    where_source: Source
+class DeleteOp(Frozen):
+    __slots__ = _fields = ("table", "where_attr", "where_source")
+
+    def __init__(self, table: str, where_attr: str, where_source: Source):
+        self.table = table
+        self.where_attr = where_attr
+        self.where_source = where_source
 
 
-@dataclass(frozen=True)
-class UpdateOp:
-    table: str
-    sets: tuple[tuple[str, Source], ...]
-    where_attr: str
-    where_source: Source
+class UpdateOp(Frozen):
+    __slots__ = _fields = ("table", "sets", "where_attr", "where_source")
+
+    def __init__(
+        self, table: str, sets: tuple[tuple[str, Source], ...], where_attr: str, where_source: Source
+    ):
+        self.table = table
+        self.sets = sets
+        self.where_attr = where_attr
+        self.where_source = where_source
 
 
-@dataclass(frozen=True)
-class GuardRef:
+class GuardRef(Frozen):
     """Guard literal attached to a transition; negated refs require the
     guard to be determinately false."""
 
-    guard: str
-    positive: bool = True
+    __slots__ = _fields = ("guard", "positive")
+
+    def __init__(self, guard: str, positive: bool = True):
+        self.guard = guard
+        self.positive = positive
 
 
 # ---------------------------------------------------------------------------
 # the net
 
 
-@dataclass
-class WftcNet:
+class WftcNet(Struct):
     """The full net. Built once by the parser and treated as read-only
-    afterwards; safe to share across threads."""
+    afterwards; safe to share across threads. Two nets are equal when
+    their constructor fields are."""
 
-    places: list[Place] = field(default_factory=list)
-    transitions: list[Transition] = field(default_factory=list)
-    arcs: set[tuple[str, str]] = field(default_factory=set)
-    data_items: list[str] = field(default_factory=list)
-    schema: TableSchema | None = None
-    initial_records: tuple[tuple, ...] = ()
-    rd: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    wt: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    dt: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    sel: dict[str, tuple[SelScope, ...]] = field(default_factory=dict)
-    ins: dict[str, tuple[InsertOp, ...]] = field(default_factory=dict)
-    dele: dict[str, tuple[DeleteOp, ...]] = field(default_factory=dict)
-    upd: dict[str, tuple[UpdateOp, ...]] = field(default_factory=dict)
-    guard_of: dict[str, GuardRef] = field(default_factory=dict)
-    predicates: dict[str, Predicate] = field(default_factory=dict)
-    guards: dict[str, Guard] = field(default_factory=dict)
-    constraints: tuple[Constraint, ...] = ()
-    start: str = ""
-    end: str = ""
+    _fields = (
+        "places", "transitions", "arcs", "data_items", "schema", "initial_records",
+        "rd", "wt", "dt", "sel", "ins", "dele", "upd",
+        "guard_of", "predicates", "guards", "constraints", "start", "end",
+    )
+    # the lookup tables that ``_index`` derives from the fields
+    __slots__ = _fields + (
+        "place_by_name", "transition_by_name", "guard_order", "_pre", "_post", "guard_deps",
+        "compiled",
+    )
+
+    def __init__(
+        self,
+        places: list[Place] | None = None,
+        transitions: list[Transition] | None = None,
+        arcs: set[tuple[str, str]] | None = None,
+        data_items: list[str] | None = None,
+        schema: TableSchema | None = None,
+        initial_records: tuple[tuple, ...] = (),
+        rd: dict[str, tuple[str, ...]] | None = None,
+        wt: dict[str, tuple[str, ...]] | None = None,
+        dt: dict[str, tuple[str, ...]] | None = None,
+        sel: dict[str, tuple[SelScope, ...]] | None = None,
+        ins: dict[str, tuple[InsertOp, ...]] | None = None,
+        dele: dict[str, tuple[DeleteOp, ...]] | None = None,
+        upd: dict[str, tuple[UpdateOp, ...]] | None = None,
+        guard_of: dict[str, GuardRef] | None = None,
+        predicates: dict[str, Predicate] | None = None,
+        guards: dict[str, Guard] | None = None,
+        constraints: tuple[Constraint, ...] = (),
+        start: str = "",
+        end: str = "",
+    ):
+        # each omitted list, set or dict is a new empty one
+        self.places = [] if places is None else places
+        self.transitions = [] if transitions is None else transitions
+        self.arcs = set() if arcs is None else arcs
+        self.data_items = [] if data_items is None else data_items
+        self.schema = schema
+        self.initial_records = initial_records
+        self.rd = {} if rd is None else rd
+        self.wt = {} if wt is None else wt
+        self.dt = {} if dt is None else dt
+        self.sel = {} if sel is None else sel
+        self.ins = {} if ins is None else ins
+        self.dele = {} if dele is None else dele
+        self.upd = {} if upd is None else upd
+        self.guard_of = {} if guard_of is None else guard_of
+        self.predicates = {} if predicates is None else predicates
+        self.guards = {} if guards is None else guards
+        self.constraints = constraints
+        self.start = start
+        self.end = end
+        self._index()
 
     # -- lookup helpers ----------------------------------------------------
-
-    def __post_init__(self):
-        self._index()
 
     def _index(self):
         self.place_by_name = {p.name: p for p in self.places}
@@ -358,14 +462,16 @@ class WftcNet:
 # structural validation
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Struct):
     """``errors`` name what the net references but does not declare, or
     arcs that do not join a place and a transition; such a net cannot be
     built. ``violations`` are findings on the workflow shape."""
 
-    violations: list[str] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
+    __slots__ = _fields = ("violations", "errors")
+
+    def __init__(self, violations: list[str] | None = None, errors: list[str] | None = None):
+        self.violations = [] if violations is None else violations
+        self.errors = [] if errors is None else errors
 
     @property
     def valid(self) -> bool:

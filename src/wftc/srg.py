@@ -19,7 +19,6 @@ import itertools
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .model import (
@@ -27,8 +26,10 @@ from .model import (
     FALSE,
     TRUE,
     UNDEF,
+    Frozen,
     ModelError,
     SelScope,
+    Struct,
     WftcNet,
     canonical_table,
     column_of,
@@ -50,27 +51,38 @@ class FiringError(Exception):
     """A transition was fired although it is not enabled."""
 
 
-@dataclass(frozen=True)
-class StateC:
-    """One configuration: marking, data valuation, table, guard values."""
+class StateC(Frozen):
+    """One configuration: marking, data valuation, table, guard values.
 
-    marking: tuple[int, ...]
-    data: tuple  # value token or UNDEF per data item, in declaration order
-    table: tuple  # canonically sorted records
-    sigma: tuple[str, ...]  # guard values in declaration order
-    # a state is looked up several times while the graph is built, and
-    # hashing its table is the costly part
-    _hash: int = field(init=False, repr=False, compare=False)
+    Built and compared once per successor while the graph is built, so
+    its methods are written out field by field."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.marking, self.data, self.table, self.sigma)))
+    __slots__ = ("marking", "data", "table", "sigma", "_hash")
+    _fields = ("marking", "data", "table", "sigma")
+
+    def __init__(self, marking: tuple[int, ...], data: tuple, table: tuple, sigma: tuple[str, ...]):
+        self.marking = marking
+        self.data = data  # value token or UNDEF per data item, in declaration order
+        self.table = table  # canonically sorted records
+        self.sigma = sigma  # guard values in declaration order
+        # a state is looked up several times while the graph is built, and
+        # hashing its table is the costly part
+        self._hash = hash((marking, data, table, sigma))
 
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):
-        # string hashes differ between processes: an unpickled state hashes anew
-        return StateC, (self.marking, self.data, self.table, self.sigma)
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # successors over arcs without table operations share their
+        # parent's table
+        return (
+            self.marking == other.marking
+            and self.data == other.data
+            and (self.table is other.table or self.table == other.table)
+            and self.sigma == other.sigma
+        )
 
     def marked_places(self, net: WftcNet) -> list[str]:
         return [p.name for p in net.places if self.marking[p.index] > 0]
@@ -376,17 +388,29 @@ def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED) -> list[S
 # graph construction
 
 
-@dataclass
-class Srg:
+class Srg(Struct):
     """Reachability graph: canonical state store plus labeled edges."""
 
-    net: WftcNet
-    mode: str
-    states: list[StateC] = field(default_factory=list)
-    edges: list[tuple[int, str, int]] = field(default_factory=list)
-    initial: int = 0
-    pseudo: list[bool] = field(default_factory=list)
-    build_millis: float = 0.0
+    _fields = ("net", "mode", "states", "edges", "initial", "pseudo", "build_millis")
+    __slots__ = _fields + ("_post", "_pre", "evaluation")
+
+    def __init__(
+        self,
+        net: WftcNet,
+        mode: str,
+        states: list[StateC] | None = None,
+        edges: list[tuple[int, str, int]] | None = None,
+        initial: int = 0,
+        pseudo: list[bool] | None = None,
+        build_millis: float = 0.0,
+    ):
+        self.net = net
+        self.mode = mode
+        self.states = [] if states is None else states
+        self.edges = [] if edges is None else edges
+        self.initial = initial
+        self.pseudo = [] if pseudo is None else pseudo
+        self.build_millis = build_millis
 
     def state_id(self, index: int) -> str:
         return f"c{index}"
@@ -467,12 +491,14 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
     return srg.finish()
 
 
-@dataclass
-class SrgStats:
-    state_count: int
-    arc_count: int
-    pseudo_count: int
-    build_millis: float
+class SrgStats(Struct):
+    __slots__ = _fields = ("state_count", "arc_count", "pseudo_count", "build_millis")
+
+    def __init__(self, state_count: int, arc_count: int, pseudo_count: int, build_millis: float):
+        self.state_count = state_count
+        self.arc_count = arc_count
+        self.pseudo_count = pseudo_count
+        self.build_millis = build_millis
 
 
 def srg_stats(srg: Srg) -> SrgStats:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import dctl
@@ -25,6 +24,7 @@ from .model import (
     Place,
     Predicate,
     SelScope,
+    Struct,
     TableSchema,
     Transition,
     UpdateOp,
@@ -550,11 +550,13 @@ def _constraint_text(constraint) -> str:
 # formula parsing
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    pos: int
+class _Token(Struct):
+    __slots__ = _fields = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
 
 
 _FORMULA_TOKENS = re.compile(

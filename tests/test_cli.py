@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import wftc
 from conftest import fixture_path, fixture_text
+from wftc import CONSTRAINED, UNCONSTRAINED
 from wftc.cli import EXIT_FALSE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
 MOTIVATING = str(fixture_path("motivating.wftc"))
@@ -253,3 +255,83 @@ def test_build_reports_match_modulo_time(capsys):
     a, b = json.loads(first), json.loads(second)
     a.pop("buildMillis"), b.pop("buildMillis")
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# start-up and robustness
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # both cost start-up time on every call; nothing in wftc needs them
+    code = (
+        "import sys; before = set(sys.modules); import wftc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(wftc.__file__).resolve().parents[1])},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+FUZZ_CHARS = "()[],.:;=!&|-># \n0123456789_ptgiUxTF"
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """One to three random edits: delete, duplicate or swap lines, or
+    delete, insert or replace a character."""
+    for _ in range(rng.randint(1, 3)):
+        lines = text.split("\n")
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        kind = rng.randrange(6)
+        if kind == 0:
+            del lines[i]
+        elif kind == 1:
+            lines.insert(j, lines[i])
+        elif kind == 2:
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            pos = rng.randrange(len(text) + 1)
+            new = "" if kind == 3 else rng.choice(FUZZ_CHARS)
+            text = text[:pos] + new + text[pos + (kind != 4):]
+            continue
+        text = "\n".join(lines)
+    return text
+
+
+FUZZ_COMMANDS = [
+    ["build"],
+    ["metrics"],
+    ["verify", "--formula-file", str(fixture_path("requirements.dctl")), "--formula", "EF p13"],
+]
+
+
+@pytest.mark.parametrize("fixture", ["motivating.wftc", "motivating-wfd.wftc"])
+def test_mutated_models_exit_cleanly(capsys, tmp_path, monkeypatch, fixture):
+    """Seeded mutants of a fixture through every command in both modes:
+    a verdict, a usage error or the state ceiling, never an escaped
+    exception or a traceback."""
+    monkeypatch.setenv("WFTC_STATE_LIMIT", "3000")
+    rng = random.Random(1)
+    text = fixture_text(fixture)
+    model = tmp_path / "mutant.wftc"
+    codes = set()
+    for k in range(100):
+        mutant = mutate(rng, text)
+        model.write_text(mutant, encoding="utf-8")
+        command, *extra = FUZZ_COMMANDS[k % 3]
+        mode = (CONSTRAINED, UNCONSTRAINED)[k // 3 % 2]
+        try:
+            code, _, err = run(capsys, command, str(model), "--mode", mode, *extra)
+        except Exception as exc:
+            pytest.fail(f"mutant {k} ({command}, {mode}) raised {exc!r}:\n{mutant}")
+        assert code in (EXIT_OK, EXIT_FALSE, EXIT_USAGE, EXIT_RESOURCE), (k, mutant)
+        assert "Traceback" not in err
+        if code in (EXIT_USAGE, EXIT_RESOURCE):
+            assert err.startswith("error: ") and err.count("\n") == 1, (k, err)
+        codes.add(code)
+    # the mutants reach verdicts as well as errors
+    assert {EXIT_OK, EXIT_USAGE} <= codes

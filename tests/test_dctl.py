@@ -1,5 +1,6 @@
 """Formula evaluation: satisfaction sets, fixed points, verification."""
 
+import pickle
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from wftc import (
     verify,
 )
 from wftc import dctl as ast
-from wftc.dctl import EvalError, Verdict, _Compiler
+from wftc.dctl import EvalError, Verdict, _Compiler, _Evaluation, _members
 from wftc.srg import Srg, StateC
 
 
@@ -376,6 +377,22 @@ def test_quantifier_free_operand_without_arcs_skips_the_quotient():
     assert "quotient" not in srg.evaluation.__dict__
 
 
+def test_state_groups_follow_values_in_order_of_first_state():
+    # most states share a table object with their parent, and some equal
+    # tables are distinct objects; groups are by value either way
+    srg = build_srg(parse_model(table_model(8)), CONSTRAINED)
+    states = srg.states
+    assert len({id(s.table) for s in states}) > len({s.table for s in states})
+    for marking in (False, True):
+        for table in (False, True):
+            members: dict = {}
+            for i, s in enumerate(states):
+                members.setdefault((s.marking if marking else None, s.table if table else None), set()).add(i)
+            want = [(states[min(ids)].marking, states[min(ids)].table, ids) for ids in members.values()]
+            got = _Evaluation(srg).partition(marking, table)
+            assert [(m, t, set(_members(mask))) for m, t, mask in got] == want
+
+
 # ---------------------------------------------------------------------------
 # verdicts pinned at the tree before the compiled blocks
 
@@ -412,3 +429,69 @@ def test_table16_metric_verdicts():
         "PM4": (True, 1019),
         "PM5": (False, 0),
     }
+
+
+# ---------------------------------------------------------------------------
+# value semantics of formula nodes and verdicts
+
+
+P, Q = ast.PlaceAtom("p0"), ast.PlaceAtom("p1")
+NODES = [
+    ast.TrueF(),
+    P,
+    ast.DataAtom(("attr", "r", "Id"), "!=", ("empty",)),
+    ast.Quantifier("forall", "r", P),
+    ast.Not(P),
+    ast.And(P, Q),
+    ast.Or(P, Q),
+    ast.EX(P),
+    ast.EG(P),
+    ast.EU(P, Q),
+    ast.AU(P, Q),
+]
+
+
+def other_value(value):
+    """A field value that differs from ``value``."""
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, tuple):
+        return value + value[-1:]
+    return ast.Not(value)
+
+
+@pytest.mark.parametrize("node", NODES, ids=[type(node).__name__ for node in NODES])
+def test_formula_nodes_compare_and_hash_by_type_and_fields(node):
+    cls = type(node)
+    fields = [getattr(node, name) for name in cls._fields]
+    twin = cls(*fields)
+    assert node == twin and not node != twin and hash(node) == hash(twin)
+    assert isinstance(node, ast.Formula)
+    for i in range(len(fields)):
+        other = cls(*fields[:i], other_value(fields[i]), *fields[i + 1:])
+        assert node != other, cls._fields[i]
+    # nodes of other classes with the same fields are unequal
+    for cls2 in ast.Formula:
+        if cls2 is not cls and cls2._fields == cls._fields:
+            assert cls2(*fields) != node
+    back = pickle.loads(pickle.dumps(node))
+    assert type(back) is cls and back == node and hash(back) == hash(node)
+
+
+def test_pickled_formula_verifies_alike(motivating_net, motivating_srg):
+    for text in (
+        "AG((forall r1 in R, forall r2 in R), [r1 != r2 -> r1.Id != r2.Id])",
+        "E((exists r in R), [r.Copy != empty U r.License = empty]) | EF p13",
+    ):
+        formula = parse_dctl(text, motivating_net)
+        back = pickle.loads(pickle.dumps(formula))
+        assert back == formula and hash(back) == hash(formula)
+        assert verify(motivating_srg, back) == verify(motivating_srg, formula)
+
+
+def test_verdicts_compare_by_fields_and_are_unhashable():
+    verdict = Verdict(holds=False, sat_bits=0b101, pre_bits=0b111)
+    assert verdict.evidence is None and verdict.sat_set == {0, 2} and verdict.pre_set == {0, 1, 2}
+    assert verdict == Verdict(False, 0b101, 0b111) != Verdict(False, 0b101, 0b111, ["c0"])
+    with pytest.raises(TypeError):
+        hash(verdict)

@@ -1,12 +1,32 @@
 """Net structure, preset/postset, validation, constraint evaluation."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
 from wftc import constraint_consistent, parse_model, validate_workflow_structure
-from wftc.model import BOT, FALSE, TRUE, ModelError, Place, WftcNet
+from wftc.model import (
+    BOT,
+    FALSE,
+    TRUE,
+    DeleteOp,
+    Guard,
+    GuardRef,
+    InsertOp,
+    ModelError,
+    Place,
+    Predicate,
+    SelScope,
+    TableSchema,
+    Transition,
+    UpdateOp,
+    ValidationReport,
+    WftcNet,
+)
+from wftc.srg import StateC
 
 
 def test_motivating_net_is_valid(motivating_net):
@@ -148,3 +168,100 @@ def test_refinement_never_rescues_a_violation():
                         v2 = dict(v)
                         v2[g] = refined
                         assert not constraint_consistent(v2, constraints)
+
+
+# ---------------------------------------------------------------------------
+# value semantics of the plain classes
+
+
+def changed(value):
+    """A value of the same kind that differs from ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "x"
+    if value is None:
+        return ("const", "x")
+    return value + value[-1:] if value else ("x",)
+
+
+FROZEN = [
+    (Place, ("p0", 0)),
+    (Transition, ("t0", 0)),
+    (TableSchema, ("User", ("Id", "License"))),
+    (Predicate, ("pi1", "in", "id", "User", "Id", "")),
+    (Guard, ("g1", ("not", ("pi", "pi1")))),
+    (SelScope, ("User", "License", "Id", ("item", "id"), "license")),
+    (InsertOp, ("User", (("Id", ("item", "id")),))),
+    (DeleteOp, ("User", "Id", ("item", "id"))),
+    (UpdateOp, ("User", (("License", ("item", "license")),), "Id", ("item", "id"))),
+    (GuardRef, ("g1", True)),
+    (StateC, ((1, 0), ("id1", None), (("id1", "license1"),), (BOT, TRUE))),
+]
+
+
+@pytest.mark.parametrize("cls, args", FROZEN, ids=[cls.__name__ for cls, _ in FROZEN])
+def test_frozen_classes_compare_and_hash_by_fields(cls, args):
+    value = cls(*args)
+    twin = cls(*copy.deepcopy(args))
+    assert value == twin and not value != twin and hash(value) == hash(twin)
+    assert len(args) == len(cls._fields)
+    for i in range(len(args)):
+        other = cls(*args[:i], changed(args[i]), *args[i + 1:])
+        assert value != other, cls._fields[i]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is cls and back == value and hash(back) == hash(value)
+
+
+def test_classes_of_one_shape_are_unequal():
+    assert Place("x", 0) != Transition("x", 0)
+    assert Place("x", 0) != ("x", 0)
+
+
+def test_cached_fields_are_left_out():
+    guard = Guard("g", ("and", ("pi", "a"), ("pi", "b")))
+    assert guard.predicates() == {"a", "b"}
+    assert repr(guard) == "Guard(name='g', expr=('and', ('pi', 'a'), ('pi', 'b')))"
+    state = StateC((1,), (None,), (("id1",),), (BOT,))
+    assert repr(state) == "StateC(marking=(1,), data=(None,), table=(('id1',),), sigma=('U',))"
+    # equal to a state whose table is another tuple of the same records
+    assert state == StateC((1,), (None,), tuple([("id1",)]), (BOT,))
+
+
+def test_mutable_classes_are_unhashable(motivating_srg):
+    from wftc.cli import RunReport
+    from wftc.srg import srg_stats
+
+    for value in (
+        WftcNet(),
+        ValidationReport(),
+        motivating_srg,
+        srg_stats(motivating_srg),
+        RunReport("m", "constrained", 1, 0, 0, 0.0),
+    ):
+        with pytest.raises(TypeError):
+            hash(value)
+    assert ValidationReport(["v"]) == ValidationReport(["v"]) != ValidationReport(errors=["v"])
+    assert srg_stats(motivating_srg) == srg_stats(motivating_srg)
+
+
+def test_net_equality_covers_every_constructor_field(motivating_net):
+    net = motivating_net
+    fields = {name: getattr(net, name) for name in WftcNet._fields}
+    assert len(fields) == 19
+    assert WftcNet(**fields) == net
+    for name, value in fields.items():
+        if isinstance(value, (list, tuple)):
+            other = value[:-1] if value else ((),)
+        elif isinstance(value, set):
+            other = set(list(value)[1:])
+        elif isinstance(value, dict):
+            other = dict(list(value.items())[1:]) if value else {"t0": ()}
+        elif isinstance(value, TableSchema):
+            other = TableSchema(value.name + "x", value.attributes)
+        else:
+            other = changed(value)
+        assert WftcNet(**{**fields, name: other}) != net, name

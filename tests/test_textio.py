@@ -1,5 +1,6 @@
 """Model format, formula grammar, and graph exports."""
 
+import hashlib
 import json
 import random
 
@@ -17,7 +18,7 @@ from wftc import (
     serialize_model,
 )
 from wftc import dctl as ast
-from conftest import TINY_CHAIN
+from conftest import TINY_CHAIN, fixture_text
 from wftc.dctl import formula_text
 from wftc.model import (
     Guard,
@@ -30,7 +31,7 @@ from wftc.model import (
     WftcNet,
     canonical_table,
 )
-from wftc.srg import UNCONSTRAINED, Srg, StateC
+from wftc.srg import CONSTRAINED, UNCONSTRAINED, Srg, StateC
 
 
 def test_parse_motivating_counts(motivating_net):
@@ -53,6 +54,16 @@ def test_wfd_projection_has_no_table(wfd_net):
 def test_roundtrip_fixtures(motivating_net, wfd_net):
     for net in (motivating_net, wfd_net):
         assert parse_model(serialize_model(net)) == net
+
+
+@pytest.mark.parametrize("mode", [CONSTRAINED, UNCONSTRAINED])
+@pytest.mark.parametrize("name", ["motivating.wftc", "motivating-wfd.wftc"])
+def test_roundtrip_keeps_the_export(name, mode):
+    def digest(net):
+        return hashlib.sha256(export_json(build_srg(net, mode)).encode("utf-8")).hexdigest()
+
+    net = parse_model(fixture_text(name))
+    assert digest(parse_model(serialize_model(net))) == digest(net)
 
 
 def test_serialize_is_byte_stable(motivating_net):
