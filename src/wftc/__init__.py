@@ -1,6 +1,5 @@
 """Model checking of workflow nets with tables and guard constraints."""
 
-from .dctl import Verdict, builtin_metrics, eval_atom, sat, sat_au, sat_eg, sat_eu, sat_ex, verify
 from .model import (
     ModelError,
     Predicate,
@@ -69,3 +68,16 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# imported from ``dctl`` on first access, so that a build never compiles the evaluator
+_DCTL_NAMES = {
+    "Verdict", "builtin_metrics", "eval_atom", "sat", "sat_au", "sat_eg", "sat_eu", "sat_ex", "verify"
+}
+
+
+def __getattr__(name):
+    if name not in _DCTL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import dctl
+
+    return getattr(dctl, name)

@@ -10,8 +10,7 @@ import argparse
 import json
 import sys
 
-from .dctl import PM_NAMES, EvalError, Verdict, builtin_metrics, verify
-from .model import ModelError, Struct
+from .model import EvalError, ModelError, Struct
 from .srg import CONSTRAINED, UNCONSTRAINED, ResourceLimitError, build_srg, srg_stats
 from .textio import ParseError, export_dot, export_json, parse_dctl, parse_model
 
@@ -19,6 +18,23 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# imported from ``dctl`` on first access, so that ``build`` never compiles the
+# evaluator; looked up when a command runs, so a name rebound here is the one called
+_DCTL_NAMES = ("PM_NAMES", "Verdict", "builtin_metrics", "verify")
+
+
+def __getattr__(name):
+    if name not in _DCTL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import dctl
+
+    return getattr(dctl, name)
+
+
+def _dctl(name: str):
+    bound = globals()
+    return bound[name] if name in bound else __getattr__(name)
 
 
 class RunReport(Struct):
@@ -108,7 +124,7 @@ def _report(args, srg) -> RunReport:
 
 
 def _verdict_entry(name: str, verdict) -> dict:
-    if isinstance(verdict, Verdict):
+    if isinstance(verdict, _dctl("Verdict")):
         entry = {
             "name": name,
             "verdict": "TRUE" if verdict.holds else "FALSE",
@@ -145,7 +161,7 @@ def cmd_verify(args) -> int:
     all_hold = True
     for i, text in enumerate(texts, start=1):
         formula = parse_dctl(text, net)
-        verdict = verify(srg, formula)
+        verdict = _dctl("verify")(srg, formula)
         all_hold &= verdict.holds
         report.formulas.append(_verdict_entry(f"phi{i}", verdict) | {"text": text})
     _emit(args, report)
@@ -155,11 +171,11 @@ def cmd_verify(args) -> int:
 def cmd_metrics(args) -> int:
     net, srg = _build(args)
     report = _report(args, srg)
-    results = builtin_metrics(srg)
+    results = _dctl("builtin_metrics")(srg)
     all_hold = True
-    for name in PM_NAMES:
+    for name in _dctl("PM_NAMES"):
         verdict = results[name]
-        if isinstance(verdict, Verdict):
+        if isinstance(verdict, _dctl("Verdict")):
             all_hold &= verdict.holds
         report.formulas.append(_verdict_entry(name, verdict))
     _emit(args, report)

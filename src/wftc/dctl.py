@@ -25,12 +25,8 @@ import operator
 from functools import cached_property
 from itertools import compress, count, islice
 
-from .model import UNDEF, Frozen, Struct, token_key
+from .model import UNDEF, EvalError, Frozen, Struct, token_key
 from .srg import Srg, StateC
-
-
-class EvalError(Exception):
-    """Formula references something the model does not provide."""
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,10 @@ class ModelError(Exception):
     """Structural problem in a net definition."""
 
 
+class EvalError(Exception):
+    """Formula references something the model does not provide."""
+
+
 # ---------------------------------------------------------------------------
 # plain value classes
 

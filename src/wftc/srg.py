@@ -416,20 +416,26 @@ class Srg(Struct):
         return f"c{index}"
 
     def successors(self, index: int) -> set[int]:
+        if self._post is None:
+            self._link()
         return self._post[index]
 
     def predecessors(self, index: int) -> set[int]:
+        if self._pre is None:
+            self._link()
         return self._pre[index]
 
-    def finish(self):
-        self._post = {i: set() for i in range(len(self.states))}
-        self._pre = {i: set() for i in range(len(self.states))}
+    def _link(self):
+        self._post = [set() for _ in self.states]
+        self._pre = [set() for _ in self.states]
         for src, _, dst in self.edges:
             self._post[src].add(dst)
             self._pre[dst].add(src)
-        # formula-evaluation state (groups, memoised sat sets) that
-        # ``dctl`` builds on first use; stale once the graph changes
-        self.evaluation = None
+
+    def finish(self):
+        # adjacency and formula-evaluation state (groups, memoised sat sets)
+        # are built when a formula first needs them; stale once edges change
+        self._post = self._pre = self.evaluation = None
         return self
 
 

@@ -13,7 +13,6 @@ import json
 import re
 from json.encoder import encode_basestring_ascii
 
-from . import dctl
 from .model import (
     UNDEF,
     DeleteOp,
@@ -600,6 +599,11 @@ class DctlParser:
     TEMPORAL = {"EX", "AX", "EF", "AF", "EG", "AG"}
 
     def __init__(self, text: str, net: WftcNet | None = None):
+        # the formula classes; imported by the first parse, not with this
+        # module, so that building a graph never compiles the evaluator
+        global dctl
+        from . import dctl
+
         self.text = text
         self.tokens = _tokenize_formula(text)
         self.pos = 0
@@ -988,10 +992,11 @@ def export_json(srg: Srg) -> str:
         lambda sigma: obj({name: scalar(v) for name, v in zip(net.guard_order, sigma)}, pad)
     )
     ids = [scalar(srg.state_id(i)) for i in range(len(srg.states))]
+    flag = {False: "false", True: "true"}
     states = [
         f"{{\n{pad}\"data\": {data(s.data)},\n{pad}\"guards\": {guards(s.sigma)},"
         f"\n{pad}\"id\": {ids[i]},\n{pad}\"marking\": {marking(s.marking)},"
-        f"\n{pad}\"pseudo\": {scalar(srg.pseudo[i])},\n{pad}\"table\": {table(s.table)}\n    }}"
+        f"\n{pad}\"pseudo\": {flag[srg.pseudo[i]]},\n{pad}\"table\": {table(s.table)}\n    }}"
         for i, s in enumerate(srg.states)
     ]
     label = functools.cache(scalar)

@@ -262,10 +262,11 @@ def test_build_reports_match_modulo_time(capsys):
 
 
 def test_import_leaves_out_dataclasses_and_inspect():
-    # both cost start-up time on every call; nothing in wftc needs them
+    # both cost start-up time on every call; nothing in wftc needs them,
+    # and the evaluator is imported only when a command checks a formula
     code = (
         "import sys; before = set(sys.modules); import wftc.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'inspect', 'wftc.dctl'} & (set(sys.modules) - before)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -275,6 +276,87 @@ def test_import_leaves_out_dataclasses_and_inspect():
         env={**os.environ, "PYTHONPATH": str(Path(wftc.__file__).resolve().parents[1])},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def imported_modules(stderr: str) -> set[str]:
+    """The modules named in ``-X importtime`` output."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines() if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize(
+    "command, loads_evaluator",
+    [
+        (["build", MOTIVATING, "--output", "json"], False),
+        (["verify", MOTIVATING, "--formula", "EF p13"], True),
+        (["metrics", MOTIVATING], True),
+    ],
+    ids=["build", "verify", "metrics"],
+)
+def test_only_formula_commands_load_the_evaluator(command, loads_evaluator):
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "wftc.cli", *command],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(wftc.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode in (EXIT_OK, EXIT_FALSE), proc.stderr
+    modules = imported_modules(proc.stderr)
+    assert {"wftc.model", "wftc.srg", "wftc.textio"} <= modules
+    assert ("wftc.dctl" in modules) == loads_evaluator
+
+
+def test_evaluation_error_exits_usage_without_a_traceback():
+    # ``main`` catches EvalError from model.py, so it needs no evaluator
+    # import of its own to report one
+    proc = run_cli("verify", MOTIVATING, "--formula", "forall r in R, [EX r.Id = id1]")
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr == "error: temporal operator nested below a quantifier\n"
+
+
+# the names the package took from ``dctl`` before it deferred them
+DCTL_NAMES = ["Verdict", "builtin_metrics", "eval_atom", "sat", "sat_au", "sat_eg", "sat_eu", "sat_ex", "verify"]
+
+
+def test_package_names_resolve_to_their_modules():
+    from wftc import dctl, model, srg, textio
+
+    for name in wftc.__all__:
+        home = dctl if name in DCTL_NAMES else next(m for m in (model, srg, textio) if hasattr(m, name))
+        assert getattr(wftc, name) is getattr(home, name), name
+    assert set(DCTL_NAMES) <= set(wftc.__all__)
+    assert dctl.EvalError is model.EvalError
+    namespace: dict = {}
+    exec("from wftc import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(wftc.__all__)
+    for module in (wftc, wftc.cli):
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            module.nonexistent
+
+
+def test_commands_call_the_evaluator_bound_on_the_cli_module(capsys, monkeypatch):
+    from wftc import cli, dctl
+
+    assert (cli.verify, cli.builtin_metrics, cli.PM_NAMES, cli.Verdict) == (
+        dctl.verify,
+        dctl.builtin_metrics,
+        dctl.PM_NAMES,
+        dctl.Verdict,
+    )
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "verify", counted("verify", dctl.verify))
+    monkeypatch.setattr(cli, "builtin_metrics", counted("builtin_metrics", dctl.builtin_metrics))
+    run(capsys, "verify", MOTIVATING, "--formula", "EF p13", "--formula", "p0")
+    run(capsys, "metrics", MOTIVATING)
+    assert calls == ["verify", "verify", "builtin_metrics"]
 
 
 FUZZ_CHARS = "()[],.:;=!&|-># \n0123456789_ptgiUxTF"

@@ -340,3 +340,52 @@ def test_unconstrained_mode_on_table_backed_net(motivating_net):
     assert stats.pseudo_count > 0
     retained = {s for i, s in enumerate(srg.states) if not srg.pseudo[i]}
     assert retained >= set(build_srg(motivating_net, CONSTRAINED).states)
+
+
+# ---------------------------------------------------------------------------
+# adjacency sets, built on first use
+
+
+def adjacency_from_edges(srg):
+    post = [set() for _ in srg.states]
+    pre = [set() for _ in srg.states]
+    for src, _, dst in srg.edges:
+        post[src].add(dst)
+        pre[dst].add(src)
+    return post, pre
+
+
+def assert_adjacency_matches_edges(srg):
+    post, pre = adjacency_from_edges(srg)
+    assert [srg.successors(i) for i in range(len(srg.states))] == post
+    assert [srg.predecessors(i) for i in range(len(srg.states))] == pre
+
+
+@pytest.mark.parametrize("name", ["motivating.wftc", "motivating-wfd.wftc"])
+@pytest.mark.parametrize("mode", [CONSTRAINED, UNCONSTRAINED])
+def test_adjacency_is_built_on_first_use(name, mode):
+    from conftest import fixture_text
+
+    from wftc.dctl import _Evaluation
+
+    srg = build_srg(parse_model(fixture_text(name)), mode)
+    # a build that checks no formula holds no adjacency sets
+    assert (srg._post, srg._pre, srg.evaluation) == (None, None, None)
+    assert_adjacency_matches_edges(srg)
+    assert all(isinstance(srg.successors(i), set) for i in range(len(srg.states)))
+    quotient = _Evaluation(srg).quotient.srg
+    assert len(quotient.states) < len(srg.states)
+    assert_adjacency_matches_edges(quotient)
+
+
+def test_finish_drops_stale_adjacency(motivating_net):
+    srg = build_srg(motivating_net, CONSTRAINED)
+    assert srg.successors(0) and 0 not in srg.successors(0)
+    srg.edges = srg.edges + [(0, "t0", 0)]
+    srg.finish()
+    assert 0 in srg.successors(0) and 0 in srg.predecessors(0)
+    assert_adjacency_matches_edges(srg)
+    srg.edges = srg.edges[:-1]
+    srg.finish()
+    assert 0 not in srg.successors(0)
+    assert_adjacency_matches_edges(srg)
