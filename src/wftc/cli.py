@@ -105,6 +105,17 @@ def _read(path: str) -> str:
         raise ParseError(f"{path}: {exc}") from None
 
 
+# characters per write: encoding a slice at a time keeps the bytes of a
+# large export from being a second full copy of it in memory
+_SLICE = 1 << 20
+
+
+def _write(path: str, text: str):
+    with open(path, "w", encoding="utf-8") as handle:
+        for start in range(0, len(text), _SLICE):
+            handle.write(text[start : start + _SLICE])
+
+
 def _build(args):
     net = parse_model(_read(args.model))
     srg = build_srg(net, args.mode)
@@ -140,11 +151,9 @@ def cmd_build(args) -> int:
     net, srg = _build(args)
     report = _report(args, srg)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(export_dot(srg))
+        _write(args.dot, export_dot(srg))
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(export_json(srg))
+        _write(args.json_out, export_json(srg))
     _emit(args, report)
     return EXIT_OK
 

@@ -157,7 +157,7 @@ class _Plan:
     place, item and column positions, scopes, value sources, the guard
     value it requires and the guards it settles."""
 
-    def __init__(self, net: WftcNet, t: str, bound: dict):
+    def __init__(self, net: WftcNet, t: str, settlers: dict):
         item = net.data_items.index
         self.pre = tuple(net.place_by_name[p].index for p in net.preset(t))
         self.post = tuple(net.place_by_name[p].index for p in net.postset(t))
@@ -191,27 +191,46 @@ class _Plan:
         # every guard with the positions of the items it depends on; the
         # guards the firing settles (those over an item it writes or
         # deletes; items filled by a select assignment do not count) also
-        # carry their predicates
+        # carry the function that evaluates them
         moved = set(written) | set(net.dt.get(t, ()))
-        settle = []
-        for gi, name in enumerate(net.guard_order):
-            deps = net.guard_deps[name]
-            guard = preds = None
-            if deps & moved:
-                guard = net.guards[name]
-                preds = tuple((p, bound[p]) for p in guard.predicates())
-            settle.append((gi, frozenset(map(item, deps)), guard, preds))
-        self.settle = tuple(settle)
+        self.settle = tuple(
+            (gi, tuple(map(item, deps)), settlers[name] if deps & moved else None)
+            for gi, (name, deps) in enumerate(net.guard_deps.items())
+        )
+
+
+def _settler(guard, bound: dict):
+    """``guard`` as a function of a data tuple and a table, with
+    ``Guard.evaluate`` memoised on the tuple of its predicate values."""
+    names = tuple(guard.predicates())
+    preds = tuple(bound[name] for name in names)
+    memo = {}
+
+    def settle(data: tuple, table) -> str:
+        key = tuple([pi(data, table) for pi in preds])
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = guard.evaluate(dict(zip(names, key)))
+        return value
+
+    return settle
 
 
 class _Compiled:
-    """A net's firing plans, kept on the net until it is re-indexed, and
-    per distinct marking the transitions whose preset it marks."""
+    """A net's firing plans, kept on the net until it is re-indexed; per
+    distinct marking the transitions whose preset it marks, and per
+    distinct guard valuation its values by guard name."""
 
     def __init__(self, net: WftcNet):
         bound = {name: pi.bind(net) for name, pi in net.predicates.items()}
-        self.plans = {t.name: _Plan(net, t.name, bound) for t in net.transitions}
+        # none for a guard naming an undeclared predicate; validation reports it
+        settlers = {
+            name: _settler(g, bound) for name, g in net.guards.items() if g.predicates() <= bound.keys()
+        }
+        self.plans = {t.name: _Plan(net, t.name, settlers) for t in net.transitions}
+        self.guard_order = tuple(net.guard_order)
         self._candidates: dict[tuple, list[str]] = {}
+        self._valuations: dict[tuple, dict] = {}
 
     def candidates(self, marking: tuple) -> list[str]:
         """Transitions in declaration order whose every input place holds a token."""
@@ -221,6 +240,14 @@ class _Compiled:
                 t for t, plan in self.plans.items() if all(marking[i] >= 1 for i in plan.pre)
             ]
         return names
+
+    def valuation(self, sigma: tuple) -> dict:
+        """The guard values ``sigma`` by guard name, one dict per distinct
+        ``sigma``; callers only read it."""
+        named = self._valuations.get(sigma)
+        if named is None:
+            named = self._valuations[sigma] = dict(zip(self.guard_order, sigma))
+        return named
 
 
 def _compiled(net: WftcNet) -> _Compiled:
@@ -328,16 +355,18 @@ def _sigma_after(plan: _Plan, parent_sigma, data: tuple, table, mode):
     """
     sigma = list(parent_sigma)
     choices = []
-    unwritten = {i for i, value in enumerate(data) if value is UNDEF}
-    for gi, deps, guard, preds in plan.settle:
-        if not unwritten.isdisjoint(deps):
-            sigma[gi] = BOT
-        elif guard is not None:
-            value = guard.evaluate({name: pi(data, table) for name, pi in preds})
-            if mode == UNCONSTRAINED or value == BOT:
-                choices.append(gi)
-                value = BOT
-            sigma[gi] = value
+    for gi, deps, settle in plan.settle:
+        for i in deps:
+            if data[i] is UNDEF:
+                sigma[gi] = BOT
+                break
+        else:
+            if settle is not None:
+                value = settle(data, table)
+                if mode == UNCONSTRAINED or value == BOT:
+                    choices.append(gi)
+                    value = BOT
+                sigma[gi] = value
     for combo in itertools.product((TRUE, FALSE), repeat=len(choices)):
         for i, value in zip(choices, combo):
             sigma[i] = value
@@ -349,7 +378,8 @@ def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED) -> list[S
     filtering in constrained mode."""
     if not enabled(net, state, t):
         raise FiringError(f"transition {t} is not enabled")
-    plan = _compiled(net).plans[t]
+    compiled = _compiled(net)
+    plan = compiled.plans[t]
     marking = list(state.marking)
     for i in plan.pre:
         marking[i] -= 1
@@ -378,7 +408,7 @@ def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED) -> list[S
             table = _apply_table_ops(plan, state.table, data)
             for sigma in _sigma_after(plan, state.sigma, data, table, mode):
                 if mode != CONSTRAINED or constraint_consistent(
-                    dict(zip(net.guard_order, sigma)), net.constraints
+                    compiled.valuation(sigma), net.constraints
                 ):
                     successors.append(StateC(marking, data, table, sigma))
     return list(dict.fromkeys(successors))
@@ -465,9 +495,10 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
     root = initial_state(net)
     index = {root: 0}
     srg.states.append(root)
-    srg.pseudo.append(not constraint_consistent(root.sigma_map(net), net.constraints))
+    compiled = _compiled(net)
+    srg.pseudo.append(not constraint_consistent(compiled.valuation(root.sigma), net.constraints))
     queue = deque([root])
-    candidates = _compiled(net).candidates
+    candidates = compiled.candidates
 
     while queue:
         state = queue.popleft()
@@ -486,7 +517,7 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
                     srg.states.append(succ)
                     srg.pseudo.append(
                         mode == UNCONSTRAINED
-                        and not constraint_consistent(succ.sigma_map(net), net.constraints)
+                        and not constraint_consistent(compiled.valuation(succ.sigma), net.constraints)
                     )
                     queue.append(succ)
                 # each (state, transition) pair is fired once and ``fire``

@@ -939,15 +939,16 @@ def _norm_term(term):
 def export_dot(srg: Srg) -> str:
     """Graphviz rendering: states as nodes, transition names as edge
     labels, pseudo states dashed."""
+    ids = [srg.state_id(i) for i in range(len(srg.states))]
     lines = ["digraph srg {", "  rankdir=LR;"]
-    for i, _ in enumerate(srg.states):
+    for i, sid in enumerate(ids):
         style = ' style=dashed' if srg.pseudo[i] else ""
         shape = ' shape=doublecircle' if i == srg.initial else ""
-        lines.append(f'  {srg.state_id(i)} [label="{srg.state_id(i)}"{style}{shape}];')
+        lines.append(f'  {sid} [label="{sid}"{style}{shape}];')
     for src, t, dst in srg.edges:
-        lines.append(f'  {srg.state_id(src)} -> {srg.state_id(dst)} [label="{t}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines.append(f'  {ids[src]} -> {ids[dst]} [label="{t}"];')
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def export_json(srg: Srg) -> str:
@@ -958,7 +959,9 @@ def export_json(srg: Srg) -> str:
     sort_keys=True)`` prints for that payload, written directly: the
     indenting ``json`` encoder is pure Python and builds the whole
     payload first, while states share markings, data, tables and guard
-    values, which are rendered once each here."""
+    values, which are rendered once each here. The document is one list
+    of pieces pointing at those shared texts, joined once, so the only
+    full copy of it is the returned string."""
     net = srg.net
 
     def scalar(value) -> str:
@@ -991,26 +994,31 @@ def export_json(srg: Srg) -> str:
     guards = functools.cache(
         lambda sigma: obj({name: scalar(v) for name, v in zip(net.guard_order, sigma)}, pad)
     )
+    label = functools.cache(scalar)
     ids = [scalar(srg.state_id(i)) for i in range(len(srg.states))]
     flag = {False: "false", True: "true"}
-    states = [
-        f"{{\n{pad}\"data\": {data(s.data)},\n{pad}\"guards\": {guards(s.sigma)},"
-        f"\n{pad}\"id\": {ids[i]},\n{pad}\"marking\": {marking(s.marking)},"
-        f"\n{pad}\"pseudo\": {flag[srg.pseudo[i]]},\n{pad}\"table\": {table(s.table)}\n    }}"
-        for i, s in enumerate(srg.states)
-    ]
-    label = functools.cache(scalar)
-    edges = [
-        f"{{\n{pad}\"from\": {ids[a]},\n{pad}\"to\": {ids[b]},\n{pad}\"transition\": {label(t)}\n    }}"
-        for a, t, b in srg.edges
-    ]
-    top = {
-        "edges": arr(edges, "  "),
-        "initial": scalar(srg.state_id(srg.initial)),
-        "mode": scalar(srg.mode),
-        "states": arr(states, "  "),
-    }
-    return obj(top, "") + "\n"
+
+    # the top level keys in sorted order; each array item opens with
+    # ``first`` (the array's first) or ``sep`` and the array ends with
+    # ``close``, or is ``[]`` when empty
+    pieces = ['{\n  "edges": ']
+    first, sep, close = '[\n    {\n      "from": ', '\n    },\n    {\n      "from": ', "\n    }\n  ]"
+    for a, t, b in srg.edges:
+        pieces += (first, ids[a], ',\n      "to": ', ids[b], ',\n      "transition": ', label(t))
+        first = sep
+    pieces.append(close if srg.edges else "[]")
+    pieces += (',\n  "initial": ', scalar(srg.state_id(srg.initial)))
+    pieces += (',\n  "mode": ', scalar(srg.mode), ',\n  "states": ')
+    first, sep = '[\n    {\n      "data": ', '\n    },\n    {\n      "data": '
+    for i, s in enumerate(srg.states):
+        pieces += (
+            first, data(s.data), ',\n      "guards": ', guards(s.sigma), ',\n      "id": ', ids[i],
+            ',\n      "marking": ', marking(s.marking), ',\n      "pseudo": ', flag[srg.pseudo[i]],
+            ',\n      "table": ', table(s.table),
+        )
+        first = sep
+    pieces += (close if srg.states else "[]", "\n}\n")
+    return "".join(pieces)
 
 
 def import_json(text: str):

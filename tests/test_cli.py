@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import wftc
-from conftest import fixture_path, fixture_text
-from wftc import CONSTRAINED, UNCONSTRAINED
+from conftest import fixture_path, fixture_text, table_model
+from wftc import CONSTRAINED, UNCONSTRAINED, build_srg, export_dot, export_json, parse_model
 from wftc.cli import EXIT_FALSE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
 MOTIVATING = str(fixture_path("motivating.wftc"))
@@ -49,6 +49,71 @@ def test_build_writes_exports(capsys, tmp_path):
     payload = json.loads(data.read_text())
     assert len(payload["states"]) == 54
 
+
+
+def test_written_exports_equal_the_exported_text(capsys, tmp_path):
+    # the JSON of unconstrained table-6 is written in several slices
+    from wftc.cli import _SLICE
+
+    model = tmp_path / "table6.wftc"
+    model.write_text(table_model(6), encoding="utf-8")
+    dot, data = tmp_path / "srg.dot", tmp_path / "srg.json"
+    code, _, _ = run(capsys, "build", str(model), "--mode", UNCONSTRAINED, "--dot", str(dot), "--json", str(data))
+    assert code == EXIT_OK
+    srg = build_srg(parse_model(table_model(6)), UNCONSTRAINED)
+    text = export_json(srg)
+    assert len(text) > 2 * _SLICE
+    assert data.read_bytes() == text.encode("utf-8")
+    assert dot.read_bytes() == export_dot(srg).encode("utf-8")
+
+
+def test_write_keeps_characters_across_slice_boundaries(tmp_path):
+    from wftc.cli import _SLICE, _write
+
+    # a two-byte character ends the first slice, three- and four-byte ones
+    # open the second
+    text = "a" * (_SLICE - 1) + "\u00e9\u20ac\U0001d11e" + "z" * 10
+    path = tmp_path / "out.txt"
+    _write(str(path), text)
+    assert path.read_bytes() == text.encode("utf-8")
+    _write(str(path), "")
+    assert path.read_bytes() == b""
+
+
+# A child's ``ru_maxrss`` starts at its parent's resident size when it
+# forks, and a test process can be larger than the build it measures, so
+# each build is started from a small launcher that reports it.
+LAUNCHER = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_json_export_costs_at_most_twice_its_size(tmp_path):
+    model = tmp_path / "table6.wftc"
+    model.write_text(table_model(6), encoding="utf-8")
+    data = tmp_path / "srg.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(wftc.__file__).resolve().parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+    peaks = []
+    for extra in ([], ["--json", str(data)]):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", LAUNCHER, "-m", "wftc.cli", "build", str(model), "--mode", UNCONSTRAINED, *extra],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        code, peak = map(int, proc.stdout.split())
+        assert (proc.returncode, code, proc.stderr) == (0, EXIT_OK, "")
+        peaks.append(peak * (1 if sys.platform == "darwin" else 1024))  # bytes on macOS, KiB elsewhere
+    rise = peaks[1] - peaks[0]
+    assert rise <= 2 * data.stat().st_size, (peaks, data.stat().st_size)
 
 def test_verify_phi1_true(capsys):
     code, out, _ = run(

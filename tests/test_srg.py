@@ -1,6 +1,7 @@
 """States, refinement, firing, and graph construction."""
 
 import hashlib
+import itertools
 import os
 import pickle
 import subprocess
@@ -25,7 +26,7 @@ from wftc import (
     srg_stats,
 )
 from wftc.model import BOT, FALSE, TRUE, UNDEF
-from wftc.srg import FiringError, fresh_token
+from wftc.srg import FiringError, _settler, fresh_token
 
 TABLE0 = (("id1", "license1", "copy1"), ("id2", "license2", "copy2"))
 
@@ -146,6 +147,19 @@ def test_fire_t0_unconstrained_on_wfd(wfd_net):
     ]
     assert sum(pseudo) == 2
 
+
+
+def test_settled_guard_agrees_with_evaluate(motivating_net):
+    # each predicate reads its own value from the "data" argument, so every
+    # T/F/U combination can be fed to the memoised guard, twice
+    bound = {name: (lambda data, table, name=name: data[name]) for name in motivating_net.predicates}
+    for guard in motivating_net.guards.values():
+        settle = _settler(guard, bound)
+        names = sorted(guard.predicates())
+        combos = [dict(zip(names, values)) for values in itertools.product((TRUE, FALSE, BOT), repeat=len(names))]
+        assert len(combos) == 3 ** len(names) >= 3
+        for values in combos + combos:
+            assert settle(values, ()) == guard.evaluate(values), (guard.name, values)
 
 def test_build_motivating_counts(motivating_srg):
     stats = srg_stats(motivating_srg)
