@@ -570,14 +570,15 @@ def _tokenize_formula(text: str):
     while pos < len(text):
         m = _FORMULA_TOKENS.match(text, pos)
         if m is None:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", column=pos + 1)
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(
+                    f"unexpected character {rest[0]!r}", column=len(text) - len(rest) + 1
+                )
             break
         pos = m.end()
-        for kind in ("arrow", "cmp", "punct", "name"):
-            if m.group(kind):
-                tokens.append(_Token(kind, m.group(kind), m.start()))
-                break
+        kind = m.lastgroup
+        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
     return tokens
 
 
@@ -589,7 +590,9 @@ MAX_FORMULA_DEPTH = 960
 
 
 class DctlParser:
-    """Recursive-descent parser for the formula language.
+    """Recursive-descent parser for the formula language. It reads each
+    formula once, left to right, and never backs up; an error names the
+    column of the token where parsing stopped.
 
     Precedence: ! binds tightest, then &, then |, then ->. Temporal
     operators are prefix; E(a U b) / A(a U b) carry the until form.
@@ -617,6 +620,10 @@ class DctlParser:
         i = self.pos + ahead
         return self.tokens[i] if i < len(self.tokens) else None
 
+    def at(self, text, ahead=0):
+        tok = self.peek(ahead)
+        return tok is not None and tok.text == text
+
     def next(self):
         tok = self.peek()
         if tok is None:
@@ -643,35 +650,38 @@ class DctlParser:
 
     def parse(self):
         node = self.parse_implies()
-        if self.peek() is not None:
-            tok = self.peek()
+        tok = self.peek()
+        if tok is not None:
             raise ParseError(f"trailing input {tok.text!r}", column=tok.pos + 1)
         return node
 
-    def parse_implies(self):
+    # parse_implies, parse_or and parse_and take an optional first operand:
+    # a quantified formula that parse_quantified has read already and that
+    # the expression goes on from, as in (forall v in R, [m] & q)
+
+    def parse_implies(self, first=None):
         # entered once per bracketed level; with the parse_unary call that
         # opened the level, that is at most six frames
         self.descend(5)
         try:
-            node = self.parse_or()
-            if self.peek() is not None and self.peek().kind == "arrow":
+            node = self.parse_or(first)
+            if self.at("->"):
                 self.next()
-                rhs = self.parse_implies()
-                return dctl.Or(dctl.Not(node), rhs)
+                return dctl.Or(dctl.Not(node), self.parse_implies())
             return node
         finally:
             self.depth -= 5
 
-    def parse_or(self):
-        node = self.parse_and()
-        while self.peek() is not None and self.peek().text == "|":
+    def parse_or(self, first=None):
+        node = self.parse_and(first)
+        while self.at("|"):
             self.next()
             node = dctl.Or(node, self.parse_and())
         return node
 
-    def parse_and(self):
-        node = self.parse_unary()
-        while self.peek() is not None and self.peek().text == "&":
+    def parse_and(self, first=None):
+        node = self.parse_unary() if first is None else first
+        while self.at("&"):
             self.next()
             node = dctl.And(node, self.parse_unary())
         return node
@@ -687,14 +697,15 @@ class DctlParser:
                 return dctl.Not(self.parse_unary())
             if tok.kind == "name" and tok.text in self.TEMPORAL:
                 self.next()
-                inner = self.parse_unary()
-                return self._temporal(tok.text, inner)
+                return self._temporal(tok.text, self.parse_unary())
             if tok.kind == "name" and tok.text in ("E", "A"):
                 return self.parse_until(tok.text)
             if tok.text == "(":
                 return self.parse_group()
+            if self._quantifier_ahead(0):
+                return self.parse_quantified()[0]
             if tok.kind == "name":
-                return self.parse_atom_or_quantifier()
+                return self.parse_comparison_or_atom()
             raise ParseError(f"unexpected token {tok.text!r}", column=tok.pos + 1)
         finally:
             self.depth -= 1
@@ -717,80 +728,33 @@ class DctlParser:
         return dctl.Not(dctl.EU(dctl.TrueF(), dctl.Not(inner)))
 
     def parse_until(self, path_quantifier):
-        # E(a U b), optionally with a record-quantifier prefix that
-        # distributes over both operands:  E((forall v in R), [a U b])
+        # E(a U b). A quantifier prefix before a bracketed until quantifies
+        # both operands, E((forall v in R), [a U b]); in E(forall v in R,
+        # [a] U b) it quantifies the left operand only
         self.next()  # E or A
         self.expect("(")
-        saved_pos, saved_bound = self.pos, len(self.bound)
-        try:
-            lhs, rhs = self._until_with_prefix()
-        except ParseError:
-            self.pos = saved_pos
-            del self.bound[saved_bound:]
-            lhs = self.parse_implies()
-            tok = self.next()
-            if not (tok.kind == "name" and tok.text == "U"):
-                raise ParseError(
-                    f"expected 'U', found {tok.text!r}", column=tok.pos + 1
-                )
+        lhs = rhs = None
+        listed = self._listed()
+        if listed or self._quantifier_ahead(0):
+            lhs, rhs = self.parse_quantified(listed, until=True)
+        if rhs is None:
+            lhs = self.parse_implies(lhs)
+            self.expect("U")
             rhs = self.parse_implies()
-            self.expect(")")
+        self.expect(")")
         return dctl.EU(lhs, rhs) if path_quantifier == "E" else dctl.AU(lhs, rhs)
 
-    def _until_with_prefix(self):
-        nested = (
-            self.peek() is not None
-            and self.peek().text == "("
-            and self._quantifier_ahead(1)
-        )
-        if not (nested or self._quantifier_ahead(0)):
-            raise ParseError("no quantifier prefix")
-        if nested:
-            self.expect("(")
-        quantifiers = self.parse_quantifier_list()
-        if nested:
-            self.expect(")")
-            self.expect(",")
-        self.expect("[")
-        for _, var in quantifiers:
-            self.bound.append(var)
-        lhs = self.parse_implies()
-        tok = self.next()
-        if not (tok.kind == "name" and tok.text == "U"):
-            raise ParseError(f"expected 'U', found {tok.text!r}", column=tok.pos + 1)
-        rhs = self.parse_implies()
-        for _ in quantifiers:
-            self.bound.pop()
-        self.expect("]")
-        self.expect(")")
-        return self._wrap(quantifiers, lhs), self._wrap(quantifiers, rhs)
-
     def parse_group(self):
-        # a parenthesized group: a quantified formula, with the quantifier
-        # list either inline or in its own nested parens, or else a plain
-        # subformula
+        # a parenthesized group: a plain subformula, or a quantified formula
+        # with its list in its own parens, ((forall v in R), [m]), or inline,
+        # (forall v in R, [m] & q), where the expression may go on after it
         self.expect("(")
-        nested = (
-            self.peek() is not None
-            and self.peek().text == "("
-            and self._quantifier_ahead(1)
-        )
-        if nested or self._quantifier_ahead(0):
-            saved_pos, saved_bound = self.pos, len(self.bound)
-            try:
-                if nested:
-                    self.expect("(")
-                quantifiers = self.parse_quantifier_list()
-                if nested:
-                    self.expect(")")
-                    self.expect(",")
-                body = self.parse_matrix(quantifiers)
-                self.expect(")")
-                return self._wrap(quantifiers, body)
-            except ParseError:
-                self.pos = saved_pos
-                del self.bound[saved_bound:]
-        node = self.parse_implies()
+        node = None
+        listed = self._listed()
+        if listed or self._quantifier_ahead(0):
+            node = self.parse_quantified(listed)[0]
+        if not listed:
+            node = self.parse_implies(node)
         self.expect(")")
         return node
 
@@ -798,11 +762,46 @@ class DctlParser:
         tok = self.peek(ahead)
         return tok is not None and tok.kind == "name" and tok.text in ("forall", "exists")
 
-    def parse_atom_or_quantifier(self):
-        if self._quantifier_ahead(0):
-            quantifiers = self.parse_quantifier_list()
-            return self._wrap(quantifiers, self.parse_matrix(quantifiers))
-        return self.parse_comparison_or_atom()
+    def _listed(self):
+        """Whether a quantifier list in its own parens comes next: `(`,
+        then `Q v in D` separated by commas (a last one may trail), then `)`."""
+        if not self.at("("):
+            return False
+        ahead = 1
+        while self._quantifier_ahead(ahead):
+            var, kw, dom = (self.peek(ahead + k) for k in (1, 2, 3))
+            if dom is None or var.kind != "name" or kw.text != "in" or dom.kind != "name":
+                return False
+            ahead += 4
+            if not self.at(",", ahead):
+                break
+            ahead += 1
+        return ahead > 1 and self.at(")", ahead)
+
+    def parse_quantified(self, listed=False, until=False):
+        """A quantifier list and its matrix, `Q v in D, ..., [m]` or `...,
+        m`, or when listed `(Q v in D, ...), [m]`. With until, a bracketed
+        `[a U b]` quantifies both operands. Returns the quantified formula
+        and the quantified right operand, or None."""
+        if listed:
+            self.next()
+        quantifiers = self.parse_quantifier_list()
+        if listed:
+            self.expect(")")
+            self.expect(",")
+        bracketed = (listed and until) or self.at("[")
+        if bracketed:
+            self.expect("[")
+        saved = len(self.bound)
+        self.bound.extend(var for _, var in quantifiers)
+        body, rhs = self.parse_implies(), None
+        if bracketed and until and (listed or self.at("U")):
+            self.expect("U")
+            rhs = self._wrap(quantifiers, self.parse_implies())
+        del self.bound[saved:]
+        if bracketed:
+            self.expect("]")
+        return self._wrap(quantifiers, body), rhs
 
     def parse_quantifier_list(self):
         quantifiers = []
@@ -822,25 +821,12 @@ class DctlParser:
             if dom.kind != "name":
                 raise ParseError("expected domain name", column=dom.pos + 1)
             quantifiers.append((tok.text, var.text))
-            if self.peek() is not None and self.peek().text == ",":
+            if self.at(","):
                 self.next()  # separator before the next quantifier or matrix
                 if self._quantifier_ahead(0):
                     continue
             break
         return quantifiers
-
-    def parse_matrix(self, quantifiers):
-        bracketed = self.peek() is not None and self.peek().text == "["
-        if bracketed:
-            self.expect("[")
-        for _, var in quantifiers:
-            self.bound.append(var)
-        body = self.parse_implies()
-        for _ in quantifiers:
-            self.bound.pop()
-        if bracketed:
-            self.expect("]")
-        return body
 
     @staticmethod
     def _wrap(quantifiers, body):
@@ -850,6 +836,7 @@ class DctlParser:
         return node
 
     def parse_comparison_or_atom(self):
+        start = self.peek()
         term = self.parse_term()
         tok = self.peek()
         if tok is not None and tok.kind == "cmp":
@@ -859,7 +846,9 @@ class DctlParser:
             return dctl.DataAtom(_norm_term(term), tok.text, _norm_term(rhs))
         # bare name: constant / place / keyword
         if term[0] != "name":
-            raise ParseError("comparison expected", column=0 if tok is None else tok.pos)
+            raise ParseError(
+                "comparison expected", column=len(self.text) if tok is None else tok.pos + 1
+            )
         name = term[1]
         if name == "true":
             return dctl.TrueF()
@@ -867,20 +856,16 @@ class DctlParser:
             return dctl.Not(dctl.TrueF())
         if name == "deadlock":
             return dctl.Not(dctl.EX(dctl.TrueF()))
-        if self.net is not None and self.net.is_place(name):
+        if self.net is None or self.net.is_place(name):
             return dctl.PlaceAtom(name)
-        if self.net is not None and name in self.bound:
-            raise ParseError(f"record variable {name} used as an atom")
-        if self.net is None:
-            return dctl.PlaceAtom(name)
-        raise ParseError(f"unknown atom {name!r}")
+        raise ParseError(f"unknown atom {name!r}", column=start.pos + 1)
 
     def parse_term(self):
         tok = self.next()
         if tok.kind != "name":
             raise ParseError(f"expected a term, found {tok.text!r}", column=tok.pos + 1)
         name = tok.text
-        if self.peek() is not None and self.peek().text == ".":
+        if self.at("."):
             self.next()
             attr = self.next()
             if attr.kind != "name":

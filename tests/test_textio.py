@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wftc
 from wftc import (
     ParseError,
     build_srg,
@@ -287,6 +292,23 @@ def test_nesting_bound_reports_a_column(motivating_net, text, column):
     assert err.value.column == column
 
 
+@pytest.mark.parametrize(
+    "text, message, token",
+    [
+        ("p1 &   )", "unexpected token ')'", ")"),
+        ("p1   p2", "trailing input 'p2'", "p2"),
+        ("p1 # p2", "unexpected character '#'", "#"),
+        ("forall r in R, [r.Id]", "comparison expected", "]"),
+        ("EF  nonsense_atom", "unknown atom 'nonsense_atom'", "nonsense_atom"),
+        ("AG((forall r in R), [r.Id = empty &])", "unexpected token ']'", "]"),
+    ],
+)
+def test_error_names_the_column_of_the_offending_token(motivating_net, text, message, token):
+    with pytest.raises(ParseError) as err:
+        parse_dctl(text, motivating_net)
+    assert str(err.value) == f"{message}, column {text.index(token) + 1}"
+
+
 def random_formula(rng: random.Random, net, depth=3):
     if depth == 0 or rng.random() < 0.3:
         kind = rng.randrange(4)
@@ -335,6 +357,172 @@ def test_random_formula_roundtrip(motivating_net):
     for _ in range(100):
         formula = random_formula(rng, motivating_net)
         assert parse_dctl(formula_text(formula), motivating_net) == formula
+
+
+def random_prefixed(rng: random.Random, net, bound=(), depth=3):
+    """Like random_formula, with quantifiers over whole subformulas and
+    untils whose two operands share a quantifier prefix."""
+    if depth == 0 or rng.random() < 0.25:
+        if bound and rng.random() < 0.6:
+            return ast.DataAtom(
+                ("attr", rng.choice(bound), rng.choice(["Id", "License", "Copy"])),
+                rng.choice(["=", "!="]),
+                rng.choice([("empty",), ("var", rng.choice(bound))]),
+            )
+        return random_formula(rng, net, depth=0)
+    kind = rng.randrange(9)
+    if kind < 3:
+        prefix = [
+            (rng.choice(["forall", "exists"]), f"v{rng.randrange(3)}")
+            for _ in range(rng.randint(1, 2))
+        ]
+        inner = bound + tuple(var for _, var in prefix)
+        if kind == 0:
+            return quantify(prefix, random_prefixed(rng, net, inner, depth - 1))
+        until = ast.EU if kind == 1 else ast.AU
+        return until(
+            quantify(prefix, random_prefixed(rng, net, inner, depth - 1)),
+            quantify(prefix, random_prefixed(rng, net, inner, depth - 1)),
+        )
+    if kind == 3:
+        return ast.Not(random_prefixed(rng, net, bound, depth - 1))
+    if kind == 4:
+        return rng.choice([ast.EX, ast.EG])(random_prefixed(rng, net, bound, depth - 1))
+    binary = [ast.And, ast.Or, ast.EU, ast.AU][kind - 5]
+    return binary(
+        random_prefixed(rng, net, bound, depth - 1),
+        random_prefixed(rng, net, bound, depth - 1),
+    )
+
+
+def quantify(prefix, body):
+    for kind, var in reversed(prefix):
+        body = ast.Quantifier(kind, var, body)
+    return body
+
+
+def leading_prefix(rng: random.Random, node):
+    """A random nonempty part of the quantifier prefix the node starts
+    with, and the rest of the node."""
+    prefix = []
+    while isinstance(node, ast.Quantifier) and (not prefix or rng.random() < 0.6):
+        prefix.append((node.kind, node.var))
+        node = node.body
+    return prefix, node
+
+
+def without_prefix(prefix, node):
+    """The node below the given quantifier prefix, or None when it does
+    not start with that prefix."""
+    for kind, var in prefix:
+        if not (isinstance(node, ast.Quantifier) and (node.kind, node.var) == (kind, var)):
+            return None
+        node = node.body
+    return node
+
+
+def variant_text(rng: random.Random, node) -> str:
+    """formula_text, with each quantifier prefix written in a randomly
+    chosen one of its equivalent syntaxes."""
+    text = lambda sub: variant_text(rng, sub)
+    listing = lambda prefix: ", ".join(f"{kind} {var} in R" for kind, var in prefix)
+    inlined = lambda sub: (
+        isinstance(sub, (ast.And, ast.Or))
+        and isinstance(sub.lhs, ast.Quantifier)
+        and rng.random() < 0.5
+    )
+
+    def inline(sub):
+        # Q..., [a] & b: the expression goes on after the matrix
+        prefix, lhs = leading_prefix(rng, sub.lhs)
+        op = "&" if isinstance(sub, ast.And) else "|"
+        return f"{listing(prefix)}, [{text(lhs)}] {op} ({text(sub.rhs)})"
+
+    if isinstance(node, ast.Quantifier):
+        prefix, body = leading_prefix(rng, node)
+        quantifiers = listing(prefix)
+        return rng.choice(
+            [
+                f"{quantifiers}, [{text(body)}]",
+                f"{quantifiers} [{text(body)}]",
+                f"({quantifiers}, [{text(body)}])",
+                f"({quantifiers}, {text(body)})",
+                f"(({quantifiers}), [{text(body)}])",
+                f"(({quantifiers},), [{text(body)}])",
+                f"(({quantifiers}), {text(body)})",
+            ]
+        )
+    if isinstance(node, (ast.EU, ast.AU)):
+        until = "E" if isinstance(node, ast.EU) else "A"
+        if isinstance(node.lhs, ast.Quantifier) and rng.random() < 0.7:
+            prefix, lhs = leading_prefix(rng, node.lhs)
+            rhs = without_prefix(prefix, node.rhs)
+            if rhs is not None and rng.random() < 0.7:
+                # E((Q...), [a U b]) and E(Q..., [a U b]) quantify both operands
+                trail = rng.choice(["", ","])
+                quantifiers = rng.choice([f"({listing(prefix)}{trail}),", f"{listing(prefix)},"])
+                return f"{until}({quantifiers} [{text(lhs)} U {text(rhs)}])"
+            # E(Q..., [a] U b) quantifies the left operand only
+            return f"{until}({listing(prefix)}, [{text(lhs)}] U ({text(node.rhs)}))"
+        lhs = inline(node.lhs) if inlined(node.lhs) else f"({text(node.lhs)})"
+        return f"{until}({lhs} U ({text(node.rhs)}))"
+    if isinstance(node, (ast.And, ast.Or)):
+        if inlined(node):
+            return f"({inline(node)})"
+        op = "&" if isinstance(node, ast.And) else "|"
+        return f"({text(node.lhs)} {op} {text(node.rhs)})"
+    if isinstance(node, (ast.Not, ast.EX, ast.EG)):
+        op = {ast.Not: "!", ast.EX: "EX ", ast.EG: "EG "}[type(node)]
+        return f"{op}({text(node.inner)})"
+    return formula_text(node)
+
+
+def test_random_formula_roundtrip_in_every_prefix_syntax(motivating_net):
+    rng = random.Random(405)
+    for _ in range(400):
+        formula = random_prefixed(rng, motivating_net)
+        text = variant_text(rng, formula)
+        assert parse_dctl(text, motivating_net) == formula, text
+
+
+# texts whose opening tokens read as a whole quantified group or until, up
+# to a token after the matrix that makes the quantified formula an operand
+R_ID_EMPTY = ast.Quantifier("forall", "r", ast.DataAtom(("attr", "r", "Id"), "=", ("empty",)))
+V_LICENSE = ast.Quantifier("forall", "v", ast.DataAtom(("attr", "v", "License"), "!=", ("empty",)))
+P1, P2, P13 = ast.PlaceAtom("p1"), ast.PlaceAtom("p2"), ast.PlaceAtom("p13")
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("(forall r in R, [r.Id = empty] & p1)", ast.And(R_ID_EMPTY, P1)),
+        ("((forall r in R, [r.Id = empty]) & p1)", ast.And(R_ID_EMPTY, P1)),
+        ("E(forall v in R, [v.License != empty] U p13)", ast.EU(V_LICENSE, P13)),
+        ("E(forall v in R, [v.License != empty] & p1 U p13)", ast.EU(ast.And(V_LICENSE, P1), P13)),
+        (
+            "A(forall r in R, [r.Id = empty] | p1 -> p2 U p13)",
+            ast.AU(ast.Or(ast.Not(ast.Or(R_ID_EMPTY, P1)), P2), P13),
+        ),
+    ],
+)
+def test_inline_prefix_trees(motivating_net, text, tree):
+    assert parse_dctl(text, motivating_net) == tree
+
+
+@pytest.mark.parametrize(
+    "shape", ["(forall v in R, [{}] & p1)", "E(forall v in R, [{}] U p2)"]
+)
+def test_nested_inline_prefixes_parse_in_linear_time(shape):
+    # a parser that read each level twice would take about 2**40 steps
+    text = "p1"
+    for _ in range(40):
+        text = shape.format(text)
+    subprocess.run(
+        [sys.executable, "-c", "import sys, wftc; wftc.parse_dctl(sys.argv[1])", text],
+        check=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(Path(wftc.__file__).resolve().parents[1])},
+    )
 
 
 # ---------------------------------------------------------------------------
