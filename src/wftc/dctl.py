@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import compress, count, islice
 
 from .model import UNDEF, EvalError, Frozen, Struct, token_key
-from .srg import Srg, StateC
+from .srg import Srg, StateC, fresh_token
 
 
 # ---------------------------------------------------------------------------
@@ -963,38 +963,10 @@ def verify(srg: Srg, node: Formula) -> Verdict:
     if decider is not ev:
         satisfied = ev.lift(satisfied)
     holds = bool(satisfied >> srg.initial & 1)
-    verdict = Verdict(holds=holds, sat_bits=satisfied, pre_bits=pre)
-    if not holds:
-        verdict.evidence = _counterexample(srg, satisfied)
-    return verdict
-
-
-def _counterexample(srg: Srg, satisfied: int) -> list[str]:
-    """Best-effort witness: a shortest path from the initial state to a
-    state outside the satisfaction set (the initial state itself when it
-    already fails)."""
-    from collections import deque
-
-    inside = _flags(satisfied, len(srg.states))
-    target = None
-    parent = {srg.initial: None}
-    queue = deque([srg.initial])
-    while queue:
-        node = queue.popleft()
-        if not inside[node]:
-            target = node
-            break
-        for succ in sorted(srg.successors(node)):
-            if succ not in parent:
-                parent[succ] = node
-                queue.append(succ)
-    if target is None:
-        return []
-    path = []
-    while target is not None:
-        path.append(srg.state_id(target))
-        target = parent[target]
-    return list(reversed(path))
+    # a verdict is membership of the initial state, so a failure is
+    # evidenced by that state alone
+    evidence = None if holds else [srg.state_id(srg.initial)]
+    return Verdict(holds=holds, sat_bits=satisfied, pre_bits=pre, evidence=evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,8 +977,6 @@ PM_NAMES = ("PM1", "PM2", "PM3", "PM4", "PM5")
 
 
 def _fresh(net, column: str, item: str) -> str:
-    from .srg import fresh_token
-
     return fresh_token(item, net.column_values(column, net.initial_records))
 
 
@@ -1086,6 +1056,9 @@ def _bound_item(net, column: str) -> str:
 def builtin_metrics(srg: Srg) -> dict[str, "Verdict | str"]:
     """Evaluate every metric template; templates the net cannot host
     report the reason per metric instead of a verdict."""
+    # imported here, not at the top: a top-level import would bind the
+    # parser before perfbench/trace_child.py wraps ``textio.parse_dctl``,
+    # and the trace would lose the parses the metrics make
     from .textio import parse_dctl
 
     net = srg.net

@@ -871,13 +871,6 @@ class DctlParser:
             if attr.kind != "name":
                 raise ParseError("expected attribute name", column=attr.pos + 1)
             if name in self.bound:
-                if self.net is not None and self.net.schema is not None:
-                    if attr.text in self.net.schema.attributes:
-                        return ("attr", name, attr.text)
-                    # bound name accessed outside the schema: the pieces are
-                    # plain value tokens (quantifier degenerates to a
-                    # membership precondition)
-                    return ("const", attr.text)
                 return ("attr", name, attr.text)
             raise ParseError(f"unbound record variable {name}", column=tok.pos + 1)
         if name == "empty":
@@ -889,10 +882,10 @@ class DctlParser:
 
 def parse_dctl(text: str, net: WftcNet | None = None):
     """Parse a formula; when a net is supplied, place atoms are resolved
-    against it and attribute accesses outside the schema become plain
-    value tokens. Whether a quantifier ranges over records or tests a
-    literal against the key column is decided by the evaluator, once per
-    quantifier node."""
+    against it, and that is all the net changes. Whether a quantifier
+    ranges over records or tests a literal against the key column, and so
+    whether ``v.attr`` reads a column or is the token ``attr``, is decided
+    by the evaluator, once per quantifier node."""
     node = DctlParser(text, net).parse()
     if _levels(node) > MAX_FORMULA_DEPTH:
         raise ParseError(
@@ -930,8 +923,14 @@ def export_dot(srg: Srg) -> str:
         style = ' style=dashed' if srg.pseudo[i] else ""
         shape = ' shape=doublecircle' if i == srg.initial else ""
         lines.append(f'  {sid} [label="{sid}"{style}{shape}];')
+    # a transition name may hold any non-space character, so each name's
+    # label is escaped once here, not once per edge
+    label = {
+        t.name: ' [label="{}"];'.format(t.name.replace("\\", "\\\\").replace('"', '\\"'))
+        for t in srg.net.transitions
+    }
     for src, t, dst in srg.edges:
-        lines.append(f'  {ids[src]} -> {ids[dst]} [label="{t}"];')
+        lines.append(f"  {ids[src]} -> {ids[dst]}{label[t]}")
     lines.append("}\n")
     return "\n".join(lines)
 

@@ -1,4 +1,5 @@
 import random
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import pytest
@@ -21,6 +22,60 @@ def table_model(n: int) -> str:
     for K = 1..n."""
     rows = "".join(f"  id{k}, license{k}, copy{k}\n" for k in range(1, n + 1))
     return fixture_text("motivating.wftc").replace("  id1, license1, copy1\n  id2, license2, copy2\n", rows)
+
+
+def requirement_texts() -> list[str]:
+    """The formulas of ``requirements.dctl``, one per non-comment line."""
+    lines = (line.strip() for line in fixture_text("requirements.dctl").splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+# every quantifier prefix form, ``{}`` standing for the matrix or operand
+# that the next level nests into
+PREFIX_SHAPES = [
+    "(forall v in R, [{}])",
+    "((forall v in R), [{}])",
+    "((exists v in R,), {})",
+    "forall v in R, [{}]",
+    "(exists v in R, {})",
+    "E((forall v in R), [{} U p2])",
+    "E(exists v in R, [{} U p2])",
+    "A((forall v in R), [p2 U {}])",
+    "(forall v in R, [{}] & p1)",
+    "E(forall v in R, [{}] U p2)",
+]
+# the most levels of one prefix form that a formula may nest
+PREFIX_LEVELS = 159
+
+
+def deepest_prefix(shape: str, matrix: str = "v.Id != empty") -> str:
+    text = matrix
+    for _ in range(PREFIX_LEVELS):
+        text = shape.format(text)
+    return text
+
+
+def on_fresh_stack(fn, *args):
+    """``fn(*args)`` on a new thread, whose stack starts about as empty as
+    a command's does. A formula nested as deep as the parser accepts fits
+    in Python's recursion limit from there, but not from inside a test's
+    call stack. Exceptions propagate."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+# a formula whose record variable reads two schema attributes
+RECORD_READS = "AG((forall r in R), [r.Id = empty | r.License != empty])"
+
+
+def formula_seeds(net) -> list[str]:
+    """Accepted formula texts over ``motivating.wftc``: the requirements,
+    the five metrics, ``RECORD_READS`` and every prefix form nested as deep
+    as it may."""
+    from wftc.dctl import metric_formulas
+
+    texts = requirement_texts() + list(metric_formulas(net).values()) + [RECORD_READS]
+    return texts + [deepest_prefix(shape) for shape in PREFIX_SHAPES]
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import wftc
-from conftest import fixture_path, fixture_text, table_model
+from conftest import fixture_path, fixture_text, formula_seeds, on_fresh_stack, table_model
 from wftc import CONSTRAINED, UNCONSTRAINED, build_srg, export_dot, export_json, parse_model
 from wftc.cli import EXIT_FALSE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
@@ -171,6 +172,21 @@ def test_verify_unevaluable_formula_exits_usage(capsys):
     )
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "attribute, code, out, err",
+    [
+        ("Licence", EXIT_USAGE, "", "error: unknown attribute Licence\n"),
+        ("License", EXIT_FALSE, "phi1  FALSE  |Sat|=44  evidence: c0\n", ""),
+    ],
+)
+def test_record_variable_reads_only_schema_attributes(capsys, attribute, code, out, err):
+    # a misspelt column is an error, not the constant token "Licence"
+    formula = f"AG((forall r in R), [r.Id = empty | r.{attribute} != empty])"
+    result = run(capsys, "verify", MOTIVATING, "--formula", formula)
+    assert (result[0], result[2]) == (code, err)
+    assert result[1].endswith(out)
 
 
 def test_metrics_table(capsys):
@@ -482,3 +498,54 @@ def test_mutated_models_exit_cleanly(capsys, tmp_path, monkeypatch, fixture):
         codes.add(code)
     # the mutants reach verdicts as well as errors
     assert {EXIT_OK, EXIT_USAGE} <= codes
+
+
+# tokens of the formula language, a misspelt attribute and a character
+# outside it among them
+FORMULA_PIECES = "( ) [ ] , . ! & | -> < <= = != >= > U E A EX AX EF AF EG AG forall exists in R r v Id License Licence p2 p13 id1 license2 empty true deadlock %".split()
+
+
+def mutate_formula(rng: random.Random, text: str) -> str:
+    """One or two random edits of the formula's tokens: delete one,
+    insert a piece, swap a name for another name or a symbol for another
+    symbol, or repeat a run of up to twelve."""
+    tokens = re.findall(r"[\w']+|->|[<>!]=|\S", text)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(tokens) + 1)
+        kind = rng.randrange(4)
+        if kind == 0:
+            del tokens[i : i + 1]
+        elif kind == 1 or i == len(tokens):
+            tokens.insert(i, rng.choice(FORMULA_PIECES))
+        elif kind == 2:
+            name = tokens[i][0].isalnum()
+            tokens[i] = rng.choice([tok for tok in tokens + FORMULA_PIECES if tok[0].isalnum() == name])
+        else:
+            j = rng.randint(i, min(len(tokens), i + 12))
+            tokens[j:j] = tokens[i:j]
+    return " ".join(tokens)
+
+
+def test_mutated_formulas_exit_cleanly(capsys, motivating_net):
+    """Seeded mutants of the requirements, the metrics and the deepest
+    prefix forms: a verdict or a one-line usage error, never an escaped
+    exception."""
+    rng = random.Random(11)
+    seeds = formula_seeds(motivating_net)
+    codes = set()
+    for k in range(500):
+        mutant = mutate_formula(rng, seeds[k % len(seeds)])
+        try:
+            # --formula=TEXT, so that a mutant starting with "-" stays a value
+            code = on_fresh_stack(main, ["verify", MOTIVATING, f"--formula={mutant}"])
+        except Exception as exc:
+            pytest.fail(f"mutant {k} raised {exc!r}:\n{mutant}")
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_FALSE, EXIT_USAGE, EXIT_RESOURCE), (k, mutant)
+        if code in (EXIT_USAGE, EXIT_RESOURCE):
+            assert err.startswith("error: ") and err.count("\n") == 1, (k, err)
+        else:
+            assert err == "", (k, err)
+        codes.add(code)
+    # the mutants reach both verdicts as well as errors
+    assert {EXIT_OK, EXIT_FALSE, EXIT_USAGE} <= codes

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from conftest import make_random_srg, table_model
+from conftest import fixture_text, make_random_srg, requirement_texts, table_model
 from wftc import (
     CONSTRAINED,
+    UNCONSTRAINED,
     build_srg,
     builtin_metrics,
     eval_atom,
@@ -238,6 +239,21 @@ def test_verify_reports_counterexample(motivating_net, motivating_srg):
     # the witness path ends in a state outside the satisfaction set
     last = int(verdict.evidence[-1][1:])
     assert last not in verdict.sat_set
+
+
+@pytest.mark.parametrize("mode", [CONSTRAINED, UNCONSTRAINED])
+@pytest.mark.parametrize("name", ["motivating.wftc", "motivating-wfd.wftc"])
+def test_false_verdicts_are_evidenced_by_the_initial_state(name, mode):
+    # a verdict is the initial state's membership, so that state is the
+    # evidence; a formula whose precondition holds nowhere has none
+    net = parse_model(fixture_text(name))
+    srg = build_srg(net, mode)
+    verdicts = [verify(srg, parse_dctl(text, net)) for text in requirement_texts()]
+    verdicts += [v for v in builtin_metrics(srg).values() if isinstance(v, Verdict)]
+    false = [v for v in verdicts if not v.holds]
+    assert false
+    for verdict in false:
+        assert verdict.evidence == (["c0"] if verdict.pre_bits else None)
 
 
 def test_record_inequality_claim_fails_on_flaw_state(motivating_net, motivating_srg):

@@ -23,7 +23,7 @@ from wftc import (
     serialize_model,
 )
 from wftc import dctl as ast
-from conftest import TINY_CHAIN, fixture_text
+from conftest import PREFIX_SHAPES, TINY_CHAIN, deepest_prefix, fixture_text, formula_seeds, on_fresh_stack
 from wftc.dctl import formula_text
 from wftc.model import (
     Guard,
@@ -525,6 +525,23 @@ def test_nested_inline_prefixes_parse_in_linear_time(shape):
     )
 
 
+@pytest.mark.parametrize("shape", PREFIX_SHAPES)
+def test_prefix_forms_nest_to_the_bound(motivating_net, shape):
+    deepest = deepest_prefix(shape)
+    on_fresh_stack(parse_dctl, deepest, motivating_net)
+    with pytest.raises(ParseError, match="nested deeper than 960 levels"):
+        on_fresh_stack(parse_dctl, shape.format(deepest), motivating_net)
+
+
+def test_the_net_resolves_places_only(motivating_net):
+    # the evaluator alone decides whether v.attr reads a column or is the
+    # token attr, so the tree is the same with and without the net
+    for text in formula_seeds(motivating_net):
+        assert on_fresh_stack(parse_dctl, text, motivating_net) == on_fresh_stack(parse_dctl, text), text
+    licence = parse_dctl("(forall r in R, [r.Licence != empty])", motivating_net)
+    assert licence == ast.Quantifier("forall", "r", ast.DataAtom(("attr", "r", "Licence"), "!=", ("empty",)))
+
+
 # ---------------------------------------------------------------------------
 # exports
 
@@ -538,6 +555,17 @@ def test_dot_export(motivating_srg):
 
 def test_dot_marks_pseudo_states(wfd_srg):
     assert export_dot(wfd_srg).count("style=dashed") == 113
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    # a transition name is any non-space token, so it may hold the two
+    # characters a DOT string escapes
+    name = 't"a\\'
+    net = parse_model(f"[PLACES] p0 p1\n[TRANSITIONS] {name} u\n[ARCS] p0->{name} {name}->p1 p0->u u->p1\n"
+                      "[INITIAL] p0\n[FINAL] p1")
+    srg = build_srg(net)
+    assert 'c0 -> c1 [label="t\\"a\\\\"];\n  c0 -> c1 [label="u"];' in export_dot(srg)
+    assert json.loads(export_json(srg))["edges"][0]["transition"] == name
 
 
 def test_empty_exploration_exports_one_node():

@@ -3,6 +3,7 @@ module attributes of ``wftc`` from outside. These runs pin the spans it
 records, so that a name it can no longer see, or a call that no longer goes
 through the attribute it wraps, fails here."""
 
+import json
 import os
 import subprocess
 import sys
@@ -66,4 +67,5 @@ def test_trace_sees_every_layer(tmp_path, command, code, spans):
     assert (proc.returncode, proc.stderr) == (code, "")
     rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()]
     assert Counter(row[4] for row in rows if row[0] == "span") == spans
-    assert [row[0] for row in rows].count("#job") == 1
+    # one graph built per command: the 54-state constrained graph
+    assert [json.loads(row[2])["states"] for row in rows if row[0] == "#job"] == [54]
