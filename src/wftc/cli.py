@@ -1,7 +1,7 @@
 """Command line front end: build graphs, verify formulas, run metrics.
 
 Exit codes: 0 all verdicts true, 1 some verdict false, 2 usage or parse
-error, 3 state-ceiling exceeded.
+error, 3 state-ceiling exceeded or input nested too deeply for the stack.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .model import EvalError, ModelError, Struct
+from .model import EvalError, ModelError
 from .srg import CONSTRAINED, UNCONSTRAINED, ResourceLimitError, build_srg, srg_stats
 from .textio import ParseError, export_dot, export_json, parse_dctl, parse_model
 
@@ -37,66 +37,6 @@ def _dctl(name: str):
     return bound[name] if name in bound else __getattr__(name)
 
 
-class RunReport(Struct):
-    __slots__ = _fields = (
-        "model", "mode", "state_count", "arc_count", "pseudo_count", "build_millis", "formulas"
-    )
-
-    def __init__(
-        self,
-        model: str,
-        mode: str,
-        state_count: int,
-        arc_count: int,
-        pseudo_count: int,
-        build_millis: float,
-        formulas: list[dict] | None = None,
-    ):
-        self.model = model
-        self.mode = mode
-        self.state_count = state_count
-        self.arc_count = arc_count
-        self.pseudo_count = pseudo_count
-        self.build_millis = build_millis
-        self.formulas = [] if formulas is None else formulas
-
-    def to_json(self) -> str:
-        payload = {
-            "model": self.model,
-            "mode": self.mode,
-            "stateCount": self.state_count,
-            "arcCount": self.arc_count,
-            "pseudoCount": self.pseudo_count,
-            "buildMillis": round(self.build_millis, 3),
-            "formulas": self.formulas,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def to_text(self) -> str:
-        rows = [
-            ("model", self.model),
-            ("mode", self.mode),
-            ("states", str(self.state_count)),
-            ("arcs", str(self.arc_count)),
-            ("pseudo states", str(self.pseudo_count)),
-            ("build millis", f"{self.build_millis:.1f}"),
-        ]
-        width = max(len(k) for k, _ in rows)
-        lines = [f"{k.ljust(width)}  {v}" for k, v in rows]
-        if self.formulas:
-            name_width = max(len(f["name"]) for f in self.formulas)
-            lines.append("")
-            for entry in self.formulas:
-                verdict = entry["verdict"]
-                extra = ""
-                if "satCount" in entry:
-                    extra = f"  |Sat|={entry['satCount']}"
-                if entry.get("evidence"):
-                    extra += f"  evidence: {' -> '.join(entry['evidence'])}"
-                lines.append(f"{entry['name'].ljust(name_width)}  {verdict}{extra}")
-        return "\n".join(lines) + "\n"
-
-
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -117,82 +57,91 @@ def _write(path: str, text: str):
 
 
 def _build(args):
-    net = parse_model(_read(args.model))
-    srg = build_srg(net, args.mode)
-    return net, srg
+    return build_srg(parse_model(_read(args.model)), args.mode)
 
 
-def _report(args, srg) -> RunReport:
+def _report(args, srg, checked=()) -> int:
+    """Print the size of ``srg`` and one entry per ``(name, Verdict or
+    reason text, extra fields)`` in ``checked``, as JSON or aligned text.
+    A reason is no verdict, so only a FALSE verdict makes the exit code
+    EXIT_FALSE."""
     stats = srg_stats(srg)
-    return RunReport(
-        model=args.model,
-        mode=srg.mode,
-        state_count=stats.state_count,
-        arc_count=stats.arc_count,
-        pseudo_count=stats.pseudo_count,
-        build_millis=stats.build_millis,
-    )
-
-
-def _verdict_entry(name: str, verdict) -> dict:
-    if isinstance(verdict, _dctl("Verdict")):
-        entry = {
-            "name": name,
-            "verdict": "TRUE" if verdict.holds else "FALSE",
-            "satCount": verdict.sat_bits.bit_count(),
+    formulas, all_hold = [], True
+    for name, verdict, extra in checked:
+        if isinstance(verdict, _dctl("Verdict")):
+            all_hold &= verdict.holds
+            entry = {
+                "name": name,
+                "verdict": "TRUE" if verdict.holds else "FALSE",
+                "satCount": verdict.sat_bits.bit_count(),
+            }
+            if verdict.evidence:
+                entry["evidence"] = verdict.evidence
+        else:
+            entry = {"name": name, "verdict": verdict}
+        formulas.append(entry | extra)
+    if args.output == "json":
+        payload = {
+            "model": args.model,
+            "mode": srg.mode,
+            "stateCount": stats.state_count,
+            "arcCount": stats.arc_count,
+            "pseudoCount": stats.pseudo_count,
+            "buildMillis": round(stats.build_millis, 3),
+            "formulas": formulas,
         }
-        if verdict.evidence:
-            entry["evidence"] = verdict.evidence
-        return entry
-    return {"name": name, "verdict": str(verdict)}
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    else:
+        rows = [
+            ("model", args.model),
+            ("mode", srg.mode),
+            ("states", stats.state_count),
+            ("arcs", stats.arc_count),
+            ("pseudo states", stats.pseudo_count),
+            ("build millis", f"{stats.build_millis:.1f}"),
+        ]
+        width = max(len(key) for key, _ in rows)
+        lines = [f"{key:{width}}  {value}" for key, value in rows]
+        if formulas:
+            width = max(len(entry["name"]) for entry in formulas)
+            lines.append("")
+            for entry in formulas:
+                sat = f"  |Sat|={entry['satCount']}" if "satCount" in entry else ""
+                evidence = f"  evidence: {' -> '.join(entry['evidence'])}" if "evidence" in entry else ""
+                lines.append(f"{entry['name']:{width}}  {entry['verdict']}{sat}{evidence}")
+        sys.stdout.write("\n".join(lines) + "\n")
+    return EXIT_OK if all_hold else EXIT_FALSE
 
 
 def cmd_build(args) -> int:
-    net, srg = _build(args)
-    report = _report(args, srg)
+    srg = _build(args)
     if args.dot:
         _write(args.dot, export_dot(srg))
     if args.json_out:
         _write(args.json_out, export_json(srg))
-    _emit(args, report)
-    return EXIT_OK
+    return _report(args, srg)
 
 
 def cmd_verify(args) -> int:
-    net, srg = _build(args)
-    report = _report(args, srg)
+    srg = _build(args)
     texts = list(args.formula or [])
     for path in args.formula_file or []:
         lines = (line.strip() for line in _read(path).split("\n"))
         texts.extend(line for line in lines if line and not line.startswith("#"))
     if not texts:
         raise ParseError("no formula given (use --formula or --formula-file)")
-    all_hold = True
-    for i, text in enumerate(texts, start=1):
-        formula = parse_dctl(text, net)
-        verdict = _dctl("verify")(srg, formula)
-        all_hold &= verdict.holds
-        report.formulas.append(_verdict_entry(f"phi{i}", verdict) | {"text": text})
-    _emit(args, report)
-    return EXIT_OK if all_hold else EXIT_FALSE
+    # parsed and verified one at a time, as the report reads them
+    checked = (
+        (f"phi{i}", _dctl("verify")(srg, parse_dctl(text, srg.net)), {"text": text})
+        for i, text in enumerate(texts, start=1)
+    )
+    return _report(args, srg, checked)
 
 
 def cmd_metrics(args) -> int:
-    net, srg = _build(args)
-    report = _report(args, srg)
+    srg = _build(args)
     results = _dctl("builtin_metrics")(srg)
-    all_hold = True
-    for name in _dctl("PM_NAMES"):
-        verdict = results[name]
-        if isinstance(verdict, _dctl("Verdict")):
-            all_hold &= verdict.holds
-        report.formulas.append(_verdict_entry(name, verdict))
-    _emit(args, report)
-    return EXIT_OK if all_hold else EXIT_FALSE
-
-
-def _emit(args, report: RunReport):
-    sys.stdout.write(report.to_json() if args.output == "json" else report.to_text())
+    return _report(args, srg, ((name, results[name], {}) for name in _dctl("PM_NAMES")))
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -246,6 +195,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except RecursionError:
+        print("error: input nested too deeply for the stack", file=sys.stderr)
         return EXIT_RESOURCE
 
 

@@ -25,6 +25,7 @@ import operator
 from functools import cached_property
 from itertools import compress, count, islice
 
+from . import textio
 from .model import UNDEF, EvalError, Frozen, Struct, token_key
 from .srg import Srg, StateC, fresh_token
 
@@ -1056,17 +1057,12 @@ def _bound_item(net, column: str) -> str:
 def builtin_metrics(srg: Srg) -> dict[str, "Verdict | str"]:
     """Evaluate every metric template; templates the net cannot host
     report the reason per metric instead of a verdict."""
-    # imported here, not at the top: a top-level import would bind the
-    # parser before perfbench/trace_child.py wraps ``textio.parse_dctl``,
-    # and the trace would lose the parses the metrics make
-    from .textio import parse_dctl
-
     net = srg.net
     results: dict[str, Verdict | str] = {}
     for name in PM_NAMES:
         try:
             formula = _PM_BUILDERS[name](net)
-            results[name] = verify(srg, parse_dctl(formula, net))
+            results[name] = verify(srg, textio.parse_dctl(formula, net))
         except Exception as exc:  # reported per metric, never fatal
             results[name] = f"not instantiable: {exc}"
     return results

@@ -592,7 +592,8 @@ MAX_FORMULA_DEPTH = 960
 class DctlParser:
     """Recursive-descent parser for the formula language. It reads each
     formula once, left to right, and never backs up; an error names the
-    column of the token where parsing stopped.
+    column of the token where parsing stopped, or the column just after the
+    last non-blank character when the formula ends early.
 
     Precedence: ! binds tightest, then &, then |, then ->. Temporal
     operators are prefix; E(a U b) / A(a U b) carry the until form.
@@ -607,8 +608,8 @@ class DctlParser:
         global dctl
         from . import dctl
 
-        self.text = text
         self.tokens = _tokenize_formula(text)
+        self.end_column = len(text.rstrip()) + 1
         self.pos = 0
         self.net = net
         self.bound: list[str] = []
@@ -627,7 +628,7 @@ class DctlParser:
     def next(self):
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of formula", column=len(self.text))
+            raise ParseError("unexpected end of formula", column=self.end_column)
         self.pos += 1
         return tok
 
@@ -643,7 +644,7 @@ class DctlParser:
             tok = self.peek()
             raise ParseError(
                 f"formula nested deeper than {MAX_FORMULA_DEPTH} levels",
-                column=len(self.text) if tok is None else tok.pos + 1,
+                column=self.end_column if tok is None else tok.pos + 1,
             )
 
     # -- grammar ----------------------------------------------------------
@@ -691,7 +692,7 @@ class DctlParser:
         try:
             tok = self.peek()
             if tok is None:
-                raise ParseError("unexpected end of formula", column=len(self.text))
+                raise ParseError("unexpected end of formula", column=self.end_column)
             if tok.text == "!":
                 self.next()
                 return dctl.Not(self.parse_unary())
@@ -847,7 +848,7 @@ class DctlParser:
         # bare name: constant / place / keyword
         if term[0] != "name":
             raise ParseError(
-                "comparison expected", column=len(self.text) if tok is None else tok.pos + 1
+                "comparison expected", column=self.end_column if tok is None else tok.pos + 1
             )
         name = term[1]
         if name == "true":

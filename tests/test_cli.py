@@ -11,7 +11,16 @@ from pathlib import Path
 import pytest
 
 import wftc
-from conftest import fixture_path, fixture_text, formula_seeds, on_fresh_stack, table_model
+from conftest import (
+    PREFIX_SHAPES,
+    TINY_CHAIN,
+    deepest_prefix,
+    fixture_path,
+    fixture_text,
+    formula_seeds,
+    on_fresh_stack,
+    table_model,
+)
 from wftc import CONSTRAINED, UNCONSTRAINED, build_srg, export_dot, export_json, parse_model
 from wftc.cli import EXIT_FALSE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
@@ -311,6 +320,44 @@ def test_formula_nested_too_deep_exits_usage():
     assert proc.stderr == "error: formula nested deeper than 960 levels, column 956\n"
 
 
+DEEP_ERROR = "error: input nested too deeply for the stack\n"
+
+
+def below(frames, fn, *args):
+    """``fn(*args)``, called ``frames`` stack frames further down."""
+    return fn(*args) if frames == 0 else below(frames - 1, fn, *args)
+
+
+def test_formula_too_deep_for_the_callers_stack_exits_resource(capsys):
+    # each prefix form nested as deep as it may verifies from a fresh stack,
+    # but its parse or evaluation overflows when the caller holds 400 frames
+    for shape in PREFIX_SHAPES:
+        argv = ["verify", MOTIVATING, f"--formula={deepest_prefix(shape)}"]
+        assert on_fresh_stack(main, argv) == EXIT_FALSE, shape
+        capsys.readouterr()
+        assert on_fresh_stack(below, 400, main, argv) == EXIT_RESOURCE, shape
+        assert capsys.readouterr() == ("", DEEP_ERROR), shape
+
+
+# a guard or constraint that parses or evaluates by recursion deeper than
+# the stack: the model text it replaces, and its replacement
+DEEP_MODELS = {
+    "guard-chain": ("g1 = pi1 ;", "g1 = " + " & ".join(["pi1"] * 3000) + " ;"),
+    "constraint": ("  (g1 & !g2) | (!g1 & g2)\n", "  " + " | ".join(["(g1 & !g2)"] * 3000) + "\n"),
+    "negations": ("g2 = !pi1", "g2 = " + "!" * 990 + "pi1"),
+}
+
+
+@pytest.mark.parametrize("good, bad", DEEP_MODELS.values(), ids=DEEP_MODELS)
+def test_model_too_deep_for_the_stack_exits_resource(tmp_path, good, bad):
+    text = fixture_text("motivating.wftc")
+    assert good in text
+    model = tmp_path / "deep.wftc"
+    model.write_text(text.replace(good, bad), encoding="utf-8")
+    proc = run_cli("build", str(model))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_RESOURCE, "", DEEP_ERROR)
+
+
 def test_missing_file_exit_code(capsys):
     code, _, _ = run(capsys, "build", "/nonexistent.wftc")
     assert code == EXIT_USAGE
@@ -336,6 +383,75 @@ def test_build_reports_match_modulo_time(capsys):
     a, b = json.loads(first), json.loads(second)
     a.pop("buildMillis"), b.pop("buildMillis")
     assert a == b
+
+
+def _header(model, states, arcs):
+    return (
+        f"model          {model}\nmode           constrained\nstates         {states}\n"
+        f"arcs           {arcs}\npseudo states  0\nbuild millis   -\n"
+    )
+
+
+def _payload(model, states, arcs, formulas):
+    return {"arcCount": arcs, "buildMillis": None, "formulas": formulas, "mode": "constrained",
+            "model": model, "pseudoCount": 0, "stateCount": states}
+
+
+def _verdict(name, verdict, sat=None, **extra):
+    return {"name": name, "verdict": verdict, **({} if sat is None else {"satCount": sat}), **extra}
+
+
+NOT_INSTANTIABLE = "not instantiable: needs a table with records"
+REQUIREMENTS = str(fixture_path("requirements.dctl"))
+# every report kind: no formulas, formula verdicts with their text, metric
+# verdicts with evidence, and metrics reported by a reason
+PINNED_REPORTS = {
+    "build": (["build"], EXIT_OK, "", []),
+    "verify": (
+        ["verify", "--formula-file", REQUIREMENTS, "--formula", "EF deadlock"],
+        EXIT_FALSE,
+        "\nphi1  TRUE  |Sat|=13\nphi2  TRUE  |Sat|=54\nphi3  FALSE  |Sat|=0\n",
+        [
+            _verdict("phi1", "TRUE", 13, text="EF deadlock"),
+            _verdict("phi2", "TRUE", 54, text="AG((forall id1 in R, forall id2 in R), [id1 != id2 -> id1.license1 != id2.license2])"),
+            _verdict("phi3", "FALSE", 0, text="EG((forall id10 in R), [id10.copy = true])"),
+        ],
+    ),
+    "metrics": (
+        ["metrics"],
+        EXIT_FALSE,
+        "\nPM1  TRUE  |Sat|=53\nPM2  TRUE  |Sat|=54\nPM3  TRUE  |Sat|=13\nPM4  TRUE  |Sat|=53\n"
+        "PM5  FALSE  |Sat|=0  evidence: c0\n",
+        [_verdict("PM1", "TRUE", 53), _verdict("PM2", "TRUE", 54), _verdict("PM3", "TRUE", 13),
+         _verdict("PM4", "TRUE", 53), _verdict("PM5", "FALSE", 0, evidence=["c0"])],
+    ),
+    "metrics-tableless": (
+        ["metrics"],
+        EXIT_OK,
+        f"\nPM1  {NOT_INSTANTIABLE}\nPM2  {NOT_INSTANTIABLE}\nPM3  TRUE  |Sat|=2\n"
+        f"PM4  {NOT_INSTANTIABLE}\nPM5  {NOT_INSTANTIABLE}\n",
+        [_verdict("PM1", NOT_INSTANTIABLE), _verdict("PM2", NOT_INSTANTIABLE), _verdict("PM3", "TRUE", 2),
+         _verdict("PM4", NOT_INSTANTIABLE), _verdict("PM5", NOT_INSTANTIABLE)],
+    ),
+}
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("kind", PINNED_REPORTS)
+def test_report_bytes_are_pinned(capsys, tmp_path, kind, output):
+    (command, *extra), code, text, formulas = PINNED_REPORTS[kind]
+    model, states, arcs = MOTIVATING, 54, 73
+    if kind == "metrics-tableless":
+        model, states, arcs = str(tmp_path / "tiny.wftc"), 2, 1
+        Path(model).write_text(TINY_CHAIN, encoding="utf-8")
+    result = run(capsys, command, model, *extra, "--output", output)
+    if output == "text":
+        masked = re.sub(r"(?m)^(build millis   )\S+$", r"\1-", result[1])
+        expected = _header(model, states, arcs) + text
+    else:
+        masked = re.sub(r'("buildMillis": )[0-9.]+', r"\1null", result[1])
+        expected = json.dumps(_payload(model, states, arcs, formulas), indent=2, sort_keys=True) + "\n"
+    assert (result[0], masked, result[2]) == (code, expected, "")
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,6 @@ def test_cached_fields_are_left_out():
 
 
 def test_mutable_classes_are_unhashable(motivating_srg):
-    from wftc.cli import RunReport
     from wftc.srg import srg_stats
 
     for value in (
@@ -240,7 +239,6 @@ def test_mutable_classes_are_unhashable(motivating_srg):
         ValidationReport(),
         motivating_srg,
         srg_stats(motivating_srg),
-        RunReport("m", "constrained", 1, 0, 0, 0.0),
     ):
         with pytest.raises(TypeError):
             hash(value)

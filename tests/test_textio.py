@@ -309,6 +309,24 @@ def test_error_names_the_column_of_the_offending_token(motivating_net, text, mes
     assert str(err.value) == f"{message}, column {text.index(token) + 1}"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected end of formula"),
+        ("EF", "unexpected end of formula"),
+        ("EF ", "unexpected end of formula"),
+        ("forall r in  ", "unexpected end of formula"),
+        ("forall r in R, [r.Id  ", "comparison expected"),
+        ("!" * 955 + " \t", "formula nested deeper than 960 levels"),
+    ],
+    ids=["empty", "EF", "EF-blank", "quantifier", "comparison", "nesting"],
+)
+def test_end_of_formula_names_the_column_after_its_last_character(motivating_net, text, message):
+    with pytest.raises(ParseError) as err:
+        on_fresh_stack(parse_dctl, text, motivating_net)
+    assert str(err.value) == f"{message}, column {len(text.rstrip()) + 1}"
+
+
 def random_formula(rng: random.Random, net, depth=3):
     if depth == 0 or rng.random() < 0.3:
         kind = rng.randrange(4)
