@@ -170,27 +170,28 @@ class Predicate(Frozen):
 
     def bind(self, net: WftcNet):
         """This predicate as a function of a data tuple (declaration
-        order) and a table, with the item position and the membership
-        column resolved once."""
+        order), a table and ``rows(table, column index, value)``, which
+        gives the table's rows holding the value in that column; the item
+        position and the membership column are resolved once."""
         pos = net.data_items.index(self.item)
         if self.kind == "def":
-            return lambda data, table: BOT if data[pos] is UNDEF else TRUE
+            return lambda data, table, rows: BOT if data[pos] is UNDEF else TRUE
         if self.kind == "eq":
             const = self.const
-            return lambda data, table: (
+            return lambda data, table, rows: (
                 BOT if data[pos] is UNDEF else TRUE if data[pos] == const else FALSE
             )
         # membership; a net without the referenced table cannot decide it
         schema = net.schema
         if schema is None or schema.name != self.table:
-            return lambda data, table: BOT
+            return lambda data, table, rows: BOT
         col = schema.attr_index(self.column)
 
-        def member(data, table) -> str:
+        def member(data, table, rows) -> str:
             value = data[pos]
             if value is UNDEF:
                 return BOT
-            return TRUE if value in [rec[col] for rec in table] else FALSE
+            return TRUE if rows(table, col, value) else FALSE
 
         return member
 
@@ -200,21 +201,24 @@ class Predicate(Frozen):
 
 
 class Guard(Frozen):
-    __slots__ = ("name", "expr", "_predicates")
+    __slots__ = ("name", "expr", "_predicates", "_postfix")
     _fields = ("name", "expr")
 
     def __init__(self, name: str, expr: tuple):
         self.name = name
         self.expr = expr
-        out = set()
+        # the nodes with every operand before its operator, so that a long
+        # ``&`` or ``|`` chain evaluates without recursion
+        postfix = []
         stack = [expr]
         while stack:
             node = stack.pop()
-            if node[0] == "pi":
-                out.add(node[1])
-            else:
+            postfix.append(node)
+            if node[0] != "pi":
                 stack.extend(node[1:])
-        self._predicates = frozenset(out)
+        postfix.reverse()
+        self._postfix = tuple(postfix)
+        self._predicates = frozenset(node[1] for node in postfix if node[0] == "pi")
 
     def predicates(self) -> frozenset[str]:
         return self._predicates
@@ -224,18 +228,17 @@ class Guard(Frozen):
         # whole guard undetermined, regardless of absorption
         if any(pi_values[p] == BOT for p in self._predicates):
             return BOT
-
-        def walk(node) -> bool:
+        values = []
+        for node in self._postfix:
             op = node[0]
             if op == "pi":
-                return pi_values[node[1]] == TRUE
-            if op == "not":
-                return not walk(node[1])
-            if op == "and":
-                return walk(node[1]) and walk(node[2])
-            return walk(node[1]) or walk(node[2])
-
-        return TRUE if walk(self.expr) else FALSE
+                values.append(pi_values[node[1]] == TRUE)
+            elif op == "not":
+                values[-1] = not values[-1]
+            else:
+                right = values.pop()
+                values[-1] = (values[-1] and right) if op == "and" else (values[-1] or right)
+        return TRUE if values[0] else FALSE
 
 
 # A constraint is a disjunction of conjunctions of guard literals,

@@ -10,10 +10,12 @@ deleted; every other guard keeps its previous value.
 What firing needs from the net is compiled once per net into a plan per
 transition (``_Plan``), and ``build_srg`` tries at each state only the
 transitions whose preset its marking covers, listed once per marking.
+What firing asks of a table is answered once per build (``_Store``).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import os
@@ -34,6 +36,7 @@ from .model import (
     canonical_table,
     column_of,
     constraint_consistent,
+    record_key,
 )
 
 CONSTRAINED = "constrained"
@@ -60,14 +63,14 @@ class StateC(Frozen):
     __slots__ = ("marking", "data", "table", "sigma", "_hash")
     _fields = ("marking", "data", "table", "sigma")
 
-    def __init__(self, marking: tuple[int, ...], data: tuple, table: tuple, sigma: tuple[str, ...]):
+    def __init__(self, marking: tuple[int, ...], data: tuple, table: tuple, sigma: tuple[str, ...], table_hash=None):
         self.marking = marking
         self.data = data  # value token or UNDEF per data item, in declaration order
         self.table = table  # canonically sorted records
         self.sigma = sigma  # guard values in declaration order
-        # a state is looked up several times while the graph is built, and
-        # hashing its table is the costly part
-        self._hash = hash((marking, data, table, sigma))
+        # hashing the table is the costly part; a build passes the hash its
+        # store computed once per distinct table
+        self._hash = hash((marking, data, hash(table) if table_hash is None else table_hash, sigma))
 
     def __hash__(self):
         return self._hash
@@ -75,8 +78,7 @@ class StateC(Frozen):
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        # successors over arcs without table operations share their
-        # parent's table
+        # within one build equal tables are one object
         return (
             self.marking == other.marking
             and self.data == other.data
@@ -106,19 +108,20 @@ def initial_state(net: WftcNet) -> StateC:
 
 
 def _item_scope(net: WftcNet, item: str, scopes=()):
-    """The scope a written item refines over: the first of ``scopes``
-    on the column its membership predicate is bound to, else that whole
-    column; ``None`` for an item without a membership binding."""
+    """The scope a written item refines over, compiled by ``_scope``: the
+    first of ``scopes`` on the column its membership predicate is bound
+    to, else that whole column; ``None`` for an item without a membership
+    binding or a net without a table."""
     binding = next(
         ((pi.table, pi.column) for pi in net.predicates.values() if pi.kind == "in" and pi.item == item),
         None,
     )
-    if binding is None:
+    if binding is None or net.schema is None:
         return None
     for scope in scopes:
         if not scope.assign_item and (scope.table, scope.column) == binding:
-            return scope
-    return SelScope(*binding)
+            return _scope(net, scope)
+    return _scope(net, SelScope(*binding))
 
 
 def _source(net: WftcNet, source):
@@ -134,22 +137,17 @@ def _where(net: WftcNet, attr: str, source):
     return net.schema.attr_index(attr), _source(net, source)
 
 
-def _rows(table, where, data: tuple) -> list:
-    """The rows whose ``where`` column holds the value of its source."""
-    col, source = where
-    needle = source(data)
-    return [rec for rec in table if rec[col] == needle]
-
-
 def _scope(net: WftcNet, scope: SelScope):
     """A ``sel`` scope as (column index, row filter or ``None``)."""
     where = _where(net, scope.where_attr, scope.where_source) if scope.where_attr else None
     return net.schema.attr_index(scope.column), where
 
 
-def _scope_values(scope, data: tuple, table) -> list[str]:
-    col, where = scope
-    return column_of(table if where is None else _rows(table, where, data), col)
+def _values_at(positions: tuple):
+    """A function giving the tuple of a data tuple's values at ``positions``."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
 
 
 class _Plan:
@@ -161,6 +159,7 @@ class _Plan:
         item = net.data_items.index
         self.pre = tuple(net.place_by_name[p].index for p in net.preset(t))
         self.post = tuple(net.place_by_name[p].index for p in net.postset(t))
+        self.moves: dict[tuple, tuple] = {}  # marking -> marking after firing
         self.rd = tuple(map(item, net.rd.get(t, ())))
         self.dt = tuple(map(item, net.dt.get(t, ())))
         written = net.wt.get(t, ())
@@ -173,8 +172,10 @@ class _Plan:
             tuple((net.schema.attr_index(attr), _source(net, source)) for attr, source in op.values)
             for op in net.ins.get(t, ())
         )
-        self.dele = tuple(_where(net, op.where_attr, op.where_source) for op in net.dele.get(t, ()))
-        self.upd = tuple(
+        # each ``del`` and then each ``upd`` as (row filter, ``None`` or the
+        # cells it sets)
+        self.edits = tuple((_where(net, op.where_attr, op.where_source), None) for op in net.dele.get(t, ()))
+        self.edits += tuple(
             (
                 _where(net, op.where_attr, op.where_source),
                 tuple((net.schema.attr_index(attr), _source(net, source)) for attr, source in op.sets),
@@ -182,32 +183,40 @@ class _Plan:
             for op in net.upd.get(t, ())
         )
         # the rows a ``del`` or ``upd`` must find to be enabled
-        self.matches = self.dele + tuple(where for where, _ in self.upd)
+        self.matches = tuple(where for where, _ in self.edits)
+        # the items whose values the table ops read
+        sources = [s for op in net.ins.get(t, ()) for _, s in op.values]
+        sources += [op.where_source for op in net.dele.get(t, ()) + net.upd.get(t, ())]
+        sources += [s for op in net.upd.get(t, ()) for _, s in op.sets]
+        self.reads = _values_at(sorted({item(name) for kind, name in sources if kind == "item"}))
         self.width = len(net.schema.attributes) if net.schema is not None else 0
         ref = net.guard_of.get(t)
         self.guard = None
         if ref is not None:
             self.guard = (net.guard_order.index(ref.guard), TRUE if ref.positive else FALSE)
-        # every guard with the positions of the items it depends on; the
-        # guards the firing settles (those over an item it writes or
-        # deletes; items filled by a select assignment do not count) also
-        # carry the function that evaluates them
+        # the guards the firing settles (those over an item it writes or
+        # deletes; items filled by a select assignment do not count), with
+        # the positions of the items they depend on and the function that
+        # evaluates them; every other guard keeps its value, which is
+        # undetermined while one of its items is unwritten
         moved = set(written) | set(net.dt.get(t, ()))
         self.settle = tuple(
-            (gi, tuple(map(item, deps)), settlers[name] if deps & moved else None)
+            (gi, _values_at(tuple(map(item, deps))), settlers[name])
             for gi, (name, deps) in enumerate(net.guard_deps.items())
+            if deps & moved
         )
 
 
 def _settler(guard, bound: dict):
-    """``guard`` as a function of a data tuple and a table, with
-    ``Guard.evaluate`` memoised on the tuple of its predicate values."""
+    """``guard`` as a function of a data tuple, a table and a row lookup
+    (``_Store.rows``), with ``Guard.evaluate`` memoised on the tuple of
+    its predicate values."""
     names = tuple(guard.predicates())
     preds = tuple(bound[name] for name in names)
     memo = {}
 
-    def settle(data: tuple, table) -> str:
-        key = tuple([pi(data, table) for pi in preds])
+    def settle(data: tuple, table: tuple, rows) -> str:
+        key = tuple([pi(data, table, rows) for pi in preds])
         value = memo.get(key)
         if value is None:
             value = memo[key] = guard.evaluate(dict(zip(names, key)))
@@ -219,7 +228,7 @@ def _settler(guard, bound: dict):
 class _Compiled:
     """A net's firing plans, kept on the net until it is re-indexed; per
     distinct marking the transitions whose preset it marks, and per
-    distinct guard valuation its values by guard name."""
+    distinct guard valuation its constraint verdict."""
 
     def __init__(self, net: WftcNet):
         bound = {name: pi.bind(net) for name, pi in net.predicates.items()}
@@ -229,8 +238,9 @@ class _Compiled:
         }
         self.plans = {t.name: _Plan(net, t.name, settlers) for t in net.transitions}
         self.guard_order = tuple(net.guard_order)
+        self.constraints = net.constraints
         self._candidates: dict[tuple, list[str]] = {}
-        self._valuations: dict[tuple, dict] = {}
+        self._verdicts: dict[tuple, bool] = {}
 
     def candidates(self, marking: tuple) -> list[str]:
         """Transitions in declaration order whose every input place holds a token."""
@@ -241,13 +251,14 @@ class _Compiled:
             ]
         return names
 
-    def valuation(self, sigma: tuple) -> dict:
-        """The guard values ``sigma`` by guard name, one dict per distinct
-        ``sigma``; callers only read it."""
-        named = self._valuations.get(sigma)
-        if named is None:
-            named = self._valuations[sigma] = dict(zip(self.guard_order, sigma))
-        return named
+    def consistent(self, sigma: tuple) -> bool:
+        """Whether ``sigma`` satisfies the constraints, decided once per
+        distinct valuation; the filter and the pseudo flag both ask."""
+        verdict = self._verdicts.get(sigma)
+        if verdict is None:
+            named = dict(zip(self.guard_order, sigma))
+            verdict = self._verdicts[sigma] = constraint_consistent(named, self.constraints)
+        return verdict
 
 
 def _compiled(net: WftcNet) -> _Compiled:
@@ -277,33 +288,87 @@ def fresh_token(item: str, used) -> str:
 _fresh_token = functools.lru_cache(maxsize=1 << 12)(fresh_token)
 
 
-def refine(net: WftcNet, state: StateC, item: str, scope=None) -> list[str]:
+class _Store:
+    """One build's tables, each kept once with its hash, and the answers
+    firing needs from them, each computed once. Answers name a table by
+    ``id``, which stays its own while ``tables`` keeps it."""
+
+    __slots__ = ("tables", "hashes", "found", "columns", "derived", "settled")
+
+    def __init__(self):
+        self.tables: dict[tuple, tuple] = {}  # also keeps one copy of each guard valuation
+        self.hashes: dict[int, int] = {}  # id of each kept table -> its hash
+        self.found: dict[tuple, tuple] = {}  # (table, column, value) -> the rows holding it
+        self.columns: dict[tuple, list] = {}  # (table, column) -> its values
+        self.derived: dict[tuple, tuple] = {}  # (table, plan, values the ops read) -> table
+        self.settled: dict[tuple, str] = {}  # (guard, table, values of its items) -> guard value
+
+    def intern(self, table: tuple) -> tuple:
+        """The kept copy of ``table``, hashed when it is first kept."""
+        if id(table) not in self.hashes:
+            kept = self.tables.setdefault(table, table)
+            if kept is not table:
+                return kept
+            self.hashes[id(table)] = hash(table)
+        return table
+
+    def rows(self, table: tuple, col: int, value) -> tuple:
+        key = (id(table), col, value)
+        found = self.found.get(key)
+        if found is None:
+            found = self.found[key] = tuple([rec for rec in table if rec[col] == value])
+        return found
+
+    def values(self, scope, data: tuple, table: tuple) -> list[str]:
+        """The values of a ``sel`` scope compiled by ``_scope``."""
+        col, where = scope
+        if where is not None:
+            return column_of(self.rows(table, where[0], where[1](data)), col)
+        values = self.columns.get((id(table), col))
+        if values is None:
+            values = self.columns[id(table), col] = column_of(table, col)
+        return values
+
+
+def refine(net: WftcNet, state: StateC, item: str, scope=None, *, store=None) -> list[str]:
     """Candidate values for writing ``item`` at ``state``.
 
     The domain is the scoped column content plus one fresh token. Without
     any column binding the item has no comparable peers and the written
-    value is just the item name itself.
+    value is just the item name itself. ``scope`` is compiled by
+    ``_scope`` and defaults to the item's ``_item_scope``.
     """
     if item not in net.data_items:
         raise ModelError(f"unknown data item {item}")
     if scope is None:
         scope = _item_scope(net, item)
-    if scope is None or net.schema is None:
+    if scope is None:
         return [item]
-    values = _scope_values(_scope(net, scope), state.data, state.table)
-    values.append(_fresh_token(item, tuple(net.column_values(scope.column, state.table))))
-    return values
+    store = _Store() if store is None else store
+    table = store.intern(state.table)
+    column = store.values((scope[0], None), (), table)
+    return [*store.values(scope, state.data, table), _fresh_token(item, tuple(column))]
 
 
 # ---------------------------------------------------------------------------
 # enabling and firing
 
 
-def enabled(net: WftcNet, state: StateC, t: str) -> bool:
+def _plan(net: WftcNet, t: str) -> _Plan:
     plan = _compiled(net).plans.get(t)
     if plan is None:
         raise ModelError(f"unknown transition {t}")
-    marking, data, table = state.marking, state.data, state.table
+    return plan
+
+
+def enabled(net: WftcNet, state: StateC, t: str, *, store=None) -> bool:
+    plan = _plan(net, t)
+    store = _Store() if store is None else store
+    return _enabled(plan, state, store.intern(state.table), store)
+
+
+def _enabled(plan: _Plan, state: StateC, table: tuple, store: _Store) -> bool:
+    marking, data = state.marking, state.data
     for i in plan.pre:
         if marking[i] < 1:
             return False
@@ -311,10 +376,10 @@ def enabled(net: WftcNet, state: StateC, t: str) -> bool:
         if data[i] is UNDEF:
             return False
     for _, scope in plan.assigns:
-        if not _scope_values(scope, data, table):
+        if not store.values(scope, data, table):
             return False
-    for where in plan.matches:
-        if not _rows(table, where, data):
+    for col, source in plan.matches:
+        if not store.rows(table, col, source(data)):
             return False
     if plan.guard is not None:
         gi, value = plan.guard
@@ -323,74 +388,93 @@ def enabled(net: WftcNet, state: StateC, t: str) -> bool:
     return True
 
 
-def _apply_table_ops(plan: _Plan, table, data: tuple):
-    if not (plan.ins or plan.dele or plan.upd):
-        return table  # states hold canonical tables already
-    records = list(table)
+def _apply_table_ops(plan: _Plan, table: tuple, data: tuple, store: _Store) -> tuple:
+    """The table after ``plan``'s ins, del and upd ops, derived once per
+    table and values the ops read: the rows that stay keep their order,
+    and only the rows the ops add are sorted in."""
+    if not (plan.ins or plan.edits):
+        return table
+    key = (id(table), plan) + plan.reads(data)
+    derived = store.derived.get(key)
+    if derived is not None:
+        return derived
+    kept, added = list(table), []
     for cells in plan.ins:
         rec = [UNDEF] * plan.width
         for col, source in cells:
             rec[col] = source(data)
-        records.append(tuple(rec))
-    for where in plan.dele:
-        gone = _rows(records, where, data)
-        records = [rec for rec in records if rec not in gone]
-    for where, sets in plan.upd:
-        hit = _rows(records, where, data)
-        records = [rec for rec in records if rec not in hit]
-        for rec in map(list, hit):
-            for col, source in sets:
-                rec[col] = source(data)
-            records.append(tuple(rec))
-    return canonical_table(records)
+        added.append(tuple(rec))
+    for (col, source), sets in plan.edits:
+        needle = source(data)
+        hit = [list(rec) for part in (kept, added) for rec in part if rec[col] == needle]
+        kept = [rec for rec in kept if rec[col] != needle]
+        added = [rec for rec in added if rec[col] != needle]
+        if sets is not None:  # an ``upd`` puts the rows it found back, changed
+            for rec in hit:
+                for set_col, value in sets:
+                    rec[set_col] = value(data)
+                added.append(tuple(rec))
+    for rec in canonical_table(added):
+        if rec not in kept:
+            bisect.insort(kept, rec, key=record_key)
+    derived = store.derived[key] = store.intern(tuple(kept))
+    return derived
 
 
-def _sigma_after(plan: _Plan, parent_sigma, data: tuple, table, mode):
-    """Yield successor guard valuations.
-
-    Untouched guards keep their previous value; guards over now-unwritten
-    items fall back to undetermined; touched guards take their evaluated
-    value (constrained) or branch over both truth values (unconstrained,
-    and constrained when the net has no table to decide a membership).
-    """
+def _sigma_after(plan: _Plan, parent_sigma, data: tuple, table: tuple, mode, store: _Store) -> list[tuple]:
+    """Successor guard valuations: each guard ``plan`` settles is
+    undetermined over an unwritten item, else takes its value
+    (constrained) or branches over both (unconstrained, and constrained
+    when the net has no table to decide a membership)."""
+    if not plan.settle:
+        return [parent_sigma]
     sigma = list(parent_sigma)
     choices = []
+    settled, tid = store.settled, id(table)
     for gi, deps, settle in plan.settle:
-        for i in deps:
-            if data[i] is UNDEF:
-                sigma[gi] = BOT
-                break
+        values = deps(data)
+        if UNDEF in values:
+            sigma[gi] = BOT
         else:
-            if settle is not None:
-                value = settle(data, table)
-                if mode == UNCONSTRAINED or value == BOT:
-                    choices.append(gi)
-                    value = BOT
-                sigma[gi] = value
+            key = (gi, tid) + values
+            value = settled.get(key)
+            if value is None:
+                value = settled[key] = settle(data, table, store.rows)
+            if mode == UNCONSTRAINED or value == BOT:
+                choices.append(gi)
+                value = BOT
+            sigma[gi] = value
+    out = []
     for combo in itertools.product((TRUE, FALSE), repeat=len(choices)):
         for i, value in zip(choices, combo):
             sigma[i] = value
-        yield tuple(sigma)
+        valuation = tuple(sigma)
+        out.append(store.tables.setdefault(valuation, valuation))
+    return out
 
 
-def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED) -> list[StateC]:
+def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED, *, store=None) -> list[StateC]:
     """All successor configurations of firing ``t``, after constraint
     filtering in constrained mode."""
-    if not enabled(net, state, t):
+    plan = _plan(net, t)
+    store = _Store() if store is None else store
+    table = store.intern(state.table)
+    if not _enabled(plan, state, table, store):
         raise FiringError(f"transition {t} is not enabled")
     compiled = _compiled(net)
-    plan = compiled.plans[t]
-    marking = list(state.marking)
-    for i in plan.pre:
-        marking[i] -= 1
-    for i in plan.post:
-        marking[i] += 1
-    marking = tuple(marking)
+    marking = plan.moves.get(state.marking)
+    if marking is None:
+        marking = list(state.marking)
+        for i in plan.pre:
+            marking[i] -= 1
+        for i in plan.post:
+            marking[i] += 1
+        marking = plan.moves[state.marking] = tuple(marking)
 
     base = list(state.data)
     for i in plan.dt:
         base[i] = UNDEF
-    domains = [refine(net, state, d, scope) for d, scope in plan.refined]
+    domains = [refine(net, state, d, scope, store=store) for d, scope in plan.refined]
 
     successors = []
     for combo in itertools.product(*domains):
@@ -399,18 +483,17 @@ def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED) -> list[S
             data[i] = value
         probe = tuple(data)
         for i, scope in plan.assigns:
-            values = _scope_values(scope, probe, state.table)
+            values = store.values(scope, probe, table)
             if not values:
                 break  # this write combination selects nothing
             data[i] = values[0]
         else:
             data = tuple(data)
-            table = _apply_table_ops(plan, state.table, data)
-            for sigma in _sigma_after(plan, state.sigma, data, table, mode):
-                if mode != CONSTRAINED or constraint_consistent(
-                    compiled.valuation(sigma), net.constraints
-                ):
-                    successors.append(StateC(marking, data, table, sigma))
+            after = _apply_table_ops(plan, table, data, store)
+            after_hash = store.hashes[id(after)]
+            for sigma in _sigma_after(plan, state.sigma, data, after, mode, store):
+                if mode != CONSTRAINED or compiled.consistent(sigma):
+                    successors.append(StateC(marking, data, after, sigma, after_hash))
     return list(dict.fromkeys(successors))
 
 
@@ -484,7 +567,7 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
 
     In constrained mode the successors violating the constraint set were
     already dropped by ``fire``; in unconstrained mode they are kept and
-    flagged pseudo.
+    flagged pseudo. The build's ``_Store`` goes when it returns.
     """
     if mode not in (CONSTRAINED, UNCONSTRAINED):
         raise ModelError(f"unknown mode {mode!r}")
@@ -496,29 +579,25 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
     index = {root: 0}
     srg.states.append(root)
     compiled = _compiled(net)
-    srg.pseudo.append(not constraint_consistent(compiled.valuation(root.sigma), net.constraints))
+    srg.pseudo.append(not compiled.consistent(root.sigma))
     queue = deque([root])
     candidates = compiled.candidates
+    store = _Store()
 
     while queue:
         state = queue.popleft()
         sid = index[state]
         for t in candidates(state.marking):
-            if not enabled(net, state, t):
+            if not enabled(net, state, t, store=store):
                 continue
-            for succ in fire(net, state, t, mode):
+            for succ in fire(net, state, t, mode, store=store):
                 dst = index.get(succ)
                 if dst is None:
                     if len(srg.states) >= ceiling:
-                        raise ResourceLimitError(
-                            f"state ceiling of {ceiling} states exceeded"
-                        )
+                        raise ResourceLimitError(f"state ceiling of {ceiling} states exceeded")
                     dst = index[succ] = len(srg.states)
                     srg.states.append(succ)
-                    srg.pseudo.append(
-                        mode == UNCONSTRAINED
-                        and not constraint_consistent(compiled.valuation(succ.sigma), net.constraints)
-                    )
+                    srg.pseudo.append(mode == UNCONSTRAINED and not compiled.consistent(succ.sigma))
                     queue.append(succ)
                 # each (state, transition) pair is fired once and ``fire``
                 # returns distinct successors, so no edge repeats

@@ -408,17 +408,19 @@ def _to_dnf(expr, lineno) -> tuple:
             return (node[1][1], False)
         raise ParseError("constraint literals must be a guard or its negation", lineno)
 
-    def conj(node):
-        if node[0] == "and":
-            return conj(node[1]) + conj(node[2])
-        return (literal(node),)
+    def operands(node, op) -> list:
+        # left to right, with a stack instead of recursion: the parser
+        # nests a long chain one level per operator
+        out, stack = [], [node]
+        while stack:
+            node = stack.pop()
+            if node[0] == op:
+                stack += (node[2], node[1])
+            else:
+                out.append(node)
+        return out
 
-    def disj(node):
-        if node[0] == "or":
-            return disj(node[1]) + disj(node[2])
-        return (conj(node),)
-
-    return disj(expr)
+    return tuple(tuple(map(literal, operands(d, "and"))) for d in operands(expr, "or"))
 
 
 # ---------------------------------------------------------------------------

@@ -339,23 +339,41 @@ def test_formula_too_deep_for_the_callers_stack_exits_resource(capsys):
         assert capsys.readouterr() == ("", DEEP_ERROR), shape
 
 
-# a guard or constraint that parses or evaluates by recursion deeper than
-# the stack: the model text it replaces, and its replacement
-DEEP_MODELS = {
-    "guard-chain": ("g1 = pi1 ;", "g1 = " + " & ".join(["pi1"] * 3000) + " ;"),
-    "constraint": ("  (g1 & !g2) | (!g1 & g2)\n", "  " + " | ".join(["(g1 & !g2)"] * 3000) + "\n"),
-    "negations": ("g2 = !pi1", "g2 = " + "!" * 990 + "pi1"),
-}
+def model_with(tmp_path, good, bad):
+    """``motivating.wftc`` with the text ``good`` replaced by ``bad``."""
+    text = fixture_text("motivating.wftc")
+    assert good in text
+    model = tmp_path / "changed.wftc"
+    model.write_text(text.replace(good, bad), encoding="utf-8")
+    return str(model)
+
+
+# a guard that parses by recursion deeper than the stack: the model text
+# it replaces, and its replacement
+DEEP_MODELS = {"negations": ("g2 = !pi1", "g2 = " + "!" * 990 + "pi1")}
 
 
 @pytest.mark.parametrize("good, bad", DEEP_MODELS.values(), ids=DEEP_MODELS)
 def test_model_too_deep_for_the_stack_exits_resource(tmp_path, good, bad):
-    text = fixture_text("motivating.wftc")
-    assert good in text
-    model = tmp_path / "deep.wftc"
-    model.write_text(text.replace(good, bad), encoding="utf-8")
-    proc = run_cli("build", str(model))
+    proc = run_cli("build", model_with(tmp_path, good, bad))
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_RESOURCE, "", DEEP_ERROR)
+
+
+# a guard or constraint of 3 000 operands in one flat chain, which the
+# parser nests one level per operator: the text it replaces, its
+# replacement and the (states, arcs) of the graph
+LONG_MODELS = {
+    "guard-chain": ("g1 = pi1 ;", "g1 = " + " & ".join(["pi1"] * 3000) + " ;", (54, 73)),
+    "constraint": ("  (g1 & !g2) | (!g1 & g2)\n", "  " + " | ".join(["(g1 & !g2)"] * 3000) + "\n", (41, 56)),
+}
+
+
+@pytest.mark.parametrize("good, bad, counts", LONG_MODELS.values(), ids=LONG_MODELS)
+def test_long_flat_guard_or_constraint_builds(tmp_path, good, bad, counts):
+    proc = run_cli("build", model_with(tmp_path, good, bad), "--output", "json")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    report = json.loads(proc.stdout)
+    assert (report["stateCount"], report["arcCount"]) == counts
 
 
 def test_missing_file_exit_code(capsys):

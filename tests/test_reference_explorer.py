@@ -6,7 +6,7 @@ imports nothing from ``wftc.srg`` and no sort, key or evaluation helper
 from ``wftc.model``. It keeps states as plain tuples and tables in its own
 canonical order, and explores breadth-first without numbering. Both sides
 must agree on the state set, the labelled edge set and the pseudo flags,
-on seeded random small nets and on a grown table of the bundled model.
+on seeded random small nets and on grown tables of the bundled model.
 """
 
 import random
@@ -17,7 +17,7 @@ from itertools import product
 import pytest
 
 from conftest import table_model
-from wftc import CONSTRAINED, UNCONSTRAINED, ResourceLimitError, build_srg, parse_model
+from wftc import CONSTRAINED, UNCONSTRAINED, ResourceLimitError, build_srg, enabled, fire, parse_model
 
 T, F, U = "T", "F", "U"
 
@@ -395,3 +395,30 @@ def test_random_nets_agree_with_the_reference(mode):
 @pytest.mark.parametrize("mode, states", [(CONSTRAINED, 120), (UNCONSTRAINED, 4341)])
 def test_four_row_table_agrees_with_the_reference(mode, states):
     assert len(assert_agrees(parse_model(table_model(4)), mode).states) == states
+
+
+@pytest.fixture(scope="module")
+def sixteen_rows():
+    net = parse_model(table_model(16))
+    return net, assert_agrees(net, CONSTRAINED)
+
+
+def test_sixteen_row_table_agrees_with_the_reference(sixteen_rows):
+    _, srg = sixteen_rows
+    assert (len(srg.states), len(srg.edges)) == (1020, 1375)
+
+
+def test_fire_without_a_build_gives_the_out_edges(sixteen_rows):
+    # each call answers from its own table store, and a build from one
+    # store for the whole graph; both must give the same successors
+    net, srg = sixteen_rows
+    number = {state: i for i, state in enumerate(srg.states)}
+    edges = set()
+    for i, state in enumerate(srg.states):
+        for t in net.transitions:
+            if enabled(net, state, t.name):
+                successors = fire(net, state, t.name)
+                assert len(set(successors)) == len(successors)
+                edges.update((i, t.name, number[succ]) for succ in successors)
+    assert len(edges) == len(srg.edges)
+    assert edges == set(srg.edges)

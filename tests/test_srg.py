@@ -26,7 +26,7 @@ from wftc import (
     srg_stats,
 )
 from wftc.model import BOT, FALSE, TRUE, UNDEF
-from wftc.srg import FiringError, _settler, fresh_token
+from wftc.srg import FiringError, StateC, _settler, fresh_token
 
 TABLE0 = (("id1", "license1", "copy1"), ("id2", "license2", "copy2"))
 
@@ -152,14 +152,14 @@ def test_fire_t0_unconstrained_on_wfd(wfd_net):
 def test_settled_guard_agrees_with_evaluate(motivating_net):
     # each predicate reads its own value from the "data" argument, so every
     # T/F/U combination can be fed to the memoised guard, twice
-    bound = {name: (lambda data, table, name=name: data[name]) for name in motivating_net.predicates}
+    bound = {name: (lambda data, table, rows, name=name: data[name]) for name in motivating_net.predicates}
     for guard in motivating_net.guards.values():
         settle = _settler(guard, bound)
         names = sorted(guard.predicates())
         combos = [dict(zip(names, values)) for values in itertools.product((TRUE, FALSE, BOT), repeat=len(names))]
         assert len(combos) == 3 ** len(names) >= 3
         for values in combos + combos:
-            assert settle(values, ()) == guard.evaluate(values), (guard.name, values)
+            assert settle(values, (), None) == guard.evaluate(values), (guard.name, values)
 
 def test_build_motivating_counts(motivating_srg):
     stats = srg_stats(motivating_srg)
@@ -240,6 +240,19 @@ def test_build_is_deterministic(motivating_net, motivating_srg):
     again = build_srg(motivating_net, CONSTRAINED)
     assert again.states == motivating_srg.states
     assert again.edges == motivating_srg.edges
+
+
+def test_built_state_equals_a_state_with_a_copied_table(motivating_srg):
+    # a build passes each state the hash of its one kept copy of the
+    # table; a state made outside a build hashes its own table
+    tables = {id(state.table) for state in motivating_srg.states}
+    assert len(tables) == len({state.table for state in motivating_srg.states})
+    for state in motivating_srg.states:
+        table = tuple(list(state.table))
+        assert table is not state.table or not table
+        copy = StateC(state.marking, state.data, table, state.sigma)
+        assert copy == state and state == copy
+        assert hash(copy) == hash(state)
 
 
 def test_unpickled_state_hashes_in_its_new_process(motivating_srg):
