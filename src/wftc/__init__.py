@@ -19,7 +19,6 @@ from .srg import (
     fire,
     initial_state,
     refine,
-    srg_stats,
 )
 from .textio import (
     ParseError,
@@ -47,7 +46,6 @@ __all__ = [
     "builtin_metrics",
     "constraint_consistent",
     "enabled",
-    "eval_atom",
     "export_dot",
     "export_json",
     "fire",
@@ -62,7 +60,6 @@ __all__ = [
     "sat_eu",
     "sat_ex",
     "serialize_model",
-    "srg_stats",
     "validate_workflow_structure",
     "verify",
 ]
@@ -70,9 +67,7 @@ __all__ = [
 __version__ = "0.1.0"
 
 # imported from ``dctl`` on first access, so that a build never compiles the evaluator
-_DCTL_NAMES = {
-    "Verdict", "builtin_metrics", "eval_atom", "sat", "sat_au", "sat_eg", "sat_eu", "sat_ex", "verify"
-}
+_DCTL_NAMES = {"Verdict", "builtin_metrics", "sat", "sat_au", "sat_eg", "sat_eu", "sat_ex", "verify"}
 
 
 def __getattr__(name):

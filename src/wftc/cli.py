@@ -11,7 +11,7 @@ import json
 import sys
 
 from .model import EvalError, ModelError
-from .srg import CONSTRAINED, UNCONSTRAINED, ResourceLimitError, build_srg, srg_stats
+from .srg import CONSTRAINED, UNCONSTRAINED, ResourceLimitError, build_srg
 from .textio import ParseError, export_dot, export_json, parse_dctl, parse_model
 
 EXIT_OK = 0
@@ -21,7 +21,7 @@ EXIT_RESOURCE = 3
 
 # imported from ``dctl`` on first access, so that ``build`` never compiles the
 # evaluator; looked up when a command runs, so a name rebound here is the one called
-_DCTL_NAMES = ("PM_NAMES", "Verdict", "builtin_metrics", "verify")
+_DCTL_NAMES = ("builtin_metrics", "verify")
 
 
 def __getattr__(name):
@@ -65,10 +65,11 @@ def _report(args, srg, checked=()) -> int:
     reason text, extra fields)`` in ``checked``, as JSON or aligned text.
     A reason is no verdict, so only a FALSE verdict makes the exit code
     EXIT_FALSE."""
-    stats = srg_stats(srg)
     formulas, all_hold = [], True
     for name, verdict, extra in checked:
-        if isinstance(verdict, _dctl("Verdict")):
+        if isinstance(verdict, str):
+            entry = {"name": name, "verdict": verdict}
+        else:
             all_hold &= verdict.holds
             entry = {
                 "name": name,
@@ -77,17 +78,16 @@ def _report(args, srg, checked=()) -> int:
             }
             if verdict.evidence:
                 entry["evidence"] = verdict.evidence
-        else:
-            entry = {"name": name, "verdict": verdict}
         formulas.append(entry | extra)
+    states, arcs, pseudo = len(srg.states), len(srg.edges), sum(srg.pseudo)
     if args.output == "json":
         payload = {
             "model": args.model,
             "mode": srg.mode,
-            "stateCount": stats.state_count,
-            "arcCount": stats.arc_count,
-            "pseudoCount": stats.pseudo_count,
-            "buildMillis": round(stats.build_millis, 3),
+            "stateCount": states,
+            "arcCount": arcs,
+            "pseudoCount": pseudo,
+            "buildMillis": round(srg.build_millis, 3),
             "formulas": formulas,
         }
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -95,10 +95,10 @@ def _report(args, srg, checked=()) -> int:
         rows = [
             ("model", args.model),
             ("mode", srg.mode),
-            ("states", stats.state_count),
-            ("arcs", stats.arc_count),
-            ("pseudo states", stats.pseudo_count),
-            ("build millis", f"{stats.build_millis:.1f}"),
+            ("states", states),
+            ("arcs", arcs),
+            ("pseudo states", pseudo),
+            ("build millis", f"{srg.build_millis:.1f}"),
         ]
         width = max(len(key) for key, _ in rows)
         lines = [f"{key:{width}}  {value}" for key, value in rows]
@@ -141,7 +141,7 @@ def cmd_verify(args) -> int:
 def cmd_metrics(args) -> int:
     srg = _build(args)
     results = _dctl("builtin_metrics")(srg)
-    return _report(args, srg, ((name, results[name], {}) for name in _dctl("PM_NAMES")))
+    return _report(args, srg, ((name, verdict, {}) for name, verdict in results.items()))
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,7 @@ from itertools import compress, count, islice
 
 from . import textio
 from .model import UNDEF, EvalError, Frozen, Struct, token_key
-from .srg import Srg, StateC, fresh_token
+from .srg import Srg, fresh_token
 
 
 # ---------------------------------------------------------------------------
@@ -469,19 +469,6 @@ def _compile(node: Formula, net):
     return lambda marking, table: code(marking, table, [None] * width)
 
 
-def eval_atom(state: StateC, atom: DataAtom, net, binding: dict | None = None) -> bool:
-    """Truth of a comparison atom at one state under a variable binding of
-    records or, for literal variables, tokens."""
-    scope, env = {}, []
-    for name, value in (binding or {}).items():
-        if isinstance(value, tuple):
-            scope[name] = len(env)
-            env.append(value)
-        elif value is not None:
-            scope[name] = value
-    return _Compiler(net).atom(atom, scope)(state.marking, state.table, env)
-
-
 def _reads(node: Formula) -> tuple[bool, bool]:
     """Whether a state-local subformula reads the marking and whether it
     reads the table. Nothing state-local reads the data items or the guard
@@ -553,14 +540,9 @@ class _Shapes:
         self.fresh = count()  # atomic, unlike len(ids), for threads sharing a graph
         self.quantified: set[int] = set()
         self.temporal: set[int] = set()
-        # ``verify`` identifies a formula to route it, then ``sat`` again
-        self.last: tuple = (None, {})
 
     def identify(self, root: Formula) -> dict[int, int]:
         """Structural ids of every node under ``root``, keyed by ``id(node)``."""
-        last_root, ids = self.last
-        if last_root is root:
-            return ids
         ids, shapes, quantified, temporal = {}, self.ids, self.quantified, self.temporal
         stack = [root]
         while stack:
@@ -584,7 +566,6 @@ class _Shapes:
                     temporal.add(sid)
                 sid = shapes.setdefault(shape, sid)
             ids[id(node)] = sid
-        self.last = (root, ids)
         return ids
 
 
@@ -642,7 +623,7 @@ class _Evaluation:
             (block[src], t, block[dst]) for src, t, dst in self.srg.edges if first[block[src]] == src
         ]
         graph.finish()
-        quotient = graph.evaluation = _Evaluation(graph, self.shapes)
+        quotient = _Evaluation(graph, self.shapes)
         quotient.quotient = quotient
         self.block_masks = [_bits(ids, self.size) for ids in members]
         return quotient
@@ -701,8 +682,8 @@ class _Evaluation:
 
     def evaluate(self, root: Formula, ids: dict[int, int]) -> int:
         """Bottom-up over the formula without recursion, reusing every
-        memoised subformula and handing each quantifier-free one to the
-        quotient; operands are evaluated left to right."""
+        memoised subformula and handing each node that ``decider`` routes
+        there to the quotient; operands are evaluated left to right."""
         memo = self.memo
         stack = [root]
         while stack:
@@ -853,34 +834,29 @@ def _evaluation(srg: Srg) -> _Evaluation:
     return srg.evaluation
 
 
-def sat(srg: Srg, node: Formula) -> set[int]:
+def sat(srg: Srg, node: Formula) -> int:
     """The states satisfying ``node``, memoised per graph."""
-    return set(_members(_evaluation(srg).sat(node)))
+    return _evaluation(srg).sat(node)
 
 
-def _on_sets(srg: Srg, method, *sets: set[int]) -> set[int]:
-    ev = _evaluation(srg)
-    return set(_members(method(ev, *(_bits(s, ev.size) for s in sets))))
-
-
-def sat_ex(srg: Srg, target: set[int]) -> set[int]:
+def sat_ex(srg: Srg, target: int) -> int:
     """States with at least one successor inside ``target``."""
-    return _on_sets(srg, _Evaluation.ex, target)
+    return _evaluation(srg).ex(target)
 
 
-def sat_eg(srg: Srg, hold: set[int]) -> set[int]:
+def sat_eg(srg: Srg, hold: int) -> int:
     """States with a maximal run that never leaves ``hold``."""
-    return _on_sets(srg, _Evaluation.eg, hold)
+    return _evaluation(srg).eg(hold)
 
 
-def sat_eu(srg: Srg, lhs: set[int], rhs: set[int]) -> set[int]:
+def sat_eu(srg: Srg, lhs: int, rhs: int) -> int:
     """States with a run through ``lhs`` that reaches ``rhs``."""
-    return _on_sets(srg, _Evaluation.eu, lhs, rhs)
+    return _evaluation(srg).eu(lhs, rhs)
 
 
-def sat_au(srg: Srg, lhs: set[int], rhs: set[int]) -> set[int]:
+def sat_au(srg: Srg, lhs: int, rhs: int) -> int:
     """States whose every maximal run goes through ``lhs`` to ``rhs``."""
-    return _on_sets(srg, _Evaluation.au, lhs, rhs)
+    return _evaluation(srg).au(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -889,25 +865,15 @@ def sat_au(srg: Srg, lhs: set[int], rhs: set[int]) -> set[int]:
 
 class Verdict(Struct):
     """A formula's verdict with its satisfaction and precondition sets as
-    bitsets over state ids (bit i for state ``ci``); ``sat_set`` and
-    ``pre_set`` list them as sets, built on first access."""
+    bitsets over state ids (bit i for state ``ci``)."""
 
-    _fields = ("holds", "sat_bits", "pre_bits", "evidence")
-    __slots__ = _fields + ("__dict__",)  # where the cached sets go
+    __slots__ = _fields = ("holds", "sat_bits", "pre_bits", "evidence")
 
     def __init__(self, holds: bool, sat_bits: int, pre_bits: int, evidence: list[str] | None = None):
         self.holds = holds
         self.sat_bits = sat_bits
         self.pre_bits = pre_bits
         self.evidence = evidence
-
-    @cached_property
-    def sat_set(self) -> set[int]:
-        return set(_members(self.sat_bits))
-
-    @cached_property
-    def pre_set(self) -> set[int]:
-        return set(_members(self.pre_bits))
 
     def __bool__(self):
         return self.holds
@@ -929,40 +895,30 @@ def _quantifier_prefix(node: Formula) -> list[Quantifier]:
             return chain
 
 
-def precondition_set(srg: Srg, node: Formula) -> set[int]:
+def precondition_set(srg: Srg, node: Formula) -> int:
     """States satisfying the quantifier preconditions of the formula: the
     quantified record domains exist (non-empty table), and degenerate
     literal variables occur in the key column."""
-    chain = _quantifier_prefix(node)
-    net = srg.net
+    chain, net, ev = _quantifier_prefix(node), srg.net, _evaluation(srg)
     if not chain:
-        return set(range(len(srg.states)))
+        return ev.everything
     literals = [q.var for q in chain if not _record_variable(net, q)]
     records = len(literals) < len(chain)
 
     def holds(marking, table) -> bool:
         return (bool(table) or not records) and all(_has_key(table, var) for var in literals)
 
-    return set(_members(_evaluation(srg).select((False, True), holds)))
+    return ev.select((False, True), holds)
 
 
 def verify(srg: Srg, node: Formula) -> Verdict:
     """Full check: empty quantifier precondition refutes the formula
     outright, otherwise the verdict is membership of the initial state in
-    the satisfaction set. A quantifier-free formula is decided on the
-    graph's quotient, whose blocks ``sat`` returns: a set of at most one
-    block per state class instead of one element per state."""
-    ev = _evaluation(srg)
-    pre = ev.everything
-    if _quantifier_prefix(node):
-        pre = _bits(precondition_set(srg, node), ev.size)
+    the satisfaction set."""
+    pre = precondition_set(srg, node) if _quantifier_prefix(node) else _evaluation(srg).everything
     if not pre:
         return Verdict(holds=False, sat_bits=0, pre_bits=pre)
-    quantified = ev.shapes.identify(node)[id(node)] in ev.shapes.quantified
-    decider = ev if quantified else ev.quotient
-    satisfied = _bits(sat(decider.srg, node), decider.size)
-    if decider is not ev:
-        satisfied = ev.lift(satisfied)
+    satisfied = sat(srg, node)
     holds = bool(satisfied >> srg.initial & 1)
     # a verdict is membership of the initial state, so a failure is
     # evidenced by that state alone
@@ -1063,6 +1019,6 @@ def builtin_metrics(srg: Srg) -> dict[str, "Verdict | str"]:
         try:
             formula = _PM_BUILDERS[name](net)
             results[name] = verify(srg, textio.parse_dctl(formula, net))
-        except Exception as exc:  # reported per metric, never fatal
+        except (EvalError, textio.ParseError) as exc:  # reported per metric, never fatal
             results[name] = f"not instantiable: {exc}"
     return results

@@ -279,7 +279,7 @@ def fresh_token(item: str, used) -> str:
         if value is UNDEF or not value.startswith(item):
             continue
         rest = value[len(item):]
-        if rest.isdigit():
+        if rest.isdecimal():
             top = max(top, int(rest))
     return f"{item}{top + 1}"
 
@@ -606,21 +606,3 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
     srg.build_millis = (time.perf_counter() - started) * 1000.0
     return srg.finish()
 
-
-class SrgStats(Struct):
-    __slots__ = _fields = ("state_count", "arc_count", "pseudo_count", "build_millis")
-
-    def __init__(self, state_count: int, arc_count: int, pseudo_count: int, build_millis: float):
-        self.state_count = state_count
-        self.arc_count = arc_count
-        self.pseudo_count = pseudo_count
-        self.build_millis = build_millis
-
-
-def srg_stats(srg: Srg) -> SrgStats:
-    return SrgStats(
-        state_count=len(srg.states),
-        arc_count=len(srg.edges),
-        pseudo_count=sum(srg.pseudo),
-        build_millis=srg.build_millis,
-    )

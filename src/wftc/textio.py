@@ -398,6 +398,20 @@ def _parse_constraints(net: WftcNet, lines):
     net.constraints = tuple(constraints)
 
 
+def _chain(node, op) -> list:
+    """The operands of a chain of ``op`` nodes, left to right, with a stack
+    instead of recursion: the parser nests a long chain one level per
+    operator."""
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if node[0] == op:
+            stack += (node[2], node[1])
+        else:
+            out.append(node)
+    return out
+
+
 def _to_dnf(expr, lineno) -> tuple:
     # constraints must already be shaped as a disjunction of conjunctions
     # of guard literals
@@ -408,19 +422,7 @@ def _to_dnf(expr, lineno) -> tuple:
             return (node[1][1], False)
         raise ParseError("constraint literals must be a guard or its negation", lineno)
 
-    def operands(node, op) -> list:
-        # left to right, with a stack instead of recursion: the parser
-        # nests a long chain one level per operator
-        out, stack = [], [node]
-        while stack:
-            node = stack.pop()
-            if node[0] == op:
-                stack += (node[2], node[1])
-            else:
-                out.append(node)
-        return out
-
-    return tuple(tuple(map(literal, operands(d, "and"))) for d in operands(expr, "or"))
+    return tuple(tuple(map(literal, _chain(d, "and"))) for d in _chain(expr, "or"))
 
 
 # ---------------------------------------------------------------------------
@@ -530,14 +532,11 @@ def _expr_text(expr) -> str:
     if op == "not":
         inner = _expr_text(expr[1])
         return f"!{inner}" if expr[1][0] == "pi" else f"!({inner})"
-    sep = " & " if op == "and" else " | "
     parts = []
-    for child in expr[1:]:
+    for child in _chain(expr, op):
         text = _expr_text(child)
-        if op == "and" and child[0] == "or":
-            text = f"({text})"
-        parts.append(text)
-    return sep.join(parts)
+        parts.append(f"({text})" if op == "and" and child[0] == "or" else text)
+    return (" & " if op == "and" else " | ").join(parts)
 
 
 def _constraint_text(constraint) -> str:

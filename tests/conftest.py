@@ -24,6 +24,12 @@ def table_model(n: int) -> str:
     return fixture_text("motivating.wftc").replace("  id1, license1, copy1\n  id2, license2, copy2\n", rows)
 
 
+def bitset(states) -> int:
+    """The bitset of some state ids, in the form ``sat`` takes and returns:
+    bit i stands for state i."""
+    return sum(1 << i for i in set(states))
+
+
 def requirement_texts() -> list[str]:
     """The formulas of ``requirements.dctl``, one per non-comment line."""
     lines = (line.strip() for line in fixture_text("requirements.dctl").splitlines())

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_random_srg
+from conftest import bitset, make_random_srg
 from test_dctl import oracle_au, oracle_eg, oracle_eu, oracle_ex, random_sets
 from test_textio import random_formula, random_net
 from wftc import (
@@ -29,7 +29,6 @@ from wftc import (
     sat_eu,
     sat_ex,
     serialize_model,
-    srg_stats,
     verify,
 )
 from wftc.dctl import Verdict, formula_text
@@ -87,23 +86,21 @@ def announce(name, ok):
 
 def test_criterion_1_motivating_srg(motivating_net, motivating_srg):
     """Constrained build: exactly 54 states, golden rows intact, < 1 s."""
-    stats = srg_stats(motivating_srg)
     rows = {state_row(motivating_net, s) for s in motivating_srg.states}
     ok = (
-        stats.state_count == 54
+        len(motivating_srg.states) == 54
         and all(row in rows for row in GOLDEN_ROWS.values())
-        and stats.build_millis < 1000.0
+        and motivating_srg.build_millis < 1000.0
     )
     announce("motivating SRG (54 states, golden rows, <1s)", ok)
 
 
 def test_criterion_2_pseudo_state_baseline(wfd_srg):
     """Unconstrained data-only projection: 147 states, 113 pseudo, < 1 s."""
-    stats = srg_stats(wfd_srg)
     ok = (
-        stats.state_count == 147
-        and stats.pseudo_count == 113
-        and stats.build_millis < 1000.0
+        len(wfd_srg.states) == 147
+        and sum(wfd_srg.pseudo) == 113
+        and wfd_srg.build_millis < 1000.0
     )
     announce("pseudo-state baseline (147 states / 113 pseudo, <1s)", ok)
 
@@ -133,7 +130,7 @@ def test_criterion_5_dctl_verdicts(motivating_net, motivating_srg):
     v2 = verify(motivating_srg, parse_dctl(PHI2, motivating_net))
     ex = sat(motivating_srg, parse_dctl("EX(id1 != id2)", motivating_net))
     eg = sat(motivating_srg, parse_dctl("EG(id1 != id2)", motivating_net))
-    ok = v1.holds and not v2.holds and len(ex) == 53 and len(eg) == 54
+    ok = v1.holds and not v2.holds and ex.bit_count() == 53 and eg.bit_count() == 54
     announce("verdicts (phi1 TRUE, phi2 FALSE, |EX|=53, |EG|=54)", ok)
 
 
@@ -173,10 +170,11 @@ def test_criterion_7b_fixed_point_oracles():
     for _ in range(200):
         srg = make_random_srg(rng, max_states=20)
         lhs, rhs = random_sets(rng, len(srg.states))
-        agree &= sat_ex(srg, lhs) == oracle_ex(srg, lhs)
-        agree &= sat_eg(srg, lhs) == oracle_eg(srg, lhs)
-        agree &= sat_eu(srg, lhs, rhs) == oracle_eu(srg, lhs, rhs)
-        agree &= sat_au(srg, lhs, rhs) == oracle_au(srg, lhs, rhs)
+        a, b = bitset(lhs), bitset(rhs)
+        agree &= sat_ex(srg, a) == bitset(oracle_ex(srg, lhs))
+        agree &= sat_eg(srg, a) == bitset(oracle_eg(srg, lhs))
+        agree &= sat_eu(srg, a, b) == bitset(oracle_eu(srg, lhs, rhs))
+        agree &= sat_au(srg, a, b) == bitset(oracle_au(srg, lhs, rhs))
     announce("fixed points vs bounded-path oracle (200 graphs)", agree)
 
 
@@ -189,11 +187,11 @@ def test_criterion_7c_duality():
     for _ in range(200):
         srg = make_random_srg(rng, max_states=20)
         n = len(srg.states)
-        everything = set(range(n))
+        everything = (1 << n) - 1
         atom = ast.PlaceAtom(f"q{rng.randrange(n)}")
         phi = ast.Or(atom, ast.EX(ast.PlaceAtom(f"q{rng.randrange(n)}")))
         ag = ast.Not(ast.EU(ast.TrueF(), ast.Not(phi)))
-        agree &= sat(srg, ag) == everything - sat(srg, ast.EU(ast.TrueF(), ast.Not(phi)))
+        agree &= sat(srg, ag) == everything ^ sat(srg, ast.EU(ast.TrueF(), ast.Not(phi)))
     announce("duality AG = complement of EF-not (200 graphs)", agree)
 
 

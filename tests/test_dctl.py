@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from conftest import fixture_text, make_random_srg, requirement_texts, table_model
+from conftest import bitset, fixture_text, make_random_srg, requirement_texts, table_model
 from wftc import (
     CONSTRAINED,
     UNCONSTRAINED,
     build_srg,
     builtin_metrics,
-    eval_atom,
     parse_dctl,
     parse_model,
     sat,
@@ -95,114 +94,119 @@ def test_fixed_points_agree_with_path_oracles():
     for _ in range(120):
         srg = make_random_srg(rng)
         lhs, rhs = random_sets(rng, len(srg.states))
-        assert sat_ex(srg, lhs) == oracle_ex(srg, lhs)
-        assert sat_eg(srg, lhs) == oracle_eg(srg, lhs)
-        assert sat_eu(srg, lhs, rhs) == oracle_eu(srg, lhs, rhs)
-        assert sat_au(srg, lhs, rhs) == oracle_au(srg, lhs, rhs)
+        a, b = bitset(lhs), bitset(rhs)
+        assert sat_ex(srg, a) == bitset(oracle_ex(srg, lhs))
+        assert sat_eg(srg, a) == bitset(oracle_eg(srg, lhs))
+        assert sat_eu(srg, a, b) == bitset(oracle_eu(srg, lhs, rhs))
+        assert sat_au(srg, a, b) == bitset(oracle_au(srg, lhs, rhs))
 
 
 def test_fixed_point_trivial_cases():
     rng = random.Random(5)
     srg = make_random_srg(rng, max_states=12)
-    everything = set(range(len(srg.states)))
-    assert sat_ex(srg, set()) == set()
-    assert sat_eg(srg, set()) == set()
-    assert sat_eu(srg, everything, set()) == set()
-    assert sat_au(srg, everything, set()) == set()
-    assert sat_eu(srg, set(), everything) == everything
-    assert sat_au(srg, set(), everything) == everything
+    everything = (1 << len(srg.states)) - 1
+    assert sat_ex(srg, 0) == 0
+    assert sat_eg(srg, 0) == 0
+    assert sat_eu(srg, everything, 0) == 0
+    assert sat_au(srg, everything, 0) == 0
+    assert sat_eu(srg, 0, everything) == everything
+    assert sat_au(srg, 0, everything) == everything
 
 
 def test_monotonicity():
     rng = random.Random(77)
     for _ in range(40):
         srg = make_random_srg(rng, max_states=14)
-        small, extra = random_sets(rng, len(srg.states))
+        small, extra = map(bitset, random_sets(rng, len(srg.states)))
         big = small | extra
-        assert sat_ex(srg, small) <= sat_ex(srg, big)
-        assert sat_eg(srg, small) <= sat_eg(srg, big)
-        other = {i for i in range(len(srg.states)) if rng.random() < 0.4}
-        assert sat_eu(srg, small, other) <= sat_eu(srg, big, other)
-        assert sat_au(srg, small, other) <= sat_au(srg, big, other)
-        assert sat_eu(srg, other, small) <= sat_eu(srg, other, big)
-        assert sat_au(srg, other, small) <= sat_au(srg, other, big)
+        other = bitset(i for i in range(len(srg.states)) if rng.random() < 0.4)
+        # a <= b as sets: no bit of a outside b
+        for a, b in [
+            (sat_ex(srg, small), sat_ex(srg, big)),
+            (sat_eg(srg, small), sat_eg(srg, big)),
+            (sat_eu(srg, small, other), sat_eu(srg, big, other)),
+            (sat_au(srg, small, other), sat_au(srg, big, other)),
+            (sat_eu(srg, other, small), sat_eu(srg, other, big)),
+            (sat_au(srg, other, small), sat_au(srg, other, big)),
+        ]:
+            assert a & ~b == 0
 
 
 def test_complement_and_duality_on_random_graphs():
     rng = random.Random(99)
     for _ in range(60):
         srg = make_random_srg(rng, max_states=15)
-        everything = set(range(len(srg.states)))
         n = len(srg.states)
+        everything = (1 << n) - 1
         atom = ast.PlaceAtom(f"q{rng.randrange(n)}")
         phi = ast.Or(atom, ast.EX(ast.PlaceAtom(f"q{rng.randrange(n)}")))
-        assert sat(srg, ast.Not(phi)) == everything - sat(srg, phi)
+        assert sat(srg, ast.Not(phi)) == everything ^ sat(srg, phi)
         # AG f == !E(true U !f)
         ag = ast.Not(ast.EU(ast.TrueF(), ast.Not(phi)))
-        assert sat(srg, ag) == everything - sat(srg, ast.EU(ast.TrueF(), ast.Not(phi)))
+        assert sat(srg, ag) == everything ^ sat(srg, ast.EU(ast.TrueF(), ast.Not(phi)))
 
 
 # ---------------------------------------------------------------------------
 # atoms and quantifiers on the motivating graph
 
+ALL54 = (1 << 54) - 1  # every state of the motivating graph
+
 
 def test_place_atom_at_initial(motivating_net, motivating_srg):
-    assert motivating_srg.initial in sat(motivating_srg, ast.PlaceAtom("p0"))
+    assert sat(motivating_srg, ast.PlaceAtom("p0")) >> motivating_srg.initial & 1
 
 
 def test_atom_reflexive_inequality_is_false(motivating_net, motivating_srg):
     formula = parse_dctl(
         "forall r1 in R, [r1.Id != r1.Id]", motivating_net
     )
-    assert sat(motivating_srg, formula) == set()
+    assert sat(motivating_srg, formula) == 0
 
 
 def test_empty_comparison_selects_unset_cells(motivating_net, motivating_srg):
     formula = parse_dctl("exists r in R, [r.License = empty]", motivating_net)
     hits = sat(motivating_srg, formula)
     assert hits
-    for i in hits:
-        assert any(rec[1] is None for rec in motivating_srg.states[i].table)
+    for i, state in enumerate(motivating_srg.states):
+        if hits >> i & 1:
+            assert any(rec[1] is None for rec in state.table)
     formula2 = parse_dctl("forall r in R, [r.License != empty]", motivating_net)
-    assert sat(motivating_srg, formula2) == set(range(54)) - hits
+    assert sat(motivating_srg, formula2) == ALL54 ^ hits
 
 
 def test_eval_atom_orders_by_numeric_suffix(motivating_net, motivating_srg):
-    c0 = motivating_srg.states[motivating_srg.initial]
-    atom = ast.DataAtom(("const", "license1"), "<", ("const", "license2"))
-    assert eval_atom(c0, atom, motivating_net)
-    atom2 = ast.DataAtom(("const", "license10"), ">", ("const", "license2"))
-    assert eval_atom(c0, atom2, motivating_net)
+    def holds(lhs, op, rhs) -> bool:
+        return verify(motivating_srg, ast.DataAtom(("const", lhs), op, ("const", rhs))).holds
+
+    assert holds("license1", "<", "license2")
+    assert holds("license10", ">", "license2")
+    assert not holds("license10", "<", "license2")
 
 
 def test_eval_atom_unknown_attribute(motivating_net, motivating_srg):
-    c0 = motivating_srg.states[motivating_srg.initial]
-    with pytest.raises(EvalError):
-        eval_atom(
-            c0,
-            ast.DataAtom(("attr", "r", "Nope"), "=", ("const", "x")),
-            motivating_net,
-            {"r": c0.table[0]},
-        )
+    # ``r.Id`` makes ``r`` a record variable, so ``r.Nope`` names a column
+    formula = parse_dctl("exists r in R, [r.Id != empty & r.Nope = x]", motivating_net)
+    with pytest.raises(EvalError, match="unknown attribute Nope"):
+        sat(motivating_srg, formula)
 
 
 def test_sat_true_is_everything(motivating_srg, motivating_net):
-    assert sat(motivating_srg, parse_dctl("true", motivating_net)) == set(range(54))
+    assert sat(motivating_srg, parse_dctl("true", motivating_net)) == ALL54
 
 
 def test_sat_ex_example_count(motivating_net, motivating_srg):
-    assert len(sat(motivating_srg, parse_dctl("EX(id1 != id2)", motivating_net))) == 53
+    assert sat(motivating_srg, parse_dctl("EX(id1 != id2)", motivating_net)).bit_count() == 53
 
 
 def test_sat_eg_example_count(motivating_net, motivating_srg):
-    assert len(sat(motivating_srg, parse_dctl("EG(id1 != id2)", motivating_net))) == 54
+    assert sat(motivating_srg, parse_dctl("EG(id1 != id2)", motivating_net)).bit_count() == 54
 
 
 def test_until_examples_cover_everything(motivating_net, motivating_srg):
     eu = parse_dctl("E(id1 != id0 U license1 != license0)", motivating_net)
     au = parse_dctl("A(id1 != id0 U license1 != license0)", motivating_net)
-    assert sat(motivating_srg, eu) == set(range(54))
-    assert sat(motivating_srg, au) == set(range(54))
+    assert sat(motivating_srg, eu) == ALL54
+    assert sat(motivating_srg, au) == ALL54
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +221,14 @@ def test_phi1_holds(motivating_net, motivating_srg):
     )
     verdict = verify(motivating_srg, phi1)
     assert verdict.holds
-    assert verdict.pre_set == set(range(54))
+    assert verdict.pre_bits == ALL54
 
 
 def test_phi2_fails_through_empty_precondition(motivating_net, motivating_srg):
     phi2 = parse_dctl("EG((forall id10 in R), [id10.copy = true])", motivating_net)
     verdict = verify(motivating_srg, phi2)
     assert not verdict.holds
-    assert verdict.pre_set == set()
+    assert verdict.pre_bits == 0
 
 
 def test_verify_true_formula(motivating_net, motivating_srg):
@@ -238,7 +242,7 @@ def test_verify_reports_counterexample(motivating_net, motivating_srg):
     assert verdict.evidence[0] == "c0"
     # the witness path ends in a state outside the satisfaction set
     last = int(verdict.evidence[-1][1:])
-    assert last not in verdict.sat_set
+    assert not verdict.sat_bits >> last & 1
 
 
 @pytest.mark.parametrize("mode", [CONSTRAINED, UNCONSTRAINED])
@@ -291,6 +295,21 @@ def test_metrics_without_table(tiny_net):
         assert isinstance(results[name], str) and "not instantiable" in results[name]
 
 
+def test_metrics_report_only_what_the_net_cannot_host(motivating_srg, monkeypatch):
+    # a template text that does not parse is a reason; any other error is a
+    # fault of the program and propagates
+    monkeypatch.setitem(ast._PM_BUILDERS, "PM3", lambda net: "EF (")
+    reason = builtin_metrics(motivating_srg)["PM3"]
+    assert isinstance(reason, str) and reason.startswith("not instantiable: ")
+
+    def broken(net):
+        raise TypeError("broken template")
+
+    monkeypatch.setitem(ast._PM_BUILDERS, "PM3", broken)
+    with pytest.raises(TypeError, match="broken template"):
+        builtin_metrics(motivating_srg)
+
+
 def test_pm2_matches_record_pair_scan(motivating_net, motivating_srg):
     # oracle: quadratic scan of record pairs for key-attribute collisions
     net = motivating_net
@@ -325,14 +344,14 @@ def test_ordered_record_comparison_raises_where_reached(motivating_net, motivati
     assert not verify(with_rows(motivating_srg, 0), formula).holds
     # never reached: the first row already satisfies the left operand
     reached = parse_dctl("exists r in R, [r.Id = r.Id | r < r]", motivating_net)
-    assert len(verify(motivating_srg, reached).sat_set) == 54
+    assert verify(motivating_srg, reached).sat_bits == ALL54
 
 
 def test_temporal_operator_below_quantifier_raises_where_reached(motivating_net, motivating_srg):
     formula = parse_dctl("forall r in R, [EX r.Id = id1]", motivating_net)
     with pytest.raises(EvalError, match="temporal operator nested below a quantifier"):
         verify(motivating_srg, formula)
-    assert sat(with_rows(motivating_srg, 0), formula) == set(range(54))
+    assert sat(with_rows(motivating_srg, 0), formula) == ALL54
 
 
 def test_unknown_attribute_in_a_block_raises_where_reached(motivating_net, motivating_srg):
@@ -352,7 +371,7 @@ def test_unknown_attribute_in_a_block_raises_where_reached(motivating_net, motiv
     )
     with pytest.raises(EvalError, match="unknown attribute Nope"):
         sat(motivating_srg, block)
-    assert sat(with_rows(motivating_srg, 1), block) == set(range(54))
+    assert sat(with_rows(motivating_srg, 1), block) == ALL54
 
 
 def test_join_plan_covers_two_variable_blocks(motivating_net):
@@ -374,11 +393,14 @@ def test_join_plan_covers_two_variable_blocks(motivating_net):
 
 
 def test_eval_atom_compares_whole_records_by_value(motivating_net, motivating_srg):
-    state = motivating_srg.states[0]
-    row = state.table[0]
-    same = ast.DataAtom(("var", "r"), "=", ("var", "s"))
-    assert eval_atom(state, same, motivating_net, {"r": row, "s": tuple(list(row))})
-    assert not eval_atom(state, same, motivating_net, {"r": row, "s": state.table[1]})
+    # the one-variable atoms make both names record variables and keep the
+    # join plan out, so the record loops compare each pair of rows: a copy
+    # of a row equals it, another row does not
+    same = parse_dctl("forall r in R, forall s in R, [r.Id != empty & s.Id != empty & r = s]", motivating_net)
+    assert sat(motivating_srg, same) == 0
+    doubled = with_rows(motivating_srg, 1)
+    doubled.states = [StateC(s.marking, s.data, s.table + (tuple(list(s.table[0])),), s.sigma) for s in doubled.states]
+    assert sat(doubled.finish(), same) == ALL54
 
 
 def test_quantifier_free_operand_without_arcs_skips_the_quotient():
@@ -386,10 +408,10 @@ def test_quantifier_free_operand_without_arcs_skips_the_quotient():
     net = parse_model(table_model(8))
     srg = build_srg(net, CONSTRAINED)
     verdict = verify(srg, parse_dctl("AG((forall r in R), [r.Id != empty])", net))
-    assert verdict.holds and len(verdict.sat_set) == 324
+    assert verdict.holds and verdict.sat_bits.bit_count() == 324
     assert "quotient" not in srg.evaluation.__dict__
     p3 = net.place_by_name["p3"].index
-    assert sat(srg, parse_dctl("!p3", net)) == {i for i, s in enumerate(srg.states) if not s.marking[p3]}
+    assert sat(srg, parse_dctl("!p3", net)) == bitset(i for i, s in enumerate(srg.states) if not s.marking[p3])
     assert "quotient" not in srg.evaluation.__dict__
 
 
@@ -417,7 +439,7 @@ def test_state_groups_follow_values_in_order_of_first_state():
 
 
 def metric_counts(srg):
-    return {name: (v.holds, len(v.sat_set)) for name, v in builtin_metrics(srg).items()}
+    return {name: (v.holds, v.sat_bits.bit_count()) for name, v in builtin_metrics(srg).items()}
 
 
 def test_duplicate_id_variant_verdicts():
@@ -433,9 +455,9 @@ def test_duplicate_id_variant_verdicts():
         "PM5": (False, 0),
     }
     unique = verify(srg, parse_dctl("forall r1 in R, forall r2 in R, [r1 != r2 -> r1.Id != r2.Id]", net))
-    assert (unique.holds, len(unique.sat_set), len(unique.pre_set)) == (False, 0, 285)
+    assert (unique.holds, unique.sat_bits, unique.pre_bits.bit_count()) == (False, 0, 285)
     shared = verify(srg, parse_dctl("exists r in R, [exists s in R, [r != s & r.Id = s.Id]]", net))
-    assert (shared.holds, len(shared.sat_set)) == (True, 285)
+    assert (shared.holds, shared.sat_bits.bit_count()) == (True, 285)
 
 
 def test_table16_metric_verdicts():
@@ -510,7 +532,7 @@ def test_pickled_formula_verifies_alike(motivating_net, motivating_srg):
 
 def test_verdicts_compare_by_fields_and_are_unhashable():
     verdict = Verdict(holds=False, sat_bits=0b101, pre_bits=0b111)
-    assert verdict.evidence is None and verdict.sat_set == {0, 2} and verdict.pre_set == {0, 1, 2}
+    assert verdict.evidence is None and not hasattr(verdict, "__dict__")
     assert verdict == Verdict(False, 0b101, 0b111) != Verdict(False, 0b101, 0b111, ["c0"])
     with pytest.raises(TypeError):
         hash(verdict)

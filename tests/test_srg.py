@@ -23,7 +23,6 @@ from wftc import (
     initial_state,
     parse_model,
     refine,
-    srg_stats,
 )
 from wftc.model import BOT, FALSE, TRUE, UNDEF
 from wftc.srg import FiringError, StateC, _settler, fresh_token
@@ -82,6 +81,8 @@ def test_refine_after_insert_extends_suffix(motivating_net, motivating_srg):
 def test_fresh_token_ignores_foreign_values():
     assert fresh_token("id", ["alice", "id2", "idx"]) == "id3"
     assert fresh_token("id", []) == "id1"
+    # a superscript is a digit to ``str.isdigit`` but no number to ``int``
+    assert fresh_token("license", ["license²", "license1"]) == "license2"
 
 
 def test_t0_enabled_initially(motivating_net):
@@ -162,15 +163,11 @@ def test_settled_guard_agrees_with_evaluate(motivating_net):
             assert settle(values, (), None) == guard.evaluate(values), (guard.name, values)
 
 def test_build_motivating_counts(motivating_srg):
-    stats = srg_stats(motivating_srg)
-    assert stats.state_count == 54
-    assert stats.pseudo_count == 0
+    assert (len(motivating_srg.states), sum(motivating_srg.pseudo)) == (54, 0)
 
 
 def test_build_wfd_counts(wfd_srg):
-    stats = srg_stats(wfd_srg)
-    assert stats.state_count == 147
-    assert stats.pseudo_count == 113
+    assert (len(wfd_srg.states), sum(wfd_srg.pseudo)) == (147, 113)
 
 
 # SHA-256 of export_json: counts alone would miss renumbered states,
@@ -221,9 +218,8 @@ def test_stats_on_initial_only():
 [FINAL] p1
 """
     )
-    stats = srg_stats(build_srg(net))
-    assert stats.state_count == 1
-    assert stats.arc_count == 0
+    srg = build_srg(net)
+    assert (len(srg.states), len(srg.edges)) == (1, 0)
 
 
 def test_state_ceiling(motivating_net):
@@ -362,9 +358,8 @@ def test_state_space_grows_with_table_size():
 def test_unconstrained_mode_on_table_backed_net(motivating_net):
     # constraint-unaware construction keeps the violating states around
     srg = build_srg(motivating_net, UNCONSTRAINED)
-    stats = srg_stats(srg)
-    assert stats.state_count > 54
-    assert stats.pseudo_count > 0
+    assert len(srg.states) > 54
+    assert sum(srg.pseudo) > 0
     retained = {s for i, s in enumerate(srg.states) if not srg.pseudo[i]}
     assert retained >= set(build_srg(motivating_net, CONSTRAINED).states)
 

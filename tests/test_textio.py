@@ -77,6 +77,17 @@ def test_serialize_is_byte_stable(motivating_net):
     assert once == again
 
 
+def test_long_guard_chains_round_trip():
+    # the parser nests a chain one level per operator, deeper than Python's
+    # recursion limit; the text of the guard walks it without recursion
+    conjuncts = " & ".join(["pi1", "(pi2 | pi3)"] * 1500)
+    disjuncts = " | ".join(["pi2", "!pi3"] * 1500)
+    text = fixture_text("motivating.wftc").replace("g1 = pi1 ;", f"g1 = {conjuncts} ;")
+    text = serialize_model(parse_model(text.replace("g2 = !pi1", f"g2 = {disjuncts}")))
+    assert f"  g1 = {conjuncts}\n" in text and f"  g2 = {disjuncts}\n" in text
+    assert serialize_model(parse_model(text)) == text
+
+
 def test_net_without_data_items_has_no_data_section(tiny_net):
     assert "[DATA]" not in serialize_model(tiny_net)
 
