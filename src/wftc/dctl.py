@@ -3,9 +3,9 @@
 Satisfaction sets are int bitsets over state ids, memoised per graph on
 the structure of the formula node, so formulas that share a subformula
 compute it once. Boolean structure is bitwise algebra; the temporal
-operators run the usual fixed-point algorithms (one-step predecessor
-image for EX, counter-based greatest fixed point for EG, least fixed
-points for the until forms). Quantifiers range over the records of each
+operators walk the arcs backwards in time linear in the graph (the
+predecessors for EX, least fixed points by arc counting for the until
+forms, and EG h as !AF !h). Quantifiers range over the records of each
 state's own table instance; a quantifier whose variable never accesses
 a schema attribute degenerates to a membership test of that name in the
 table's key column. State-local subformulas read only the marking and
@@ -510,19 +510,25 @@ def _members(bits: int) -> list[int]:
     return list(compress(range(bits.bit_length()), _flags(bits)))
 
 
-def _bits(states, n: int) -> int:
-    """The bitset of a collection of states below ``n``: a few states bit
-    by bit, more through a flag array, since each added bit copies the
-    whole int."""
-    if len(states) < 64:
-        result = 0
-        for i in states:
-            result |= 1 << i
-        return result
-    flags = bytearray(n)
-    for i in states:
-        flags[i] = 1
-    return _from_flags(flags)
+def _spread(verdicts: bytes, number: bytes | list[int]) -> int:
+    """The states whose group has a 1 in ``verdicts``, given the group
+    number of each state."""
+    if not any(verdicts):
+        return 0
+    digits = verdicts.translate(_TO_DIGITS).ljust(256, b"0")  # group number -> digit
+    text = number.translate(digits) if isinstance(number, bytes) else bytes(map(digits.__getitem__, number))
+    return int(text[::-1], 2)
+
+
+def _groups(number: list[int], count: int) -> tuple[list[int], bytes | list[int]]:
+    """The first state of each of ``count`` groups numbered in order of
+    first state, and the group numbers, as bytes when they fit, which
+    ``_spread`` translates at C speed."""
+    firsts: list[int] = []
+    for i, group in enumerate(number):
+        if group == len(firsts):
+            firsts.append(i)
+    return firsts, bytes(number) if count <= 256 else number
 
 
 class _Shapes:
@@ -580,23 +586,9 @@ class _Evaluation:
         self.srg, self.states, self.net = srg, srg.states, srg.net
         self.size = n = len(srg.states)
         self.everything = (1 << n) - 1
-        self.groups: dict[tuple[bool, bool], list] = {}
+        self.groups: dict[tuple[bool, bool], tuple] = {}  # see ``partition``
         self.shapes = shapes or _Shapes()
         self.memo: dict[int, int] = {}  # structural id -> satisfaction bitset
-
-    # the fixed points' view of the graph, built when one first runs here
-
-    @cached_property
-    def preds(self) -> list[set[int]]:
-        return [self.srg.predecessors(i) for i in range(self.size)]
-
-    @cached_property
-    def pred_masks(self) -> list[int]:
-        return [sum(1 << p for p in pre) for pre in self.preds]
-
-    @cached_property
-    def outdegree(self) -> list[int]:
-        return [len(self.srg.successors(i)) for i in range(self.size)]
 
     @cached_property
     def quotient(self) -> _Evaluation:
@@ -613,10 +605,8 @@ class _Evaluation:
         block, blocks = _bisimulation(self.srg)
         if blocks == self.size:
             return self
-        members: list[list[int]] = [[] for _ in range(blocks)]
-        for i, b in enumerate(block):
-            members[b].append(i)
-        first = [group[0] for group in members]
+        first, self.block = _groups(block, blocks)  # the block number of each state
+        self.lifted: dict[int, int] = {}  # quotient bitset -> its states; a few recur often
         graph = Srg(net=self.net, mode=self.srg.mode, initial=block[self.srg.initial])
         graph.states = [self.states[i] for i in first]
         graph.edges = [
@@ -625,7 +615,6 @@ class _Evaluation:
         graph.finish()
         quotient = _Evaluation(graph, self.shapes)
         quotient.quotient = quotient
-        self.block_masks = [_bits(ids, self.size) for ids in members]
         return quotient
 
     def decider(self, sid: int) -> _Evaluation:
@@ -639,15 +628,15 @@ class _Evaluation:
 
     def lift(self, bits: int) -> int:
         """The states of the quotient blocks in ``bits``."""
-        result = 0
-        for b in _members(bits):
-            result |= self.block_masks[b]
-        return result
+        lifted = self.lifted.get(bits)
+        if lifted is None:
+            lifted = self.lifted[bits] = _spread(_flags(bits, self.quotient.size), self.block)
+        return lifted
 
-    def partition(self, marking: bool, table: bool) -> list[tuple]:
-        """States grouped by marking, table, both or neither, as
-        ``(marking, table, mask)`` with the marking and table of the
-        group's first state."""
+    def partition(self, marking: bool, table: bool) -> tuple[list[tuple], bytes | list[int]]:
+        """States grouped by marking, table, both or neither: the marking
+        and table of each group's first state, groups in order of first
+        state, and the group number of each state."""
         key = (marking, table)
         if key not in self.groups:
             # states reached over arcs without table operations share their
@@ -655,27 +644,22 @@ class _Evaluation:
             # per object, not hashed once per state
             numbers: dict[int, int] = {}  # id of a table -> number of its value
             values: dict[tuple, int] = {}
-            members: dict[tuple, list[int]] = {}
-            for i, state in enumerate(self.states):
+            keys = []
+            for state in self.states:
                 number = None
                 if table:
                     number = numbers.get(id(state.table))
                     if number is None:
                         number = numbers[id(state.table)] = values.setdefault(state.table, len(values))
-                members.setdefault((state.marking if marking else None, number), []).append(i)
-            self.groups[key] = [
-                (self.states[ids[0]].marking, self.states[ids[0]].table, _bits(ids, self.size))
-                for ids in members.values()
-            ]
+                keys.append((state.marking if marking else None, number))
+            firsts, group = _groups(*_numbered(keys))
+            self.groups[key] = [(self.states[i].marking, self.states[i].table) for i in firsts], group
         return self.groups[key]
 
     def select(self, reads: tuple[bool, bool], holds) -> int:
         """States whose group satisfies ``holds(marking, table)``."""
-        result = 0
-        for marking, table, mask in self.partition(*reads):
-            if holds(marking, table):
-                result |= mask
-        return result
+        groups, group = self.partition(*reads)
+        return _spread(bytes([holds(marking, table) for marking, table in groups]), group)
 
     def sat(self, root: Formula) -> int:
         return self.evaluate(root, self.shapes.identify(root))
@@ -728,45 +712,37 @@ class _Evaluation:
 
     def ex(self, target: int) -> int:
         """States with at least one successor inside ``target``."""
-        result = 0
+        pre = self.srg.adjacency()[1]
+        found = bytearray(self.size)
         for i in _members(target):
-            result |= self.pred_masks[i]
-        return result
+            for pred in pre[i]:
+                found[pred] = 1
+        return _from_flags(found)
 
     def eg(self, hold: int) -> int:
-        """Greatest fixed point by successor counting.
-
-        A state stays while it either has a successor that stays or has no
-        successors at all (a maximal run that never leaves ``hold``).
-        """
-        alive = _flags(hold, self.size)
-        count = list(self.outdegree)
-        dead = _members(self.everything ^ hold)
-        while dead:
-            for pred in self.preds[dead.pop()]:
-                if alive[pred]:
-                    count[pred] -= 1
-                    if count[pred] == 0:
-                        alive[pred] = 0
-                        dead.append(pred)
-        return _from_flags(alive)
+        """States with a maximal run that never leaves ``hold``: those
+        where not every maximal run reaches a state outside it."""
+        return self.everything ^ self.au(self.everything, self.everything ^ hold)
 
     def eu(self, lhs: int, rhs: int) -> int:
-        """Least fixed point of  Q = rhs | (lhs & EX Q)  via backward walk."""
-        result = frontier = rhs
-        while frontier:
-            frontier = self.ex(frontier) & lhs & ~result
-            result |= frontier
-        return result
+        """Least fixed point of  Q = rhs | (lhs & EX Q)."""
+        return self.backward(lhs, rhs, [1] * self.size)
 
     def au(self, lhs: int, rhs: int) -> int:
         """Least fixed point of  Q = rhs | (lhs & AX Q & not deadlock)."""
+        return self.backward(lhs, rhs, list(map(len, self.srg.adjacency()[0])))
+
+    def backward(self, lhs: int, rhs: int, remaining: list[int]) -> int:
+        """The states of ``rhs``, and by a backward walk from them each
+        state ``i`` of ``lhs`` once ``remaining[i]`` of its arcs lead into
+        the result: one for EU, all of them for AU. A deadlock is a
+        predecessor of nothing, so it joins only from ``rhs``."""
+        pre = self.srg.adjacency()[1]
         result = _flags(rhs, self.size)
         allowed = _flags(lhs, self.size)
-        remaining = list(self.outdegree)
-        frontier = _members(rhs)
+        frontier = list(compress(range(self.size), result))
         while frontier:
-            for pred in self.preds[frontier.pop()]:
+            for pred in pre[frontier.pop()]:
                 remaining[pred] -= 1
                 if remaining[pred] == 0 and allowed[pred] and not result[pred]:
                     result[pred] = 1
@@ -804,7 +780,7 @@ def _bisimulation(srg: Srg) -> tuple[list[int], int]:
     blocks holding predecessors of its states back for another look, until
     no block splits. Blocks are then numbered by their first state, so the
     numbering does not depend on the hash seed."""
-    successors = [tuple(srg.successors(i)) for i in range(len(srg.states))]
+    post, pre = srg.adjacency()
     block, blocks = _numbered([state.marking for state in srg.states])
     members: list[list[int]] = [[] for _ in range(blocks)]
     for i, b in enumerate(block):
@@ -816,7 +792,7 @@ def _bisimulation(srg: Srg) -> tuple[list[int], int]:
         for b in todo:
             parts: dict[frozenset, list[int]] = {}
             for i in members[b]:
-                parts.setdefault(frozenset(map(get, successors[i])), []).append(i)
+                parts.setdefault(frozenset(map(get, post[i])), []).append(i)
             if len(parts) > 1:
                 moved += members[b]
                 members[b], *rest = parts.values()
@@ -824,7 +800,7 @@ def _bisimulation(srg: Srg) -> tuple[list[int], int]:
                     for i in part:
                         block[i] = len(members)
                     members.append(part)
-        todo = {block[p] for i in moved for p in srg.predecessors(i)}
+        todo = {block[p] for i in moved for p in pre[i]}
     return _numbered(block)
 
 
@@ -877,6 +853,10 @@ class Verdict(Struct):
 
     def __bool__(self):
         return self.holds
+
+    def __repr__(self) -> str:  # set sizes: Python prints no int of more than 4 300 digits
+        sizes = f"sat_count={self.sat_bits.bit_count()}, pre_count={self.pre_bits.bit_count()}"
+        return f"Verdict(holds={self.holds}, {sizes}, evidence={self.evidence!r})"
 
 
 def _quantifier_prefix(node: Formula) -> list[Quantifier]:

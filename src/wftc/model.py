@@ -207,18 +207,37 @@ class Guard(Frozen):
     def __init__(self, name: str, expr: tuple):
         self.name = name
         self.expr = expr
-        # the nodes with every operand before its operator, so that a long
-        # ``&`` or ``|`` chain evaluates without recursion
+        # every operand before its operator, each operator as ``(op,)``, so
+        # that a long ``&`` or ``|`` chain evaluates, compares, hashes and
+        # prints without recursion
         postfix = []
         stack = [expr]
         while stack:
             node = stack.pop()
-            postfix.append(node)
+            postfix.append(node if node[0] == "pi" else node[:1])
             if node[0] != "pi":
                 stack.extend(node[1:])
-        postfix.reverse()
-        self._postfix = tuple(postfix)
+        self._postfix = tuple(reversed(postfix))
         self._predicates = frozenset(node[1] for node in postfix if node[0] == "pi")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self._postfix) == (other.name, other._postfix)
+
+    def __hash__(self):
+        return hash((self.name, self._postfix))
+
+    def __repr__(self) -> str:
+        # ``expr`` as Python prints it: a node stacks ``(op``, its children between ``, `` and ``)``
+        pieces, stack = [], [self.expr]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str) or node[0] == "pi":
+                pieces.append(node if isinstance(node, str) else repr(node))
+            else:
+                stack += [")", *(x for child in reversed(node[1:]) for x in (child, ", ")), f"({node[0]!r}"]
+        return f"Guard(name={self.name!r}, expr={''.join(pieces)})"
 
     def predicates(self) -> frozenset[str]:
         return self._predicates

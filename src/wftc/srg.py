@@ -529,21 +529,22 @@ class Srg(Struct):
         return f"c{index}"
 
     def successors(self, index: int) -> set[int]:
-        if self._post is None:
-            self._link()
-        return self._post[index]
+        return set(self.adjacency()[0][index])
 
     def predecessors(self, index: int) -> set[int]:
-        if self._pre is None:
-            self._link()
-        return self._pre[index]
+        return set(self.adjacency()[1][index])
 
-    def _link(self):
-        self._post = [set() for _ in self.states]
-        self._pre = [set() for _ in self.states]
-        for src, _, dst in self.edges:
-            self._post[src].add(dst)
-            self._pre[dst].add(src)
+    def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per state, the targets of its arcs and the sources of the arcs
+        into it, one entry per arc in ``edges`` order."""
+        if self._post is None:
+            post: list[list[int]] = [[] for _ in self.states]
+            pre: list[list[int]] = [[] for _ in self.states]
+            for src, _, dst in self.edges:
+                post[src].append(dst)
+                pre[dst].append(src)
+            self._post, self._pre = post, pre
+        return self._post, self._pre
 
     def finish(self):
         # adjacency and formula-evaluation state (groups, memoised sat sets)

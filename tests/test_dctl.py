@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,30 +22,40 @@ from wftc import (
     verify,
 )
 from wftc import dctl as ast
-from wftc.dctl import EvalError, Verdict, _Compiler, _Evaluation, _members
+from wftc.dctl import EvalError, Verdict, _Compiler, _Evaluation
 from wftc.srg import Srg, StateC
 
 
 # ---------------------------------------------------------------------------
-# bounded-path oracles (independent of the fixed-point implementations)
+# bounded-path oracles (independent of the fixed-point implementations and
+# of the graph's own adjacency: they read ``srg.edges`` alone)
+
+
+def successor_sets(srg):
+    succ = [set() for _ in srg.states]
+    for src, _, dst in srg.edges:
+        succ[src].add(dst)
+    return succ
 
 
 def oracle_ex(srg, target):
-    return {i for i in range(len(srg.states)) if srg.successors(i) & target}
+    succ = successor_sets(srg)
+    return {i for i in range(len(srg.states)) if succ[i] & target}
 
 
 def oracle_eg(srg, hold):
     # some maximal path stays in `hold`: a lasso inside it or a dead end
+    succ = successor_sets(srg)
+
     def search(node, stack):
         if node not in hold:
             return False
         if node in stack:
             return True
-        succ = srg.successors(node)
-        if not succ:
+        if not succ[node]:
             return True
         stack.add(node)
-        ok = any(search(s, stack) for s in succ)
+        ok = any(search(s, stack) for s in succ[node])
         stack.discard(node)
         return ok
 
@@ -52,13 +63,15 @@ def oracle_eg(srg, hold):
 
 
 def oracle_eu(srg, lhs, rhs):
+    succ = successor_sets(srg)
+
     def search(node, seen):
         if node in rhs:
             return True
         if node not in lhs or node in seen:
             return False
         seen.add(node)
-        return any(search(s, seen) for s in srg.successors(node))
+        return any(search(s, seen) for s in succ[node])
 
     return {i for i in range(len(srg.states)) if search(i, set())}
 
@@ -66,16 +79,17 @@ def oracle_eu(srg, lhs, rhs):
 def oracle_au(srg, lhs, rhs):
     # every maximal path must reach `rhs` through `lhs`; a cycle or dead end
     # before `rhs` refutes it
+    succ = successor_sets(srg)
+
     def search(node, stack):
         if node in rhs:
             return True
         if node not in lhs or node in stack:
             return False
-        succ = srg.successors(node)
-        if not succ:
+        if not succ[node]:
             return False
         stack.add(node)
-        ok = all(search(s, stack) for s in succ)
+        ok = all(search(s, stack) for s in succ[node])
         stack.discard(node)
         return ok
 
@@ -93,6 +107,22 @@ def test_fixed_points_agree_with_path_oracles():
     rng = random.Random(1234)
     for _ in range(120):
         srg = make_random_srg(rng)
+        lhs, rhs = random_sets(rng, len(srg.states))
+        a, b = bitset(lhs), bitset(rhs)
+        assert sat_ex(srg, a) == bitset(oracle_ex(srg, lhs))
+        assert sat_eg(srg, a) == bitset(oracle_eg(srg, lhs))
+        assert sat_eu(srg, a, b) == bitset(oracle_eu(srg, lhs, rhs))
+        assert sat_au(srg, a, b) == bitset(oracle_au(srg, lhs, rhs))
+
+
+def test_fixed_points_agree_with_path_oracles_over_parallel_arcs():
+    # two transitions between one pair of states are two arcs of the
+    # adjacency but one successor of the oracles
+    rng = random.Random(4321)
+    for _ in range(60):
+        srg = make_random_srg(rng)
+        srg.edges += [(src, "u", dst) for src, _, dst in srg.edges if rng.random() < 0.5]
+        srg.finish()
         lhs, rhs = random_sets(rng, len(srg.states))
         a, b = bitset(lhs), bitset(rhs)
         assert sat_ex(srg, a) == bitset(oracle_ex(srg, lhs))
@@ -430,8 +460,28 @@ def test_state_groups_follow_values_in_order_of_first_state():
             for i, s in enumerate(states):
                 members.setdefault((s.marking if marking else None, s.table if table else None), set()).add(i)
             want = [(states[min(ids)].marking, states[min(ids)].table, ids) for ids in members.values()]
-            got = _Evaluation(srg).partition(marking, table)
-            assert [(m, t, set(_members(mask))) for m, t, mask in got] == want
+            groups, number = _Evaluation(srg).partition(marking, table)
+            assert len(number) == len(states)
+            got = [(m, t, {i for i, g in enumerate(number) if g == k}) for k, (m, t) in enumerate(groups)]
+            assert got == want
+
+
+def test_evaluator_memory_grows_linearly_with_the_graph():
+    # constrained table-64 has 3.7 times the states of table-32 (13 260 and
+    # 3 564); what the metrics leave behind (adjacency, groups, quotient,
+    # memoised bitsets) may grow at most 4.5 times, where one int of
+    # predecessor bits per state or one full-width mask per group grew it
+    # 7.5 times
+    retained = []
+    for n in (32, 64):
+        srg = build_srg(parse_model(table_model(n)), CONSTRAINED)
+        tracemalloc.start()
+        try:
+            builtin_metrics(srg)
+            retained.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+    assert retained[1] <= 4.5 * retained[0], retained
 
 
 # ---------------------------------------------------------------------------
@@ -536,3 +586,11 @@ def test_verdicts_compare_by_fields_and_are_unhashable():
     assert verdict == Verdict(False, 0b101, 0b111) != Verdict(False, 0b101, 0b111, ["c0"])
     with pytest.raises(TypeError):
         hash(verdict)
+
+
+def test_verdict_repr_prints_set_sizes_at_any_graph_size():
+    # Python prints no int of more than 4 300 digits, about 14 300 bits
+    every = (1 << 20_000) - 1
+    verdict = Verdict(False, every ^ 1, every, ["c0"])
+    assert repr(verdict) == "Verdict(holds=False, sat_count=19999, pre_count=20000, evidence=['c0'])"
+    assert repr(Verdict(True, 0b101, 0b111)) == "Verdict(holds=True, sat_count=2, pre_count=3, evidence=None)"

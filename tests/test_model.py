@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from wftc import constraint_consistent, parse_model, validate_workflow_structure
+from conftest import fixture_text
+from wftc import constraint_consistent, parse_model, serialize_model, validate_workflow_structure
 from wftc.model import (
     BOT,
     FALSE,
@@ -229,6 +230,19 @@ def test_cached_fields_are_left_out():
     assert repr(state) == "StateC(marking=(1,), data=(None,), table=(('id1',),), sigma=('U',))"
     # equal to a state whose table is another tuple of the same records
     assert state == StateC((1,), (None,), tuple([("id1",)]), (BOT,))
+
+
+def test_guard_of_3000_conjuncts_prints_compares_and_hashes():
+    # the parser nests a chain one level per operator: 2 999 here
+    text = fixture_text("motivating.wftc").replace("g1 = pi1 ;", "g1 = " + " & ".join(["pi1"] * 3000) + " ;")
+    net = parse_model(text)
+    guard = net.guards["g1"]
+    expr = "('and', " * 2999 + "('pi', 'pi1')" + ", ('pi', 'pi1'))" * 2999
+    assert repr(guard) == f"Guard(name='g1', expr={expr})"
+    again = parse_model(serialize_model(net))
+    assert again == net and again.guards["g1"] == guard and hash(again.guards["g1"]) == hash(guard)
+    assert guard != Guard("g1", ("and", ("pi", "pi1"), guard.expr))
+    assert Guard("g", ("pi", "and")) != Guard("g", ("and", ("pi", "a"), ("pi", "b")))
 
 
 def test_mutable_classes_are_unhashable(motivating_srg):

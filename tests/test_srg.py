@@ -381,6 +381,11 @@ def assert_adjacency_matches_edges(srg):
     post, pre = adjacency_from_edges(srg)
     assert [srg.successors(i) for i in range(len(srg.states))] == post
     assert [srg.predecessors(i) for i in range(len(srg.states))] == pre
+    # the lists the evaluator reads hold every arc once, in edge order
+    arcs = [(src, dst) for src, _, dst in srg.edges]
+    post, pre = srg.adjacency()
+    assert [(src, dst) for src, dsts in enumerate(post) for dst in dsts] == sorted(arcs, key=lambda arc: arc[0])
+    assert [(src, dst) for dst, srcs in enumerate(pre) for src in srcs] == sorted(arcs, key=lambda arc: arc[1])
 
 
 @pytest.mark.parametrize("name", ["motivating.wftc", "motivating-wfd.wftc"])
@@ -410,4 +415,10 @@ def test_finish_drops_stale_adjacency(motivating_net):
     srg.edges = srg.edges[:-1]
     srg.finish()
     assert 0 not in srg.successors(0)
+    assert_adjacency_matches_edges(srg)
+    # a second transition between the same two states is a second arc
+    src, _, dst = srg.edges[0]
+    srg.edges = srg.edges + [(src, "t9", dst)]
+    srg.finish()
+    assert srg.adjacency()[0][src].count(dst) == 2 and dst in srg.successors(src)
     assert_adjacency_matches_edges(srg)
