@@ -123,6 +123,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # resolved before the graph exists, so that compiling the evaluator
+    # does not add its transient memory to the graph's
+    verify = _dctl("verify")
     srg = _build(args)
     texts = list(args.formula or [])
     for path in args.formula_file or []:
@@ -132,15 +135,16 @@ def cmd_verify(args) -> int:
         raise ParseError("no formula given (use --formula or --formula-file)")
     # parsed and verified one at a time, as the report reads them
     checked = (
-        (f"phi{i}", _dctl("verify")(srg, parse_dctl(text, srg.net)), {"text": text})
+        (f"phi{i}", verify(srg, parse_dctl(text, srg.net)), {"text": text})
         for i, text in enumerate(texts, start=1)
     )
     return _report(args, srg, checked)
 
 
 def cmd_metrics(args) -> int:
+    builtin_metrics = _dctl("builtin_metrics")  # before the build, as in ``cmd_verify``
     srg = _build(args)
-    results = _dctl("builtin_metrics")(srg)
+    results = builtin_metrics(srg)
     return _report(args, srg, ((name, verdict, {}) for name, verdict in results.items()))
 
 

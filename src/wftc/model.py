@@ -228,6 +228,11 @@ class Guard(Frozen):
     def __hash__(self):
         return hash((self.name, self._postfix))
 
+    def __reduce__(self):
+        # the flat postfix form, not the nested ``expr``: pickle and deepcopy
+        # recurse once per nesting level of what they are handed
+        return _guard_from_postfix, (self.name, self._postfix)
+
     def __repr__(self) -> str:
         # ``expr`` as Python prints it: a node stacks ``(op``, its children between ``, `` and ``)``
         pieces, stack = [], [self.expr]
@@ -258,6 +263,21 @@ class Guard(Frozen):
                 right = values.pop()
                 values[-1] = (values[-1] and right) if op == "and" else (values[-1] or right)
         return TRUE if values[0] else FALSE
+
+
+def _guard_from_postfix(name: str, postfix: tuple) -> Guard:
+    """The guard whose ``_postfix`` is ``postfix``, its ``expr`` rebuilt
+    without recursion."""
+    stack = []
+    for node in postfix:
+        if node[0] == "pi":
+            stack.append(node)
+        elif node[0] == "not":
+            stack.append(("not", stack.pop()))
+        else:
+            right = stack.pop()
+            stack.append((node[0], stack.pop(), right))
+    return Guard(name, stack[0])
 
 
 # A constraint is a disjunction of conjunctions of guard literals,

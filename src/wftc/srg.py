@@ -189,6 +189,9 @@ class _Plan:
         sources += [op.where_source for op in net.dele.get(t, ()) + net.upd.get(t, ())]
         sources += [s for op in net.upd.get(t, ()) for _, s in op.sets]
         self.reads = _values_at(sorted({item(name) for kind, name in sources if kind == "item"}))
+        # a transition that writes, assigns and changes nothing has one
+        # successor data tuple, its parent's with the deleted items cleared
+        self.plain = not (written or self.assigns or self.ins or self.edits)
         self.width = len(net.schema.attributes) if net.schema is not None else 0
         ref = net.guard_of.get(t)
         self.guard = None
@@ -423,9 +426,9 @@ def _apply_table_ops(plan: _Plan, table: tuple, data: tuple, store: _Store) -> t
 
 def _sigma_after(plan: _Plan, parent_sigma, data: tuple, table: tuple, mode, store: _Store) -> list[tuple]:
     """Successor guard valuations: each guard ``plan`` settles is
-    undetermined over an unwritten item, else takes its value
-    (constrained) or branches over both (unconstrained, and constrained
-    when the net has no table to decide a membership)."""
+    undetermined over an unwritten item, else branches over both values
+    unevaluated (unconstrained) or takes its value (constrained), and
+    branches when that is undetermined (no table to decide a membership)."""
     if not plan.settle:
         return [parent_sigma]
     sigma = list(parent_sigma)
@@ -435,15 +438,19 @@ def _sigma_after(plan: _Plan, parent_sigma, data: tuple, table: tuple, mode, sto
         values = deps(data)
         if UNDEF in values:
             sigma[gi] = BOT
+        elif mode == UNCONSTRAINED:
+            choices.append(gi)
         else:
             key = (gi, tid) + values
             value = settled.get(key)
             if value is None:
                 value = settled[key] = settle(data, table, store.rows)
-            if mode == UNCONSTRAINED or value == BOT:
+            if value == BOT:
                 choices.append(gi)
-                value = BOT
             sigma[gi] = value
+    if not choices:
+        valuation = tuple(sigma)
+        return [store.tables.setdefault(valuation, valuation)]
     out = []
     for combo in itertools.product((TRUE, FALSE), repeat=len(choices)):
         for i, value in zip(choices, combo):
@@ -471,30 +478,40 @@ def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED, *, store=
             marking[i] += 1
         marking = plan.moves[state.marking] = tuple(marking)
 
-    base = list(state.data)
-    for i in plan.dt:
-        base[i] = UNDEF
-    domains = [refine(net, state, d, scope, store=store) for d, scope in plan.refined]
+    data = state.data
+    if plan.dt:
+        data = list(data)
+        for i in plan.dt:
+            data[i] = UNDEF
+        data = tuple(data)
+    # (data, table) after each write combination that selects something
+    if plan.plain:
+        written = [(data, table)]
+    else:
+        written = []
+        base = list(data)
+        domains = [refine(net, state, d, scope, store=store) for d, scope in plan.refined]
+        for combo in itertools.product(*domains):
+            data = base.copy()
+            for i, value in zip(plan.wt, combo):
+                data[i] = value
+            probe = tuple(data)
+            for i, scope in plan.assigns:
+                values = store.values(scope, probe, table)
+                if not values:
+                    break  # this write combination selects nothing
+                data[i] = values[0]
+            else:
+                data = tuple(data)
+                written.append((data, _apply_table_ops(plan, table, data, store)))
 
     successors = []
-    for combo in itertools.product(*domains):
-        data = base.copy()
-        for i, value in zip(plan.wt, combo):
-            data[i] = value
-        probe = tuple(data)
-        for i, scope in plan.assigns:
-            values = store.values(scope, probe, table)
-            if not values:
-                break  # this write combination selects nothing
-            data[i] = values[0]
-        else:
-            data = tuple(data)
-            after = _apply_table_ops(plan, table, data, store)
-            after_hash = store.hashes[id(after)]
-            for sigma in _sigma_after(plan, state.sigma, data, after, mode, store):
-                if mode != CONSTRAINED or compiled.consistent(sigma):
-                    successors.append(StateC(marking, data, after, sigma, after_hash))
-    return list(dict.fromkeys(successors))
+    for data, after in written:
+        after_hash = store.hashes[id(after)]
+        for sigma in _sigma_after(plan, state.sigma, data, after, mode, store):
+            if mode != CONSTRAINED or compiled.consistent(sigma):
+                successors.append(StateC(marking, data, after, sigma, after_hash))
+    return successors if len(successors) < 2 else list(dict.fromkeys(successors))
 
 
 # ---------------------------------------------------------------------------
@@ -581,25 +598,24 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
     srg.states.append(root)
     compiled = _compiled(net)
     srg.pseudo.append(not compiled.consistent(root.sigma))
-    queue = deque([root])
+    # a state is queued with its number: taking it needs no lookup in ``index``
+    queue = deque([(0, root)])
     candidates = compiled.candidates
     store = _Store()
 
     while queue:
-        state = queue.popleft()
-        sid = index[state]
+        sid, state = queue.popleft()
         for t in candidates(state.marking):
             if not enabled(net, state, t, store=store):
                 continue
             for succ in fire(net, state, t, mode, store=store):
-                dst = index.get(succ)
-                if dst is None:
-                    if len(srg.states) >= ceiling:
+                dst = index.setdefault(succ, len(srg.states))
+                if dst == len(srg.states):
+                    if dst >= ceiling:
                         raise ResourceLimitError(f"state ceiling of {ceiling} states exceeded")
-                    dst = index[succ] = len(srg.states)
                     srg.states.append(succ)
                     srg.pseudo.append(mode == UNCONSTRAINED and not compiled.consistent(succ.sigma))
-                    queue.append(succ)
+                    queue.append((dst, succ))
                 # each (state, transition) pair is fired once and ``fire``
                 # returns distinct successors, so no edge repeats
                 srg.edges.append((sid, t, dst))

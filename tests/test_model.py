@@ -245,6 +245,17 @@ def test_guard_of_3000_conjuncts_prints_compares_and_hashes():
     assert Guard("g", ("pi", "and")) != Guard("g", ("and", ("pi", "a"), ("pi", "b")))
 
 
+def test_net_with_a_guard_of_3000_conjuncts_pickles_and_deep_copies():
+    text = fixture_text("motivating.wftc").replace("g1 = pi1 ;", "g1 = " + " & ".join(["pi1"] * 3000) + " ;")
+    net = parse_model(text)
+    # protocols 0 and 1 cannot pickle a class with ``__slots__``, such as ``WftcNet``
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(net, protocol))
+        assert back == net and repr(back.guards["g1"]) == repr(net.guards["g1"])
+    twin = copy.deepcopy(net)
+    assert twin == net and repr(twin.guards["g1"]) == repr(net.guards["g1"])
+
+
 def test_mutable_classes_are_unhashable(motivating_srg):
     for value in (
         WftcNet(),

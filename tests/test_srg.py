@@ -162,6 +162,32 @@ def test_settled_guard_agrees_with_evaluate(motivating_net):
         for values in combos + combos:
             assert settle(values, (), None) == guard.evaluate(values), (guard.name, values)
 
+def test_unconstrained_build_never_settles_a_guard(monkeypatch):
+    # an unconstrained firing branches each guard it settles over TRUE and
+    # FALSE, so it has no use for the guard's value
+    from conftest import fixture_text
+
+    calls = []
+
+    def counted_settler(guard, bound):
+        settle = _settler(guard, bound)
+
+        def counted(*args):
+            calls.append(guard.name)
+            return settle(*args)
+
+        return counted
+
+    monkeypatch.setattr(wftc.srg, "_settler", counted_settler)
+    for name, states in (("motivating.wftc", 1481), ("motivating-wfd.wftc", 147)):
+        assert len(build_srg(parse_model(fixture_text(name)), UNCONSTRAINED).states) == states
+    assert calls == []
+    # the same nets built constrained do call the wrapped settlers
+    for name in ("motivating.wftc", "motivating-wfd.wftc"):
+        build_srg(parse_model(fixture_text(name)), CONSTRAINED)
+    assert calls
+
+
 def test_build_motivating_counts(motivating_srg):
     assert (len(motivating_srg.states), sum(motivating_srg.pseudo)) == (54, 0)
 
