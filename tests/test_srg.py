@@ -202,7 +202,7 @@ PINNED_GRAPHS = [
     ("motivating.wftc", CONSTRAINED, "a32af85afc401100aed9530704bacf349ae91d3f978cd8413ca4b5edd97adc24"),
     ("motivating.wftc", UNCONSTRAINED, "ccfdf0995243453cfa8e174771f23c162330f6291f95aa07414676a772042d8f"),
     ("motivating-wfd.wftc", UNCONSTRAINED, "1df116436241396577ff3b3c55568dd905f51079958b9d11d083b3069dc2419e"),
-    # ``table_model(4)``: 4 341 states and 7 226 arcs, 3 630 of them pseudo
+    # ``table_model(4)``: 4 341 states, 3 630 of them pseudo, and 7 226 arcs
     ("table-4", UNCONSTRAINED, "a2eb2f069c6b3c1a4afaaa5fa62ee58a82de1b00fb92a3f7ca1447f19fbe312f"),
 ]
 
