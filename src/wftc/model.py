@@ -34,8 +34,9 @@ class EvalError(Exception):
 class Struct:
     """Base of the package's plain classes: an instance equals another of
     the same class whose ``_fields`` are equal. Subclasses list their
-    fields in ``__slots__`` and write their own ``__init__``, which keeps
-    start-up cheap (README, "Start-up")."""
+    fields in ``__slots__`` and write their own ``__init__``, which takes
+    the fields in ``_fields`` order and keeps start-up cheap (README,
+    "Start-up")."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -54,21 +55,21 @@ class Struct:
             fields.append(f"{name}={getattr(self, name)!r}")
         return f"{type(self).__name__}({', '.join(fields)})"
 
+    def __reduce__(self):
+        # pickled and copied through ``__init__``, which derives anew what
+        # a subclass caches or indexes: string hashes differ between
+        # processes, and a net's compiled plans hold closures
+        return type(self), self._astuple()
+
 
 class Frozen(Struct):
     """A ``Struct`` whose fields never change after ``__init__``, so it
-    hashes by them; ``Struct`` itself is unhashable. ``__init__`` takes
-    the fields in ``_fields`` order."""
+    hashes by them; ``Struct`` itself is unhashable."""
 
     __slots__ = ()
 
     def __hash__(self) -> int:
         return hash(self._astuple())
-
-    def __reduce__(self):
-        # unpickled through ``__init__``, which recomputes what a subclass
-        # caches: string hashes differ between processes
-        return type(self), self._astuple()
 
 
 # ---------------------------------------------------------------------------
@@ -197,52 +198,26 @@ class Predicate(Frozen):
 
 
 # Guard expressions are trees over predicate names:
-#   ("pi", name) | ("not", e) | ("and", e, e) | ("or", e, e)
+#   ("pi", name) | ("not", e) | ("and", e, e, ...) | ("or", e, e, ...)
+# The parser gives a chain of one operator one node, so an expression nests
+# only as deep as its text's brackets.
 
 
 class Guard(Frozen):
-    __slots__ = ("name", "expr", "_predicates", "_postfix")
+    __slots__ = ("name", "expr", "_predicates")
     _fields = ("name", "expr")
 
     def __init__(self, name: str, expr: tuple):
         self.name = name
         self.expr = expr
-        # every operand before its operator, each operator as ``(op,)``, so
-        # that a long ``&`` or ``|`` chain evaluates, compares, hashes and
-        # prints without recursion
-        postfix = []
-        stack = [expr]
+        predicates, stack = set(), [expr]
         while stack:
             node = stack.pop()
-            postfix.append(node if node[0] == "pi" else node[:1])
-            if node[0] != "pi":
-                stack.extend(node[1:])
-        self._postfix = tuple(reversed(postfix))
-        self._predicates = frozenset(node[1] for node in postfix if node[0] == "pi")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.name, self._postfix) == (other.name, other._postfix)
-
-    def __hash__(self):
-        return hash((self.name, self._postfix))
-
-    def __reduce__(self):
-        # the flat postfix form, not the nested ``expr``: pickle and deepcopy
-        # recurse once per nesting level of what they are handed
-        return _guard_from_postfix, (self.name, self._postfix)
-
-    def __repr__(self) -> str:
-        # ``expr`` as Python prints it: a node stacks ``(op``, its children between ``, `` and ``)``
-        pieces, stack = [], [self.expr]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, str) or node[0] == "pi":
-                pieces.append(node if isinstance(node, str) else repr(node))
+            if node[0] == "pi":
+                predicates.add(node[1])
             else:
-                stack += [")", *(x for child in reversed(node[1:]) for x in (child, ", ")), f"({node[0]!r}"]
-        return f"Guard(name={self.name!r}, expr={''.join(pieces)})"
+                stack.extend(node[1:])
+        self._predicates = frozenset(predicates)
 
     def predicates(self) -> frozenset[str]:
         return self._predicates
@@ -252,32 +227,20 @@ class Guard(Frozen):
         # whole guard undetermined, regardless of absorption
         if any(pi_values[p] == BOT for p in self._predicates):
             return BOT
-        values = []
-        for node in self._postfix:
+
+        def holds(node) -> bool:
             op = node[0]
             if op == "pi":
-                values.append(pi_values[node[1]] == TRUE)
-            elif op == "not":
-                values[-1] = not values[-1]
-            else:
-                right = values.pop()
-                values[-1] = (values[-1] and right) if op == "and" else (values[-1] or right)
-        return TRUE if values[0] else FALSE
+                return pi_values[node[1]] == TRUE
+            if op == "not":
+                return not holds(node[1])
+            decisive = op == "or"  # the operand value that decides the chain
+            for operand in node[1:]:  # a loop, not ``all``: one frame per level
+                if holds(operand) == decisive:
+                    return decisive
+            return not decisive
 
-
-def _guard_from_postfix(name: str, postfix: tuple) -> Guard:
-    """The guard whose ``_postfix`` is ``postfix``, its ``expr`` rebuilt
-    without recursion."""
-    stack = []
-    for node in postfix:
-        if node[0] == "pi":
-            stack.append(node)
-        elif node[0] == "not":
-            stack.append(("not", stack.pop()))
-        else:
-            right = stack.pop()
-            stack.append((node[0], stack.pop(), right))
-    return Guard(name, stack[0])
+        return TRUE if holds(self.expr) else FALSE
 
 
 # A constraint is a disjunction of conjunctions of guard literals,

@@ -541,6 +541,7 @@ class Srg(Struct):
         self.initial = initial
         self.pseudo = [] if pseudo is None else pseudo
         self.build_millis = build_millis
+        self.finish()
 
     def state_id(self, index: int) -> str:
         return f"c{index}"
@@ -572,12 +573,15 @@ class Srg(Struct):
 
 def state_limit() -> int:
     raw = os.environ.get(STATE_LIMIT_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ModelError(f"{STATE_LIMIT_ENV} must be an integer, got {raw!r}")
-    return DEFAULT_STATE_LIMIT
+    if not raw:
+        return DEFAULT_STATE_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ModelError(f"{STATE_LIMIT_ENV} must be a positive integer, got {raw!r}")
+    return limit
 
 
 def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -> Srg:

@@ -337,34 +337,49 @@ class _BoolParser:
             raise ParseError(f"trailing tokens in expression", self.lineno)
         return node
 
+    # a bracket level costs three frames, parse_or, parse_and and
+    # parse_unary; each collects its operands in a loop
     def parse_or(self):
-        node = self.parse_and()
+        operands = [self.parse_and()]
         while self.peek() == "|":
             self.eat()
-            node = ("or", node, self.parse_and())
-        return node
+            operands.append(self.parse_and())
+        return _chain_node("or", operands)
 
     def parse_and(self):
-        node = self.parse_unary()
+        operands = [self.parse_unary()]
         while self.peek() == "&":
             self.eat()
-            node = ("and", node, self.parse_unary())
-        return node
+            operands.append(self.parse_unary())
+        return _chain_node("and", operands)
 
     def parse_unary(self):
-        tok = self.peek()
-        if tok == "!":
+        # a run of ``!`` is one negation or none: ``!!x`` is ``x``, as a
+        # guard is undetermined whenever any of its predicates is
+        negate = False
+        while self.peek() == "!":
             self.eat()
-            return ("not", self.parse_unary())
+            negate = not negate
+        tok = self.peek()
         if tok == "(":
             self.eat()
             node = self.parse_or()
             self.eat(")")
-            return node
-        if tok is None or tok in "&|)":
+        elif tok is None or tok in "&|)":
             raise ParseError("dangling operator in expression", self.lineno)
-        self.eat()
-        return ("pi", tok)
+        else:
+            self.eat()
+            node = ("pi", tok)
+        return ("not", node) if negate else node
+
+
+def _chain_node(op: str, operands: list) -> tuple:
+    """One ``op`` node over ``operands``, with the operands of a bracketed
+    ``op`` chain spliced in; a lone operand as it is."""
+    node = [op]
+    for operand in operands:
+        node += operand[1:] if operand[0] == op else (operand,)
+    return tuple(node) if len(node) > 2 else node[1]
 
 
 def _parse_guards(net: WftcNet, lines):
@@ -398,20 +413,6 @@ def _parse_constraints(net: WftcNet, lines):
     net.constraints = tuple(constraints)
 
 
-def _chain(node, op) -> list:
-    """The operands of a chain of ``op`` nodes, left to right, with a stack
-    instead of recursion: the parser nests a long chain one level per
-    operator."""
-    out, stack = [], [node]
-    while stack:
-        node = stack.pop()
-        if node[0] == op:
-            stack += (node[2], node[1])
-        else:
-            out.append(node)
-    return out
-
-
 def _to_dnf(expr, lineno) -> tuple:
     # constraints must already be shaped as a disjunction of conjunctions
     # of guard literals
@@ -422,7 +423,10 @@ def _to_dnf(expr, lineno) -> tuple:
             return (node[1][1], False)
         raise ParseError("constraint literals must be a guard or its negation", lineno)
 
-    return tuple(tuple(map(literal, _chain(d, "and"))) for d in _chain(expr, "or"))
+    def operands(node, op):
+        return node[1:] if node[0] == op else (node,)
+
+    return tuple(tuple(map(literal, operands(d, "and"))) for d in operands(expr, "or"))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +537,7 @@ def _expr_text(expr) -> str:
         inner = _expr_text(expr[1])
         return f"!{inner}" if expr[1][0] == "pi" else f"!({inner})"
     parts = []
-    for child in _chain(expr, op):
+    for child in expr[1:]:
         text = _expr_text(child)
         parts.append(f"({text})" if op == "and" and child[0] == "or" else text)
     return (" & " if op == "and" else " | ").join(parts)

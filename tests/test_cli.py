@@ -348,9 +348,9 @@ def model_with(tmp_path, good, bad):
     return str(model)
 
 
-# a guard that parses by recursion deeper than the stack: the model text
-# it replaces, and its replacement
-DEEP_MODELS = {"negations": ("g2 = !pi1", "g2 = " + "!" * 990 + "pi1")}
+# a guard that parses by recursion deeper than the stack, three parser
+# frames per bracket: the model text it replaces, and its replacement
+DEEP_MODELS = {"brackets": ("g2 = !pi1", "g2 = !" + "(" * 990 + "pi1" + ")" * 990)}
 
 
 @pytest.mark.parametrize("good, bad", DEEP_MODELS.values(), ids=DEEP_MODELS)
@@ -359,12 +359,24 @@ def test_model_too_deep_for_the_stack_exits_resource(tmp_path, good, bad):
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_RESOURCE, "", DEEP_ERROR)
 
 
+def nested_guard(depth: int) -> str:
+    """``pi1`` under ``depth`` brackets, each joining ``pi1`` by ``&`` or
+    ``|`` in turn, which absorbs to ``pi1``."""
+    text = "pi1"
+    for level in range(depth):
+        text = f"(pi1 {'&|'[level % 2]} {text})"
+    return text
+
+
 # a guard or constraint of 3 000 operands in one flat chain, which the
-# parser nests one level per operator: the text it replaces, its
-# replacement and the (states, arcs) of the graph
+# parser gives one node, a run of 991 ``!`` it reads as one, and a guard
+# 320 brackets deep: the text it replaces, its replacement and the
+# (states, arcs) of the graph
 LONG_MODELS = {
     "guard-chain": ("g1 = pi1 ;", "g1 = " + " & ".join(["pi1"] * 3000) + " ;", (54, 73)),
     "constraint": ("  (g1 & !g2) | (!g1 & g2)\n", "  " + " | ".join(["(g1 & !g2)"] * 3000) + "\n", (41, 56)),
+    "negations": ("g2 = !pi1", "g2 = " + "!" * 991 + "pi1", (54, 73)),
+    "brackets-320": ("g1 = pi1 ;", f"g1 = {nested_guard(320)} ;", (54, 73)),
 }
 
 
@@ -388,6 +400,14 @@ def test_superscript_table_cell_builds(tmp_path):
 def test_missing_file_exit_code(capsys):
     code, _, _ = run(capsys, "build", "/nonexistent.wftc")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("limit", ["abc", "1e3", "0", "-5"])
+def test_bad_state_limit_exits_usage(capsys, monkeypatch, limit):
+    monkeypatch.setenv("WFTC_STATE_LIMIT", limit)
+    code, out, err = run(capsys, "build", MOTIVATING)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: WFTC_STATE_LIMIT must be a positive integer, got {limit!r}\n"
 
 
 def test_state_ceiling_exit_code(capsys, monkeypatch):

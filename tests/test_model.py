@@ -27,7 +27,7 @@ from wftc.model import (
     ValidationReport,
     WftcNet,
 )
-from wftc.srg import StateC
+from wftc.srg import StateC, build_srg
 
 
 def test_motivating_net_is_valid(motivating_net):
@@ -233,11 +233,11 @@ def test_cached_fields_are_left_out():
 
 
 def test_guard_of_3000_conjuncts_prints_compares_and_hashes():
-    # the parser nests a chain one level per operator: 2 999 here
+    # the parser gives a chain one node over all its operands
     text = fixture_text("motivating.wftc").replace("g1 = pi1 ;", "g1 = " + " & ".join(["pi1"] * 3000) + " ;")
     net = parse_model(text)
     guard = net.guards["g1"]
-    expr = "('and', " * 2999 + "('pi', 'pi1')" + ", ('pi', 'pi1'))" * 2999
+    expr = "('and', " + ", ".join(["('pi', 'pi1')"] * 3000) + ")"
     assert repr(guard) == f"Guard(name='g1', expr={expr})"
     again = parse_model(serialize_model(net))
     assert again == net and again.guards["g1"] == guard and hash(again.guards["g1"]) == hash(guard)
@@ -248,12 +248,27 @@ def test_guard_of_3000_conjuncts_prints_compares_and_hashes():
 def test_net_with_a_guard_of_3000_conjuncts_pickles_and_deep_copies():
     text = fixture_text("motivating.wftc").replace("g1 = pi1 ;", "g1 = " + " & ".join(["pi1"] * 3000) + " ;")
     net = parse_model(text)
-    # protocols 0 and 1 cannot pickle a class with ``__slots__``, such as ``WftcNet``
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(net, protocol))
         assert back == net and repr(back.guards["g1"]) == repr(net.guards["g1"])
     twin = copy.deepcopy(net)
     assert twin == net and repr(twin.guards["g1"]) == repr(net.guards["g1"])
+
+
+def test_net_pickles_before_and_after_a_build():
+    net = parse_model(fixture_text("motivating.wftc"))
+    for built in (False, True):
+        if built:
+            build_srg(net)  # compiles plans that hold closures
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(net, protocol))
+            assert back == net and back.compiled is None, (built, protocol)
+            srg = build_srg(back)
+            assert (len(srg.states), len(srg.edges)) == (54, 73), (built, protocol)
+            srg.adjacency()  # built on first use, and left out of the pickle
+            again = pickle.loads(pickle.dumps(srg, protocol))
+            assert again == srg and again._post is None, (built, protocol)
+            assert again.successors(0) == srg.successors(0), (built, protocol)
 
 
 def test_mutable_classes_are_unhashable(motivating_srg):

@@ -123,8 +123,8 @@ class Reference:
             if e[0] == "not":
                 return not holds(e[1])
             if e[0] == "and":
-                return holds(e[1]) and holds(e[2])
-            return holds(e[1]) or holds(e[2])
+                return all(holds(x) for x in e[1:])
+            return any(holds(x) for x in e[1:])
 
         return T if holds(expr) else F
 

@@ -77,9 +77,32 @@ def test_serialize_is_byte_stable(motivating_net):
     assert once == again
 
 
+@pytest.mark.parametrize(
+    "guard, printed",
+    [
+        ("pi3 & (pi4 & pi5)", "pi3 & pi4 & pi5"),
+        ("(pi3 & pi4) & pi5", "pi3 & pi4 & pi5"),
+        ("pi3 | (pi4 | pi5)", "pi3 | pi4 | pi5"),
+        ("!!pi3 & pi4", "pi3 & pi4"),
+        ("pi3 & !(pi4 | !!!pi5)", "pi3 & !(pi4 | !pi5)"),
+    ],
+)
+def test_guard_round_trips(guard, printed):
+    # a bracketed chain of the same operator joins the chain around it
+    net = parse_model(fixture_text("motivating.wftc").replace("g6 = pi3 & pi4 & pi5", f"g6 = {guard}"))
+    text = serialize_model(net)
+    assert f"  g6 = {printed}\n" in text
+    assert parse_model(text) == net
+
+
+def test_double_negation_in_a_constraint_is_the_guard(motivating_net):
+    text = fixture_text("motivating.wftc").replace("(g1 & !g2) | (!g1 & g2)", "(!!g1 & !!!g2) | (!g1 & !!g2)")
+    assert parse_model(text) == motivating_net
+
+
 def test_long_guard_chains_round_trip():
-    # the parser nests a chain one level per operator, deeper than Python's
-    # recursion limit; the text of the guard walks it without recursion
+    # the parser gives a chain one node over its operands, and the text of
+    # the guard lists them in order
     conjuncts = " & ".join(["pi1", "(pi2 | pi3)"] * 1500)
     disjuncts = " | ".join(["pi2", "!pi3"] * 1500)
     text = fixture_text("motivating.wftc").replace("g1 = pi1 ;", f"g1 = {conjuncts} ;")
