@@ -25,7 +25,6 @@ import operator
 from functools import cached_property
 from itertools import compress, count, islice
 
-from . import textio
 from .model import UNDEF, EvalError, Frozen, Struct, token_key
 from .srg import Srg, fresh_token
 
@@ -113,6 +112,28 @@ class AU(_Binary):
 
 # the node classes; a ``Formula`` annotation names an instance of one
 Formula = (TrueF, PlaceAtom, DataAtom, Quantifier, Not, And, Or, EX, EG, EU, AU)
+
+
+# derived operators, expanded into the nodes above wherever a formula is built
+def implies(lhs: Formula, rhs: Formula) -> Formula:
+    return Or(Not(lhs), rhs)
+
+
+def AX(inner: Formula) -> Formula:
+    # all successors satisfy it and there is a successor
+    return And(Not(EX(Not(inner))), EX(TrueF()))
+
+
+def EF(inner: Formula) -> Formula:
+    return EU(TrueF(), inner)
+
+
+def AF(inner: Formula) -> Formula:
+    return AU(TrueF(), inner)
+
+
+def AG(inner: Formula) -> Formula:
+    return Not(EF(Not(inner)))
 
 
 def formula_text(node: Formula) -> str:
@@ -239,11 +260,14 @@ class _Compiler:
     Every ``EvalError`` (unbound variable, unknown attribute or place,
     ordered comparison of whole records, temporal operator below a
     quantifier) is still raised only when evaluation reaches it, so an
-    error on a path that no table reaches changes no verdict."""
+    error on a path that no table reaches changes no verdict. ``marking``
+    and ``table`` record whether the compiled code reads either; nothing
+    state-local reads the data items or the guard values."""
 
     def __init__(self, net):
         self.net = net
         self.width = 0  # positions handed out
+        self.marking = self.table = False
 
     def position(self) -> int:
         self.width += 1
@@ -326,6 +350,7 @@ class _Compiler:
         if isinstance(node, TrueF):
             return _const(True)
         if isinstance(node, PlaceAtom):
+            self.marking = True
             place = self.net.place_by_name.get(node.place)
             if place is None:
                 return _raise(f"unknown place {node.place}")
@@ -343,6 +368,7 @@ class _Compiler:
             return lambda m, t, env: lhs(m, t, env) or rhs(m, t, env)
         if not isinstance(node, Quantifier):
             return _raise("temporal operator nested below a quantifier")
+        self.table = True
         var = node.var
         if not _record_variable(self.net, node):
             body = self.code(node.body, {**scope, var: var})
@@ -463,26 +489,11 @@ def _pairs(rows: tuple, key):
 
 
 def _compile(node: Formula, net):
-    """A state-local subformula as a function of ``(marking, table)``."""
+    """Whether a state-local subformula reads the marking and the table,
+    and the subformula as a function of ``(marking, table)``."""
     compiler = _Compiler(net)
     code, width = compiler.code(node, {}), compiler.width
-    return lambda marking, table: code(marking, table, [None] * width)
-
-
-def _reads(node: Formula) -> tuple[bool, bool]:
-    """Whether a state-local subformula reads the marking and whether it
-    reads the table. Nothing state-local reads the data items or the guard
-    values: comparisons only see constants and quantifier bindings."""
-    if isinstance(node, PlaceAtom):
-        return True, False
-    if isinstance(node, Quantifier):
-        return _reads(node.body)[0], True
-    if isinstance(node, Not):
-        return _reads(node.inner)
-    if isinstance(node, (And, Or)):
-        (m1, t1), (m2, t2) = _reads(node.lhs), _reads(node.rhs)
-        return m1 or m2, t1 or t2
-    return False, False
+    return (compiler.marking, compiler.table), lambda marking, table: code(marking, table, [None] * width)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +719,7 @@ class _Evaluation:
         if isinstance(node, AU):
             return self.au(*args)
         # state-local: place atoms, comparisons, quantifiers
-        return self.select(_reads(node), _compile(node, self.net))
+        return self.select(*_compile(node, self.net))
 
     def ex(self, target: int) -> int:
         """States with at least one successor inside ``target``."""
@@ -913,8 +924,11 @@ def verify(srg: Srg, node: Formula) -> Verdict:
 PM_NAMES = ("PM1", "PM2", "PM3", "PM4", "PM5")
 
 
-def _fresh(net, column: str, item: str) -> str:
-    return fresh_token(item, net.column_values(column, net.initial_records))
+def _fresh(net, column: str) -> str:
+    """A token that no initial record holds in ``column``, named after the
+    item an ``in`` predicate binds to the column, or else after the column."""
+    bound = (pi.item for pi in net.predicates.values() if pi.kind == "in" and pi.column == column)
+    return fresh_token(next(bound, column.lower()), net.column_values(column, net.initial_records))
 
 
 def _two_keys(net):
@@ -926,79 +940,73 @@ def _two_keys(net):
     return keys[0], keys[1]
 
 
-def _pm1(net) -> str:
+def _pm1(net) -> Formula:
+    # EX((forall k1 in R, forall k2 in R), [k1 != k2 -> k1.v1 < k2.v2])
     first, second = _two_keys(net)
     if len(net.schema.attributes) < 2:
         raise EvalError("needs a second attribute")
     col = net.column_values(net.schema.attributes[1], net.initial_records)
     if len(col) < 2:
         raise EvalError("needs two values in the second column")
-    return (
-        f"EX((forall {first} in R, forall {second} in R), "
-        f"[{first} != {second} -> {first}.{col[0]} < {second}.{col[1]}])"
-    )
+    differ = DataAtom(("var", first), "!=", ("var", second))
+    ordered = DataAtom(("attr", first, col[0]), "<", ("attr", second, col[1]))
+    return EX(Quantifier("forall", first, Quantifier("forall", second, implies(differ, ordered))))
 
 
-def _pm2(net) -> str:
+def _pm2(net) -> Formula:
+    # AG((forall r1 in R, forall r2 in R), [r1 != r2 -> r1.Key != r2.Key])
     _two_keys(net)
     key = net.schema.attributes[0]
-    return f"AG((forall r1 in R, forall r2 in R), [r1 != r2 -> r1.{key} != r2.{key}])"
+    differ = DataAtom(("var", "r1"), "!=", ("var", "r2"))
+    apart = DataAtom(("attr", "r1", key), "!=", ("attr", "r2", key))
+    return AG(Quantifier("forall", "r1", Quantifier("forall", "r2", implies(differ, apart))))
 
 
-def _pm3(net) -> str:
-    return f"EF {net.end}"
+def _pm3(net) -> Formula:
+    return EF(PlaceAtom(net.end))
 
 
-def _pm4(net) -> str:
+def _pm4(net) -> Formula:
+    # AX((exists k1 in R), [k1.v3 != empty])
     first, _ = _two_keys(net)
     if len(net.schema.attributes) < 3:
         raise EvalError("needs a third attribute")
     third = net.column_values(net.schema.attributes[2], net.initial_records)
     if not third:
         raise EvalError("needs a value in the third column")
-    return f"AX((exists {first} in R), [{first}.{third[0]} != empty])"
+    return AX(Quantifier("exists", first, DataAtom(("attr", first, third[0]), "!=", ("empty",))))
 
 
-def _pm5(net) -> str:
-    # a row key and an attribute value that never occur initially
+def _pm5(net) -> Formula:
+    # E((forall k in R), [k != empty U k.v = empty]) for a row key k and an
+    # attribute value v that never occur initially
     _two_keys(net)
     if len(net.schema.attributes) < 2:
         raise EvalError("needs a second attribute")
-    key, second = net.schema.attributes[0], net.schema.attributes[1]
-    fresh_key = _fresh(net, key, _bound_item(net, key))
-    fresh_val = _fresh(net, second, _bound_item(net, second))
-    return (
-        f"E((forall {fresh_key} in R), "
-        f"[{fresh_key} != empty U {fresh_key}.{fresh_val} = empty])"
-    )
+    key, value = _fresh(net, net.schema.attributes[0]), _fresh(net, net.schema.attributes[1])
+    defined = Quantifier("forall", key, DataAtom(("var", key), "!=", ("empty",)))
+    cleared = Quantifier("forall", key, DataAtom(("attr", key, value), "=", ("empty",)))
+    return EU(defined, cleared)
 
 
 _PM_BUILDERS = {"PM1": _pm1, "PM2": _pm2, "PM3": _pm3, "PM4": _pm4, "PM5": _pm5}
 
 
-def metric_formulas(net) -> dict[str, str]:
-    """Instantiate the five metric templates against the loaded net;
-    raises EvalError for templates the net cannot express."""
+def metric_formulas(net) -> dict[str, Formula]:
+    """Instantiate the five metric templates against the loaded net as
+    formula trees, so that any token of its table, a key named ``EX`` or
+    a cell ``license²``, fits; raises EvalError for templates the net
+    cannot express."""
     return {name: _PM_BUILDERS[name](net) for name in PM_NAMES}
-
-
-def _bound_item(net, column: str) -> str:
-    for pi in net.predicates.values():
-        if pi.kind == "in" and pi.column == column:
-            return pi.item
-    # fall back to the lowercase column name
-    return column.lower()
 
 
 def builtin_metrics(srg: Srg) -> dict[str, "Verdict | str"]:
     """Evaluate every metric template; templates the net cannot host
     report the reason per metric instead of a verdict."""
-    net = srg.net
     results: dict[str, Verdict | str] = {}
     for name in PM_NAMES:
         try:
-            formula = _PM_BUILDERS[name](net)
-            results[name] = verify(srg, textio.parse_dctl(formula, net))
-        except (EvalError, textio.ParseError) as exc:  # reported per metric, never fatal
+            results[name] = verify(srg, _PM_BUILDERS[name](srg.net))
+        except EvalError as exc:  # reported per metric, never fatal
             results[name] = f"not instantiable: {exc}"
     return results

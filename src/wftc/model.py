@@ -200,7 +200,9 @@ class Predicate(Frozen):
 # Guard expressions are trees over predicate names:
 #   ("pi", name) | ("not", e) | ("and", e, e, ...) | ("or", e, e, ...)
 # The parser gives a chain of one operator one node, so an expression nests
-# only as deep as its text's brackets.
+# only as deep as its text's brackets. A hand-built "and"/"or" chain must not
+# sit directly inside a chain of the same operator: ``serialize_model`` writes
+# the two as one chain, which parses back as one node.
 
 
 class Guard(Frozen):

@@ -601,8 +601,9 @@ class DctlParser:
     last non-blank character when the formula ends early.
 
     Precedence: ! binds tightest, then &, then |, then ->. Temporal
-    operators are prefix; E(a U b) / A(a U b) carry the until form.
-    Derived operators are expanded at parse time.
+    operators are prefix; E(a U b) / A(a U b) carry the until form. A
+    prefix operator is built by the ``dctl`` constructor of its name and
+    -> by ``dctl.implies``: ``dctl`` is the one home of the derived ones.
     """
 
     TEMPORAL = {"EX", "AX", "EF", "AF", "EG", "AG"}
@@ -673,7 +674,7 @@ class DctlParser:
             node = self.parse_or(first)
             if self.at("->"):
                 self.next()
-                return dctl.Or(dctl.Not(node), self.parse_implies())
+                return dctl.implies(node, self.parse_implies())
             return node
         finally:
             self.depth -= 5
@@ -703,7 +704,7 @@ class DctlParser:
                 return dctl.Not(self.parse_unary())
             if tok.kind == "name" and tok.text in self.TEMPORAL:
                 self.next()
-                return self._temporal(tok.text, self.parse_unary())
+                return getattr(dctl, tok.text)(self.parse_unary())
             if tok.kind == "name" and tok.text in ("E", "A"):
                 return self.parse_until(tok.text)
             if tok.text == "(":
@@ -715,23 +716,6 @@ class DctlParser:
             raise ParseError(f"unexpected token {tok.text!r}", column=tok.pos + 1)
         finally:
             self.depth -= 1
-
-    def _temporal(self, op, inner):
-        if op == "EX":
-            return dctl.EX(inner)
-        if op == "AX":
-            # all successors satisfy it and there is a successor
-            return dctl.And(
-                dctl.Not(dctl.EX(dctl.Not(inner))), dctl.EX(dctl.TrueF())
-            )
-        if op == "EF":
-            return dctl.EU(dctl.TrueF(), inner)
-        if op == "AF":
-            return dctl.AU(dctl.TrueF(), inner)
-        if op == "EG":
-            return dctl.EG(inner)
-        # AG f == !EF !f
-        return dctl.Not(dctl.EU(dctl.TrueF(), dctl.Not(inner)))
 
     def parse_until(self, path_quantifier):
         # E(a U b). A quantifier prefix before a bracketed until quantifies
@@ -848,10 +832,9 @@ class DctlParser:
         if tok is not None and tok.kind == "cmp":
             self.next()
             rhs = self.parse_term()
-            # bare names inside comparisons are constant tokens
-            return dctl.DataAtom(_norm_term(term), tok.text, _norm_term(rhs))
+            return dctl.DataAtom(term, tok.text, rhs)
         # bare name: constant / place / keyword
-        if term[0] != "name":
+        if term[0] != "const":
             raise ParseError(
                 "comparison expected", column=self.end_column if tok is None else tok.pos + 1
             )
@@ -883,7 +866,7 @@ class DctlParser:
             return ("empty",)
         if name in self.bound:
             return ("var", name)
-        return ("name", name)
+        return ("const", name)  # an unbound bare name is a constant token
 
 
 def parse_dctl(text: str, net: WftcNet | None = None):
@@ -908,12 +891,6 @@ def _levels(root) -> int:
         deepest = max(deepest, level)
         stack.extend((sub, level + 1) for sub in dctl.subformulas(node))
     return deepest
-
-
-def _norm_term(term):
-    if term[0] == "name":
-        return ("const", term[1])
-    return term
 
 
 # ---------------------------------------------------------------------------

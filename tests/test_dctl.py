@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import bitset, fixture_text, make_random_srg, requirement_texts, table_model
+from conftest import METRIC_TEXTS, bitset, fixture_text, make_random_srg, requirement_texts, table_model
 from wftc import (
     CONSTRAINED,
     UNCONSTRAINED,
@@ -326,11 +326,13 @@ def test_metrics_without_table(tiny_net):
 
 
 def test_metrics_report_only_what_the_net_cannot_host(motivating_srg, monkeypatch):
-    # a template text that does not parse is a reason; any other error is a
-    # fault of the program and propagates
-    monkeypatch.setitem(ast._PM_BUILDERS, "PM3", lambda net: "EF (")
-    reason = builtin_metrics(motivating_srg)["PM3"]
-    assert isinstance(reason, str) and reason.startswith("not instantiable: ")
+    # an EvalError from a template is a reason; any other error is a fault
+    # of the program and propagates
+    def unhosted(net):
+        raise EvalError("needs a fourth attribute")
+
+    monkeypatch.setitem(ast._PM_BUILDERS, "PM3", unhosted)
+    assert builtin_metrics(motivating_srg)["PM3"] == "not instantiable: needs a fourth attribute"
 
     def broken(net):
         raise TypeError("broken template")
@@ -338,6 +340,20 @@ def test_metrics_report_only_what_the_net_cannot_host(motivating_srg, monkeypatc
     monkeypatch.setitem(ast._PM_BUILDERS, "PM3", broken)
     with pytest.raises(TypeError, match="broken template"):
         builtin_metrics(motivating_srg)
+
+
+@pytest.mark.parametrize(
+    "model, pm5",
+    [
+        (fixture_text("motivating.wftc"), METRIC_TEXTS["PM5"]),
+        (table_model(8), "E((forall id9 in R), [id9 != empty U id9.license9 = empty])"),
+    ],
+    ids=["motivating", "table-8"],
+)
+def test_metric_trees_equal_their_parsed_texts(model, pm5):
+    net = parse_model(model)
+    texts = {**METRIC_TEXTS, "PM5": pm5}
+    assert ast.metric_formulas(net) == {name: parse_dctl(text, net) for name, text in texts.items()}
 
 
 def test_pm2_matches_record_pair_scan(motivating_net, motivating_srg):

@@ -418,9 +418,9 @@ def test_table8_metrics_and_quantified_formulas():
     net = parse_model(table_model(8))
     srg = build_srg(net, CONSTRAINED)
     assert len(srg.states) == 324
-    texts = list(metric_formulas(net).values()) + TABLE_FORMULAS
-    for text in texts:
-        assert_agrees(srg, parse_dctl(text, net))
+    formulas = list(metric_formulas(net).values()) + [parse_dctl(text, net) for text in TABLE_FORMULAS]
+    for formula in formulas:
+        assert_agrees(srg, formula)
 
 
 def test_table8_metric_sat_counts(tmp_path, capsys):

@@ -588,7 +588,7 @@ def test_prefix_forms_nest_to_the_bound(motivating_net, shape):
 def test_the_net_resolves_places_only(motivating_net):
     # the evaluator alone decides whether v.attr reads a column or is the
     # token attr, so the tree is the same with and without the net
-    for text in formula_seeds(motivating_net):
+    for text in formula_seeds():
         assert on_fresh_stack(parse_dctl, text, motivating_net) == on_fresh_stack(parse_dctl, text), text
     licence = parse_dctl("(forall r in R, [r.Licence != empty])", motivating_net)
     assert licence == ast.Quantifier("forall", "r", ast.DataAtom(("attr", "r", "Licence"), "!=", ("empty",)))

@@ -47,7 +47,6 @@ BUILD_SPANS = {
             1,
             BUILD_SPANS
             | {
-                "textio.parse_dctl": 5,
                 "dctl.builtin_metrics": 1,
                 "dctl.verify": 5,
                 "dctl.precondition_set": 3,
