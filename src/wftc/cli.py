@@ -39,7 +39,7 @@ def _dctl(name: str):
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # a byte-order mark is no content
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None

@@ -3,8 +3,7 @@
 A net couples a classic workflow net (places, transitions, flow relation
 with one source and one sink place) with a relational table, abstract data
 items, per-transition read/write/delete labels, table operation
-descriptors, three-valued predicates, guards and a constraint set over
-guard values.
+descriptors, predicates, guards and a constraint set over guard values.
 """
 
 from __future__ import annotations
@@ -146,7 +145,9 @@ def column_of(table, col: int) -> list[str]:
 
 
 class Predicate(Frozen):
-    """Three-valued condition over data items and the table.
+    """Condition over a data item and the table, true or false once the
+    item is written; a guard over an unwritten item is undetermined
+    (``srg._sigma_after``).
 
     kinds:
       in   -- item value occurs in a table column      in(id, User.Id)
@@ -166,35 +167,22 @@ class Predicate(Frozen):
         self.column = column
         self.const = const
 
-    def depends_on(self) -> frozenset[str]:
-        return frozenset((self.item,))
-
     def bind(self, net: WftcNet):
-        """This predicate as a function of a data tuple (declaration
-        order), a table and ``rows(table, column index, value)``, which
-        gives the table's rows holding the value in that column; the item
-        position and the membership column are resolved once."""
+        """This predicate, true or false, as a function of a data tuple
+        (declaration order) that holds its item, a table and ``rows(table,
+        column index, value)``, the table's rows holding the value in that
+        column; item position and membership column are resolved once."""
         pos = net.data_items.index(self.item)
         if self.kind == "def":
-            return lambda data, table, rows: BOT if data[pos] is UNDEF else TRUE
+            return lambda data, table, rows: True
         if self.kind == "eq":
             const = self.const
-            return lambda data, table, rows: (
-                BOT if data[pos] is UNDEF else TRUE if data[pos] == const else FALSE
-            )
-        # membership; a net without the referenced table cannot decide it
+            return lambda data, table, rows: data[pos] == const
         schema = net.schema
         if schema is None or schema.name != self.table:
-            return lambda data, table, rows: BOT
+            raise ModelError(f"predicate {self.name} needs table {self.table} which is not declared")
         col = schema.attr_index(self.column)
-
-        def member(data, table, rows) -> str:
-            value = data[pos]
-            if value is UNDEF:
-                return BOT
-            return TRUE if rows(table, col, value) else FALSE
-
-        return member
+        return lambda data, table, rows: bool(rows(table, col, data[pos]))
 
 
 # Guard expressions are trees over predicate names:
@@ -224,25 +212,34 @@ class Guard(Frozen):
     def predicates(self) -> frozenset[str]:
         return self._predicates
 
-    def evaluate(self, pi_values: dict) -> str:
-        # strict three-valued logic: any undetermined predicate makes the
-        # whole guard undetermined, regardless of absorption
-        if any(pi_values[p] == BOT for p in self._predicates):
-            return BOT
+    def bind(self, bound: dict):
+        """``expr`` as one function of a data tuple, a table and a row
+        lookup, true or false, over the ``Predicate.bind`` functions in
+        ``bound``; ``srg`` calls it once the predicates' items are written."""
 
-        def holds(node) -> bool:
+        def function(node):
             op = node[0]
             if op == "pi":
-                return pi_values[node[1]] == TRUE
+                if node[1] not in bound:
+                    raise ModelError(f"guard {self.name} references unknown predicate {node[1]}")
+                return bound[node[1]]
             if op == "not":
-                return not holds(node[1])
+                inner = function(node[1])
+                return lambda data, table, rows: not inner(data, table, rows)
+            operands = []
+            for operand in node[1:]:  # a loop, not a comprehension: one frame per level
+                operands.append(function(operand))
             decisive = op == "or"  # the operand value that decides the chain
-            for operand in node[1:]:  # a loop, not ``all``: one frame per level
-                if holds(operand) == decisive:
-                    return decisive
-            return not decisive
 
-        return TRUE if holds(self.expr) else FALSE
+            def chain(data, table, rows) -> bool:
+                for operand in operands:  # a loop, not ``all``: one frame per level
+                    if operand(data, table, rows) == decisive:
+                        return decisive
+                return not decisive
+
+            return chain
+
+        return function(self.expr)
 
 
 # A constraint is a disjunction of conjunctions of guard literals,
@@ -368,8 +365,7 @@ class WftcNet(Struct):
     )
     # the lookup tables that ``_index`` derives from the fields
     __slots__ = _fields + (
-        "place_by_name", "transition_by_name", "guard_order", "_pre", "_post", "guard_deps",
-        "compiled",
+        "place_by_name", "transition_by_name", "guard_order", "_pre", "_post", "compiled",
     )
 
     def __init__(
@@ -430,15 +426,6 @@ class WftcNet(Struct):
             pre.setdefault(dst, set()).add(src)
         self._pre = {n: frozenset(nodes) for n, nodes in pre.items()}
         self._post = {n: frozenset(nodes) for n, nodes in post.items()}
-        # data items each guard's predicates depend on; drives both the
-        # undefined fallback and which guards a firing settles. Guards may
-        # name undeclared predicates; validation reports them
-        self.guard_deps = {
-            g.name: frozenset().union(
-                *(self.predicates[p].depends_on() for p in g.predicates() if p in self.predicates),
-            )
-            for g in self.guards.values()
-        }
         # per-transition firing plans, compiled by ``srg`` on first use;
         # a net changed after indexing is re-indexed, which drops them
         self.compiled = None

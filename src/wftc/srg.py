@@ -155,7 +155,7 @@ class _Plan:
     place, item and column positions, scopes, value sources, the guard
     value it requires and the guards it settles."""
 
-    def __init__(self, net: WftcNet, t: str, settlers: dict):
+    def __init__(self, net: WftcNet, t: str, guards: list):
         item = net.data_items.index
         self.pre = tuple(net.place_by_name[p].index for p in net.preset(t))
         self.post = tuple(net.place_by_name[p].index for p in net.postset(t))
@@ -199,33 +199,15 @@ class _Plan:
             self.guard = (net.guard_order.index(ref.guard), TRUE if ref.positive else FALSE)
         # the guards the firing settles (those over an item it writes or
         # deletes; items filled by a select assignment do not count), with
-        # the positions of the items they depend on and the function that
-        # evaluates them; every other guard keeps its value, which is
+        # the positions of the items their predicates read and their bound
+        # functions; every other guard keeps its value, which is
         # undetermined while one of its items is unwritten
         moved = set(written) | set(net.dt.get(t, ()))
         self.settle = tuple(
-            (gi, _values_at(tuple(map(item, deps))), settlers[name])
-            for gi, (name, deps) in enumerate(net.guard_deps.items())
-            if deps & moved
+            (gi, _values_at(tuple(map(item, items))), settle)
+            for gi, (settle, items) in enumerate(guards)
+            if items & moved
         )
-
-
-def _settler(guard, bound: dict):
-    """``guard`` as a function of a data tuple, a table and a row lookup
-    (``_Store.rows``), with ``Guard.evaluate`` memoised on the tuple of
-    its predicate values."""
-    names = tuple(guard.predicates())
-    preds = tuple(bound[name] for name in names)
-    memo = {}
-
-    def settle(data: tuple, table: tuple, rows) -> str:
-        key = tuple([pi(data, table, rows) for pi in preds])
-        value = memo.get(key)
-        if value is None:
-            value = memo[key] = guard.evaluate(dict(zip(names, key)))
-        return value
-
-    return settle
 
 
 class _Compiled:
@@ -235,11 +217,13 @@ class _Compiled:
 
     def __init__(self, net: WftcNet):
         bound = {name: pi.bind(net) for name, pi in net.predicates.items()}
-        # none for a guard naming an undeclared predicate; validation reports it
-        settlers = {
-            name: _settler(g, bound) for name, g in net.guards.items() if g.predicates() <= bound.keys()
-        }
-        self.plans = {t.name: _Plan(net, t.name, settlers) for t in net.transitions}
+        # per guard in declaration order, its function, bound first so that an
+        # undeclared predicate is a ``ModelError``, and its predicates' items
+        guards = [
+            (g.bind(bound), frozenset(net.predicates[p].item for p in g.predicates()))
+            for g in net.guards.values()
+        ]
+        self.plans = {t.name: _Plan(net, t.name, guards) for t in net.transitions}
         self.guard_order = tuple(net.guard_order)
         self.constraints = net.constraints
         self._candidates: dict[tuple, list[str]] = {}
@@ -357,6 +341,11 @@ def refine(net: WftcNet, state: StateC, item: str, scope=None, *, store=None) ->
 # enabling and firing
 
 
+def _check_mode(mode: str):
+    if mode not in (CONSTRAINED, UNCONSTRAINED):
+        raise ModelError(f"unknown mode {mode!r}")
+
+
 def _plan(net: WftcNet, t: str) -> _Plan:
     plan = _compiled(net).plans.get(t)
     if plan is None:
@@ -427,8 +416,7 @@ def _apply_table_ops(plan: _Plan, table: tuple, data: tuple, store: _Store) -> t
 def _sigma_after(plan: _Plan, parent_sigma, data: tuple, table: tuple, mode, store: _Store) -> list[tuple]:
     """Successor guard valuations: each guard ``plan`` settles is
     undetermined over an unwritten item, else branches over both values
-    unevaluated (unconstrained) or takes its value (constrained), and
-    branches when that is undetermined (no table to decide a membership)."""
+    unevaluated (unconstrained) or takes its value (constrained)."""
     if not plan.settle:
         return [parent_sigma]
     sigma = list(parent_sigma)
@@ -444,9 +432,7 @@ def _sigma_after(plan: _Plan, parent_sigma, data: tuple, table: tuple, mode, sto
             key = (gi, tid) + values
             value = settled.get(key)
             if value is None:
-                value = settled[key] = settle(data, table, store.rows)
-            if value == BOT:
-                choices.append(gi)
+                value = settled[key] = TRUE if settle(data, table, store.rows) else FALSE
             sigma[gi] = value
     if not choices:
         valuation = tuple(sigma)
@@ -463,6 +449,7 @@ def _sigma_after(plan: _Plan, parent_sigma, data: tuple, table: tuple, mode, sto
 def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED, *, store=None) -> list[StateC]:
     """All successor configurations of firing ``t``, after constraint
     filtering in constrained mode."""
+    _check_mode(mode)
     plan = _plan(net, t)
     store = _Store() if store is None else store
     table = store.intern(state.table)
@@ -591,8 +578,7 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
     already dropped by ``fire``; in unconstrained mode they are kept and
     flagged pseudo. The build's ``_Store`` goes when it returns.
     """
-    if mode not in (CONSTRAINED, UNCONSTRAINED):
-        raise ModelError(f"unknown mode {mode!r}")
+    _check_mode(mode)
     ceiling = state_limit() if limit is None else limit
     started = time.perf_counter()
 

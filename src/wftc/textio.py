@@ -839,6 +839,8 @@ class DctlParser:
                 "comparison expected", column=self.end_column if tok is None else tok.pos + 1
             )
         name = term[1]
+        if name in ("true", "false", "deadlock") and self.net is not None and self.net.is_place(name):
+            raise ParseError(f"{name!r} is both a keyword and a place of the net", column=start.pos + 1)
         if name == "true":
             return dctl.TrueF()
         if name == "false":

@@ -417,6 +417,73 @@ def test_superscript_table_cell_builds(tmp_path):
     assert (report["stateCount"], report["arcCount"]) == (54, 73)
 
 
+# malformed variants of ``motivating.wftc``: the text replaced, its
+# replacement and how the message ends, where ``{line}`` is the line of the
+# replaced text
+MALFORMED_MODELS = {
+    "place-and-transition": ("[TRANSITIONS] t0", "[TRANSITIONS] p0 t0", "names used as both place and transition: ['p0']"),
+    "duplicate-arc": ("p0->t0", "p0->t0 p0->t0", "duplicate arc 'p0->t0' at line {line}"),
+    "table-header": ("User(Id, License, Copy)", "User Id, License, Copy", "malformed table header 'User Id, License, Copy' at line {line}"),
+    "table-no-attributes": ("User(Id, License, Copy)", "User()", "table needs at least one attribute at line {line}"),
+    "ops-before-transition": ("t0: wt(id", "wt(id", "operation line without a transition: 'wt(id, password) sel(User.Id)' at line {line}"),
+    "malformed-ins": ("ins(User: Id=id)", "ins(User Id=id)", "malformed ins(User Id=id) at line {line}"),
+    "malformed-del": ("t12: dt(license)", "t12: del(User License)", "malformed del(User License) at line {line}"),
+    "duplicate-predicate": ("pi4 = eq(id, id2)", "pi1 = eq(id, id2)", "duplicate predicate pi1 at line {line}"),
+    "duplicate-guard": ("g2 = !pi1", "g1 = !pi1", "duplicate guard g1 at line {line}"),
+    "two-guards": ("t16:g6", "t16:g6 t16:g5", "transition t16 mapped to two guards at line {line}"),
+    "guard-trailing-tokens": ("pi3 & pi4 & pi5", "pi3 & pi4 pi5", "trailing tokens in expression at line {line}"),
+    "guard-dangling-and": ("pi3 & pi4 & pi5", "pi3 & pi4 &", "dangling operator in expression at line {line}"),
+    "constraint-literal": ("(g5 & !g6) |", "(g5 & !(g6 | g5)) |", "constraint literals must be a guard or its negation at line {line}"),
+    "initial-undeclared": ("[INITIAL] p0", "[INITIAL] p99", "start place 'p99' not declared"),
+    "final-undeclared": ("[FINAL] p13", "[FINAL] p99", "end place 'p99' not declared"),
+    "membership-without-table": (
+        "[TABLE] User(Id, License, Copy)\n  id1, license1, copy1\n  id2, license2, copy2\n",
+        "",
+        "predicate pi3 needs table User which is not declared",
+    ),
+}
+
+
+@pytest.mark.parametrize("good, bad, message", MALFORMED_MODELS.values(), ids=MALFORMED_MODELS)
+def test_malformed_model_exits_usage(capsys, tmp_path, good, bad, message):
+    text = fixture_text("motivating.wftc")
+    assert text.count(good) == 1
+    message = message.format(line=text[: text.index(good)].count("\n") + 1)
+    code, out, err = run(capsys, "build", model_with(tmp_path, good, bad))
+    # one line naming the problem, and no escaped exception
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("keyword", ["true", "false", "deadlock"])
+def test_keyword_named_place_is_a_parse_error(capsys, tmp_path, keyword):
+    # the end place named like a keyword would silently be the keyword
+    model = model_with(tmp_path, "p13", keyword)
+    code, out, err = run(capsys, "verify", model, "--formula", f"EF {keyword}")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {keyword!r} is both a keyword and a place of the net, column 4\n"
+
+
+def test_byte_order_mark_is_no_content(capsys, tmp_path):
+    model = tmp_path / "bom.wftc"
+    model.write_bytes(b"\xef\xbb\xbf" + fixture_text("motivating.wftc").encode("utf-8"))
+    code, out, err = run(capsys, "build", str(model), "--output", "json")
+    assert (code, err) == (EXIT_OK, "")
+    assert (json.loads(out)["stateCount"], json.loads(out)["arcCount"]) == (54, 73)
+    plain, bom = tmp_path / "plain.dctl", tmp_path / "bom.dctl"
+    formulas = fixture_text("requirements.dctl").encode("utf-8")
+    plain.write_bytes(formulas)
+    bom.write_bytes(b"\xef\xbb\xbf" + formulas)
+    reports = []
+    for path in (plain, bom):
+        code, out, err = run(capsys, "verify", MOTIVATING, "--formula-file", str(path), "--output", "json")
+        report = json.loads(out)
+        report.pop("buildMillis")
+        reports.append((code, err, report))
+    assert reports[0] == reports[1]
+    assert reports[0][2]["formulas"]
+
+
 def test_missing_file_exit_code(capsys):
     code, _, _ = run(capsys, "build", "/nonexistent.wftc")
     assert code == EXIT_USAGE

@@ -24,8 +24,8 @@ from wftc import (
     parse_model,
     refine,
 )
-from wftc.model import BOT, FALSE, TRUE, UNDEF
-from wftc.srg import FiringError, StateC, _settler, fresh_token
+from wftc.model import BOT, FALSE, TRUE, UNDEF, Guard, ModelError
+from wftc.srg import FiringError, StateC, fresh_token
 
 TABLE0 = (("id1", "license1", "copy1"), ("id2", "license2", "copy2"))
 
@@ -150,17 +150,29 @@ def test_fire_t0_unconstrained_on_wfd(wfd_net):
 
 
 
-def test_settled_guard_agrees_with_evaluate(motivating_net):
+def naive_holds(node, values: dict) -> bool:
+    """Guard expression ``node`` over true/false predicate ``values``."""
+    if node[0] == "pi":
+        return values[node[1]]
+    if node[0] == "not":
+        return not naive_holds(node[1], values)
+    operands = [naive_holds(operand, values) for operand in node[1:]]
+    return any(operands) if node[0] == "or" else all(operands)
+
+
+def test_bound_guard_agrees_with_a_naive_evaluation(motivating_net):
     # each predicate reads its own value from the "data" argument, so every
-    # T/F/U combination can be fed to the memoised guard, twice
+    # true/false combination can be fed to the bound guard
     bound = {name: (lambda data, table, rows, name=name: data[name]) for name in motivating_net.predicates}
-    for guard in motivating_net.guards.values():
-        settle = _settler(guard, bound)
+    nested = ("or", ("not", ("and", ("pi", "pi1"), ("or", ("pi", "pi2"), ("not", ("pi", "pi3"))))), ("pi", "pi4"))
+    for guard in [*motivating_net.guards.values(), Guard("nested", nested)]:
+        holds = guard.bind(bound)
         names = sorted(guard.predicates())
-        combos = [dict(zip(names, values)) for values in itertools.product((TRUE, FALSE, BOT), repeat=len(names))]
-        assert len(combos) == 3 ** len(names) >= 3
-        for values in combos + combos:
-            assert settle(values, (), None) == guard.evaluate(values), (guard.name, values)
+        combos = [dict(zip(names, values)) for values in itertools.product((True, False), repeat=len(names))]
+        assert len(combos) == 2 ** len(names) >= 2
+        for values in combos:
+            assert holds(values, (), None) is naive_holds(guard.expr, values), (guard.name, values)
+
 
 def test_unconstrained_build_never_settles_a_guard(monkeypatch):
     # an unconstrained firing branches each guard it settles over TRUE and
@@ -168,24 +180,55 @@ def test_unconstrained_build_never_settles_a_guard(monkeypatch):
     from conftest import fixture_text
 
     calls = []
+    bind = Guard.bind
 
-    def counted_settler(guard, bound):
-        settle = _settler(guard, bound)
+    def counted_bind(guard, bound):
+        holds = bind(guard, bound)
 
         def counted(*args):
             calls.append(guard.name)
-            return settle(*args)
+            return holds(*args)
 
         return counted
 
-    monkeypatch.setattr(wftc.srg, "_settler", counted_settler)
+    monkeypatch.setattr(Guard, "bind", counted_bind)
     for name, states in (("motivating.wftc", 1481), ("motivating-wfd.wftc", 147)):
         assert len(build_srg(parse_model(fixture_text(name)), UNCONSTRAINED).states) == states
     assert calls == []
-    # the same nets built constrained do call the wrapped settlers
+    # the same nets built constrained do call the wrapped guards
     for name in ("motivating.wftc", "motivating-wfd.wftc"):
         build_srg(parse_model(fixture_text(name)), CONSTRAINED)
     assert calls
+
+
+def test_hand_built_guard_over_an_undeclared_predicate_is_a_model_error():
+    from conftest import fixture_text
+
+    net = parse_model(fixture_text("motivating.wftc"))
+    net.guards["g1"] = Guard("g1", ("and", ("pi", "pi1"), ("pi", "pi9")))
+    net._index()
+    with pytest.raises(ModelError, match="^guard g1 references unknown predicate pi9$"):
+        build_srg(net)
+
+
+def test_membership_predicate_without_its_table_is_a_model_error():
+    from conftest import fixture_text
+
+    net = parse_model(fixture_text("motivating.wftc"))
+    net.schema = None
+    net._index()
+    with pytest.raises(ModelError, match="^predicate pi1 needs table User which is not declared$"):
+        build_srg(net)
+
+
+@pytest.mark.parametrize("mode", ["Constrained", "", None])
+def test_unknown_mode_is_a_model_error(motivating_net, mode):
+    # a misspelt mode would settle guards as in constrained mode but skip
+    # the constraint filter
+    c0 = initial_state(motivating_net)
+    for call in (lambda: fire(motivating_net, c0, "t0", mode), lambda: build_srg(motivating_net, mode)):
+        with pytest.raises(ModelError, match=f"^unknown mode {mode!r}$"):
+            call()
 
 
 def test_build_motivating_counts(motivating_srg):
