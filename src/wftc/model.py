@@ -178,10 +178,7 @@ class Predicate(Frozen):
         if self.kind == "eq":
             const = self.const
             return lambda data, table, rows: data[pos] == const
-        schema = net.schema
-        if schema is None or schema.name != self.table:
-            raise ModelError(f"predicate {self.name} needs table {self.table} which is not declared")
-        col = schema.attr_index(self.column)
+        col = net.schema.attr_index(self.column)
         return lambda data, table, rows: bool(rows(table, col, data[pos]))
 
 
@@ -220,8 +217,6 @@ class Guard(Frozen):
         def function(node):
             op = node[0]
             if op == "pi":
-                if node[1] not in bound:
-                    raise ModelError(f"guard {self.name} references unknown predicate {node[1]}")
                 return bound[node[1]]
             if op == "not":
                 inner = function(node[1])
@@ -365,7 +360,7 @@ class WftcNet(Struct):
     )
     # the lookup tables that ``_index`` derives from the fields
     __slots__ = _fields + (
-        "place_by_name", "transition_by_name", "guard_order", "_pre", "_post", "compiled",
+        "place_by_name", "transition_by_name", "guard_order", "_pre", "_post", "compiled", "validated",
     )
 
     def __init__(
@@ -426,9 +421,9 @@ class WftcNet(Struct):
             pre.setdefault(dst, set()).add(src)
         self._pre = {n: frozenset(nodes) for n, nodes in pre.items()}
         self._post = {n: frozenset(nodes) for n, nodes in post.items()}
-        # per-transition firing plans, compiled by ``srg`` on first use;
-        # a net changed after indexing is re-indexed, which drops them
-        self.compiled = None
+        # per-transition firing plans, compiled by ``srg`` on first use, and the
+        # parser's verdict that the net is valid; re-indexing drops both
+        self.compiled = self.validated = None
 
     def _node_names(self):
         return [p.name for p in self.places] + [t.name for t in self.transitions]
@@ -461,9 +456,10 @@ class WftcNet(Struct):
 
 
 class ValidationReport(Struct):
-    """``errors`` name what the net references but does not declare, or
-    arcs that do not join a place and a transition; such a net cannot be
-    built. ``violations`` are findings on the workflow shape."""
+    """``errors`` name, once each, what the net declares twice or references
+    but does not declare, initial records of the wrong width, and arcs that
+    do not join a place and a transition; such a net cannot be built.
+    ``violations`` are findings on the workflow shape."""
 
     __slots__ = _fields = ("violations", "errors")
 
@@ -489,13 +485,25 @@ def _closure(seeds, step):
 
 
 def validate_workflow_structure(net: WftcNet) -> ValidationReport:
-    """Check the workflow shape: unique source/sink, every node on a
-    source-to-sink path, and no dangling label references."""
+    """Check the workflow shape (unique source/sink, every node on a
+    source-to-sink path) and whether the net can be built, asked once
+    per net by the parser or at first use. Errors come in a fixed order."""
     report = ValidationReport()
     shape, error = report.violations.append, report.errors.append
 
+    for kind, nodes in (("place", net.places), ("transition", net.transitions)):
+        names = sorted(node.name for node in nodes)
+        for name in [name for name, after in zip(names, names[1:]) if name == after]:
+            error(f"duplicate {kind} {name}")
     place_names = {p.name for p in net.places}
     transition_names = {t.name for t in net.transitions}
+    if overlap := place_names & transition_names:
+        error(f"names used as both place and transition: {sorted(overlap)}")
+    if len(set(net.data_items)) != len(net.data_items):
+        error("duplicate data item")
+    width = len(net.schema.attributes) if net.schema is not None else 0
+    for record in [record for record in net.initial_records if len(record) != width]:
+        error(f"initial record {record} has {len(record)} values, expected {width}")
     if net.start == net.end:
         shape("start and end must be two distinct places")
     if net.start not in place_names:
@@ -541,33 +549,39 @@ def validate_workflow_structure(net: WftcNet) -> ValidationReport:
                 if d not in items:
                     error(f"{label}({t}) references unknown data item {d}")
 
+    def check_column(t, table, column):
+        if net.schema is None or net.schema.name != table:
+            error(f"operation on {t} references unknown table {table}")
+        elif column and column not in net.schema.attributes:
+            error(f"operation on {t} references unknown column {table}.{column}")
+
     def check_source(t, source, where):
         if source and source[0] == "item" and source[1] not in items:
             error(f"{where} on {t} references unknown data item {source[1]}")
 
     for t, scopes in net.sel.items():
         for scope in scopes:
-            _check_column(net, report, t, scope.table, scope.column)
+            check_column(t, scope.table, scope.column)
             if scope.where_attr:
-                _check_column(net, report, t, scope.table, scope.where_attr)
+                check_column(t, scope.table, scope.where_attr)
                 check_source(t, scope.where_source, "sel where")
             if scope.assign_item and scope.assign_item not in items:
                 error(f"sel on {t} assigns unknown data item {scope.assign_item}")
     for t, ops in net.ins.items():
         for op in ops:
             for attr, source in op.values:
-                _check_column(net, report, t, op.table, attr)
+                check_column(t, op.table, attr)
                 check_source(t, source, "ins value")
     for t, ops in net.dele.items():
         for op in ops:
-            _check_column(net, report, t, op.table, op.where_attr)
+            check_column(t, op.table, op.where_attr)
             check_source(t, op.where_source, "del where")
     for t, ops in net.upd.items():
         for op in ops:
-            _check_column(net, report, t, op.table, op.where_attr)
+            check_column(t, op.table, op.where_attr)
             check_source(t, op.where_source, "upd where")
             for attr, source in op.sets:
-                _check_column(net, report, t, op.table, attr)
+                check_column(t, op.table, attr)
                 check_source(t, source, "upd value")
 
     for t, ref in net.guard_of.items():
@@ -576,7 +590,7 @@ def validate_workflow_structure(net: WftcNet) -> ValidationReport:
         if ref.guard not in net.guards:
             error(f"transition {t} references unknown guard {ref.guard}")
     for guard in net.guards.values():
-        for pi in guard.predicates():
+        for pi in sorted(guard.predicates()):
             if pi not in net.predicates:
                 error(f"guard {guard.name} references unknown predicate {pi}")
     for pi in net.predicates.values():
@@ -593,11 +607,5 @@ def validate_workflow_structure(net: WftcNet) -> ValidationReport:
                 if guard_name not in net.guards:
                     error(f"constraint references unknown guard {guard_name}")
 
+    report.errors = list(dict.fromkeys(report.errors))
     return report
-
-
-def _check_column(net, report, t, table, column):
-    if net.schema is None or net.schema.name != table:
-        report.errors.append(f"operation on {t} references unknown table {table}")
-    elif column and column not in net.schema.attributes:
-        report.errors.append(f"operation on {t} references unknown column {table}.{column}")

@@ -37,6 +37,7 @@ from .model import (
     column_of,
     constraint_consistent,
     record_key,
+    validate_workflow_structure,
 )
 
 CONSTRAINED = "constrained"
@@ -109,14 +110,13 @@ def initial_state(net: WftcNet) -> StateC:
 
 def _item_scope(net: WftcNet, item: str, scopes=()):
     """The scope a written item refines over, compiled by ``_scope``: the
-    first of ``scopes`` on the column its membership predicate is bound
-    to, else that whole column; ``None`` for an item without a membership
-    binding or a net without a table."""
+    first of ``scopes`` on the column its membership predicate is bound to,
+    else that whole column; ``None`` for an item without a membership binding."""
     binding = next(
         ((pi.table, pi.column) for pi in net.predicates.values() if pi.kind == "in" and pi.item == item),
         None,
     )
-    if binding is None or net.schema is None:
+    if binding is None:
         return None
     for scope in scopes:
         if not scope.assign_item and (scope.table, scope.column) == binding:
@@ -211,14 +211,15 @@ class _Plan:
 
 
 class _Compiled:
-    """A net's firing plans, kept on the net until it is re-indexed; per
+    """A valid net's firing plans, kept on the net until it is re-indexed; per
     distinct marking the transitions whose preset it marks, and per
     distinct guard valuation its constraint verdict."""
 
     def __init__(self, net: WftcNet):
+        if not net.validated and (errors := validate_workflow_structure(net).errors):
+            raise ModelError("; ".join(errors))
         bound = {name: pi.bind(net) for name, pi in net.predicates.items()}
-        # per guard in declaration order, its function, bound first so that an
-        # undeclared predicate is a ``ModelError``, and its predicates' items
+        # per guard in declaration order, its function and its predicates' items
         guards = [
             (g.bind(bound), frozenset(net.predicates[p].item for p in g.predicates()))
             for g in net.guards.values()
@@ -328,6 +329,7 @@ def refine(net: WftcNet, state: StateC, item: str, scope=None, *, store=None) ->
     if item not in net.data_items:
         raise ModelError(f"unknown data item {item}")
     if scope is None:
+        _compiled(net)  # a net that cannot be built is a ``ModelError``
         scope = _item_scope(net, item)
     if scope is None:
         return [item]

@@ -109,15 +109,6 @@ def parse_model(text: str) -> WftcNet:
         raise ParseError("missing [PLACES] section")
     if not transition_names:
         raise ParseError("missing [TRANSITIONS] section")
-    for pool, kind in ((place_names, "place"), (transition_names, "transition")):
-        seen = set()
-        for name in pool:
-            if name in seen:
-                raise ParseError(f"duplicate {kind} {name}")
-            seen.add(name)
-    overlap = set(place_names) & set(transition_names)
-    if overlap:
-        raise ParseError(f"names used as both place and transition: {sorted(overlap)}")
 
     places = [Place(n, i) for i, n in enumerate(place_names)]
     transitions = [Transition(n, i) for i, n in enumerate(transition_names)]
@@ -133,8 +124,6 @@ def parse_model(text: str) -> WftcNet:
             arcs.add((src, dst))
 
     data_items = _section_tokens(sections, "DATA")
-    if len(set(data_items)) != len(data_items):
-        raise ParseError("duplicate data item")
 
     schema = None
     initial_records = ()
@@ -180,11 +169,11 @@ def parse_model(text: str) -> WftcNet:
     net.start, net.end = initial[0], final[0]
 
     net._index()
-    # a net of the wrong workflow shape still parses; dangling references
-    # do not
-    errors = validate_workflow_structure(net).errors
-    if errors:
+    # a net of the wrong workflow shape still parses; one that cannot be
+    # built does not, and its first use need not validate it again
+    if errors := validate_workflow_structure(net).errors:
         raise ParseError("; ".join(errors))
+    net.validated = True
     return net
 
 

@@ -433,6 +433,12 @@ MALFORMED_MODELS = {
     "two-guards": ("t16:g6", "t16:g6 t16:g5", "transition t16 mapped to two guards at line {line}"),
     "guard-trailing-tokens": ("pi3 & pi4 & pi5", "pi3 & pi4 pi5", "trailing tokens in expression at line {line}"),
     "guard-dangling-and": ("pi3 & pi4 & pi5", "pi3 & pi4 &", "dangling operator in expression at line {line}"),
+    "guard-undeclared-predicates": (
+        "g1 = pi1 ;",
+        "g1 = pi9 | pi7 | pi8 ;",
+        "guard g1 references unknown predicate pi7; guard g1 references unknown predicate pi8; "
+        "guard g1 references unknown predicate pi9",
+    ),
     "constraint-literal": ("(g5 & !g6) |", "(g5 & !(g6 | g5)) |", "constraint literals must be a guard or its negation at line {line}"),
     "initial-undeclared": ("[INITIAL] p0", "[INITIAL] p99", "start place 'p99' not declared"),
     "final-undeclared": ("[FINAL] p13", "[FINAL] p99", "end place 'p99' not declared"),

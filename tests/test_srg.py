@@ -24,7 +24,7 @@ from wftc import (
     parse_model,
     refine,
 )
-from wftc.model import BOT, FALSE, TRUE, UNDEF, Guard, ModelError
+from wftc.model import BOT, FALSE, TRUE, UNDEF, Guard, GuardRef, ModelError, Place, Predicate, Transition
 from wftc.srg import FiringError, StateC, fresh_token
 
 TABLE0 = (("id1", "license1", "copy1"), ("id2", "license2", "copy2"))
@@ -201,24 +201,84 @@ def test_unconstrained_build_never_settles_a_guard(monkeypatch):
     assert calls
 
 
-def test_hand_built_guard_over_an_undeclared_predicate_is_a_model_error():
+# hand-built edits of ``motivating.wftc`` that leave a net which cannot be
+# built, each with the one ``ModelError`` message that names its problems
+NO_TABLE = "; ".join(
+    [
+        "initial record ('id1', 'license1', 'copy1') has 3 values, expected 0",
+        "initial record ('id2', 'license2', 'copy2') has 3 values, expected 0",
+        *(f"operation on {t} references unknown table User" for t in ("t0", "t10", "t11", "t13", "t14", "t2")),
+        *(f"predicate {pi} needs table User which is not declared" for pi in ("pi1", "pi2", "pi3")),
+    ]
+)
+INVALID_NETS = {
+    "guard-over-undeclared-predicate": (
+        lambda net: net.guards.update(g1=Guard("g1", ("and", ("pi", "pi1"), ("pi", "pi9")))),
+        "guard g1 references unknown predicate pi9",
+    ),
+    "membership-without-table": (lambda net: setattr(net, "schema", None), NO_TABLE),
+    "eq-over-undeclared-item": (
+        lambda net: net.predicates.update(pi4=Predicate("pi4", "eq", "idx", const="id2")),
+        "predicate pi4 references unknown data item idx",
+    ),
+    "undeclared-guard": (
+        lambda net: net.guard_of.update(t1=GuardRef("g9")),
+        "transition t1 references unknown guard g9",
+    ),
+    "write-undeclared-item": (
+        lambda net: net.wt.update(t1=("idx",)),
+        "wt(t1) references unknown data item idx",
+    ),
+    "short-initial-record": (
+        lambda net: setattr(net, "initial_records", (("id1", "license1"), ("id2", "license2", "copy2"))),
+        "initial record ('id1', 'license1') has 2 values, expected 3",
+    ),
+    "arc-to-undeclared-node": (lambda net: net.arcs.add(("p1", "tq")), "arc endpoint tq not declared"),
+    "second-place": (lambda net: net.places.append(Place("p3", 14)), "duplicate place p3"),
+    "place-is-transition": (
+        lambda net: net.transitions.append(Transition("p3", 19)),
+        "names used as both place and transition: ['p3']",
+    ),
+    "duplicate-data-item": (lambda net: net.data_items.append("id"), "duplicate data item"),
+}
+
+
+@pytest.mark.parametrize("edit, message", INVALID_NETS.values(), ids=INVALID_NETS)
+def test_invalid_hand_built_net_is_one_model_error(edit, message):
     from conftest import fixture_text
 
     net = parse_model(fixture_text("motivating.wftc"))
-    net.guards["g1"] = Guard("g1", ("and", ("pi", "pi1"), ("pi", "pi9")))
+    build_srg(net)  # built once before the edit: re-indexing drops the plans and the verdict
+    edit(net)
     net._index()
-    with pytest.raises(ModelError, match="^guard g1 references unknown predicate pi9$"):
-        build_srg(net)
+    c0 = initial_state(net)
+    calls = (
+        lambda: build_srg(net),
+        lambda: enabled(net, c0, "t0"),
+        lambda: fire(net, c0, "t0"),
+        lambda: refine(net, c0, "id"),
+    )
+    for call in calls:
+        # a ``ValueError`` or ``IndexError`` escapes ``pytest.raises``
+        with pytest.raises(ModelError) as err:
+            call()
+        assert str(err.value) == message
 
 
-def test_membership_predicate_without_its_table_is_a_model_error():
+def test_a_net_is_validated_once(monkeypatch):
+    # the parser's pass counts as a parsed net's validation; re-indexing
+    # drops that verdict with the plans
     from conftest import fixture_text
 
+    validate, calls = wftc.srg.validate_workflow_structure, []
+    monkeypatch.setattr(wftc.srg, "validate_workflow_structure", lambda net: calls.append(net) or validate(net))
     net = parse_model(fixture_text("motivating.wftc"))
-    net.schema = None
+    build_srg(net)
+    assert calls == []
     net._index()
-    with pytest.raises(ModelError, match="^predicate pi1 needs table User which is not declared$"):
-        build_srg(net)
+    build_srg(net)
+    fire(net, initial_state(net), "t0")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("mode", ["Constrained", "", None])
