@@ -6,6 +6,7 @@ from .model import (
     TableSchema,
     WftcNet,
     constraint_consistent,
+    deferred,
     validate_workflow_structure,
 )
 from .srg import (
@@ -20,15 +21,7 @@ from .srg import (
     initial_state,
     refine,
 )
-from .textio import (
-    ParseError,
-    export_dot,
-    export_json,
-    import_json,
-    parse_dctl,
-    parse_model,
-    serialize_model,
-)
+from .textio import ParseError, parse_model
 
 __all__ = [
     "CONSTRAINED",
@@ -49,7 +42,6 @@ __all__ = [
     "export_dot",
     "export_json",
     "fire",
-    "import_json",
     "initial_state",
     "parse_dctl",
     "parse_model",
@@ -66,13 +58,12 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# imported from ``dctl`` on first access, so that a build never compiles the evaluator
-_DCTL_NAMES = {"Verdict", "builtin_metrics", "sat", "sat_au", "sat_eg", "sat_eu", "sat_ex", "verify"}
-
-
-def __getattr__(name):
-    if name not in _DCTL_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import dctl
-
-    return getattr(dctl, name)
+# imported from their modules on first access, so that a build compiles
+# neither the evaluator nor the formula parser, nor the writers unless it
+# exports
+__getattr__ = deferred(
+    __name__,
+    dict.fromkeys(("Verdict", "builtin_metrics", "sat", "sat_au", "sat_eg", "sat_eu", "sat_ex", "verify"), "dctl")
+    | {"parse_dctl": "dctlparse"}
+    | dict.fromkeys(("export_dot", "export_json", "serialize_model"), "export"),
+)

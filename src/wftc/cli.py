@@ -10,29 +10,27 @@ import argparse
 import json
 import sys
 
-from .model import EvalError, ModelError
+from .model import EvalError, ModelError, deferred
 from .srg import CONSTRAINED, UNCONSTRAINED, ResourceLimitError, build_srg
-from .textio import ParseError, export_dot, export_json, parse_dctl, parse_model
+from .textio import ParseError, parse_model
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# imported from ``dctl`` on first access, so that ``build`` never compiles the
-# evaluator; looked up when a command runs, so a name rebound here is the one called
-_DCTL_NAMES = ("builtin_metrics", "verify")
+# imported on first access, so that each command compiles only what it runs:
+# ``build`` neither the evaluator nor the formula parser, nor the writers
+# unless it exports; looked up when a command runs, so a name rebound here
+# is the one called
+__getattr__ = deferred(
+    __name__,
+    {"builtin_metrics": "dctl", "verify": "dctl", "parse_dctl": "dctlparse"}
+    | dict.fromkeys(("export_dot", "export_json"), "export"),
+)
 
 
-def __getattr__(name):
-    if name not in _DCTL_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import dctl
-
-    return getattr(dctl, name)
-
-
-def _dctl(name: str):
+def _bound(name: str):
     bound = globals()
     return bound[name] if name in bound else __getattr__(name)
 
@@ -47,7 +45,7 @@ def _read(path: str) -> str:
 
 # characters per write: encoding a slice at a time keeps the bytes of a
 # large export from being a second full copy of it in memory
-_SLICE = 1 << 20
+_SLICE = 1 << 16
 
 
 def _write(path: str, text: str):
@@ -114,18 +112,21 @@ def _report(args, srg, checked=()) -> int:
 
 
 def cmd_build(args) -> int:
+    # the writers are resolved before the build, as the evaluator is in
+    # ``cmd_verify``; JSON first, so that the DOT lines reuse the memory
+    # that the JSON document freed
+    wanted = ((args.json_out, "export_json"), (args.dot, "export_dot"))
+    exports = [(path, _bound(name)) for path, name in wanted if path]
     srg = _build(args)
-    if args.dot:
-        _write(args.dot, export_dot(srg))
-    if args.json_out:
-        _write(args.json_out, export_json(srg))
+    for path, export in exports:
+        _write(path, export(srg))
     return _report(args, srg)
 
 
 def cmd_verify(args) -> int:
-    # resolved before the graph exists, so that compiling the evaluator
-    # does not add its transient memory to the graph's
-    verify = _dctl("verify")
+    # resolved before the graph exists, so that compiling the evaluator and
+    # the parser does not add its transient memory to the graph's
+    verify, parse_dctl = _bound("verify"), _bound("parse_dctl")
     srg = _build(args)
     texts = list(args.formula or [])
     for path in args.formula_file or []:
@@ -142,7 +143,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    builtin_metrics = _dctl("builtin_metrics")  # before the build, as in ``cmd_verify``
+    builtin_metrics = _bound("builtin_metrics")  # before the build, as in ``cmd_verify``
     srg = _build(args)
     results = builtin_metrics(srg)
     return _report(args, srg, ((name, verdict, {}) for name, verdict in results.items()))

@@ -26,6 +26,21 @@ class EvalError(Exception):
     """Formula references something the model does not provide."""
 
 
+def deferred(module: str, homes: dict[str, str]):
+    """A module-level ``__getattr__`` (PEP 562) for ``module`` that reads
+    each name of ``homes`` from the module of this package it maps to,
+    imported on first access, so that a command compiles only the code it
+    runs (README, "Start-up")."""
+
+    def __getattr__(name):
+        if name not in homes:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        # ``__import__`` rather than ``importlib``, so ``-X importtime`` lists it
+        return getattr(__import__(f"{__package__}.{homes[name]}", fromlist=[name]), name)
+
+    return __getattr__
+
+
 # ---------------------------------------------------------------------------
 # plain value classes
 
@@ -548,6 +563,10 @@ def validate_workflow_structure(net: WftcNet) -> ValidationReport:
             for d in names:
                 if d not in items:
                     error(f"{label}({t}) references unknown data item {d}")
+    for label, mapping in (("sel", net.sel), ("ins", net.ins), ("del", net.dele), ("upd", net.upd)):
+        for t in mapping:
+            if t not in transition_names:
+                error(f"{label} label on unknown transition {t}")
 
     def check_column(t, table, column):
         if net.schema is None or net.schema.name != table:
@@ -556,7 +575,9 @@ def validate_workflow_structure(net: WftcNet) -> ValidationReport:
             error(f"operation on {t} references unknown column {table}.{column}")
 
     def check_source(t, source, where):
-        if source and source[0] == "item" and source[1] not in items:
+        if source is None:
+            error(f"{where} on {t} has no value source")
+        elif source[0] == "item" and source[1] not in items:
             error(f"{where} on {t} references unknown data item {source[1]}")
 
     for t, scopes in net.sel.items():

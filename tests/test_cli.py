@@ -1,5 +1,6 @@
 """Command line behaviour and exit codes."""
 
+import importlib
 import json
 import os
 import random
@@ -598,13 +599,15 @@ def test_report_bytes_are_pinned(capsys, tmp_path, kind, output):
 # start-up and robustness
 
 
+# the modules only some commands load: the evaluator, the formula parser
+# and the writers
+DEFERRED = {"wftc.dctl", "wftc.dctlparse", "wftc.export"}
+
+
 def test_import_leaves_out_dataclasses_and_inspect():
     # both cost start-up time on every call; nothing in wftc needs them,
-    # and the evaluator is imported only when a command checks a formula
-    code = (
-        "import sys; before = set(sys.modules); import wftc.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'wftc.dctl'} & (set(sys.modules) - before)))"
-    )
+    # and the deferred modules are imported only by the commands that run them
+    code = "import sys; before = set(sys.modules); import wftc.cli; print(*set(sys.modules) - before)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -612,7 +615,9 @@ def test_import_leaves_out_dataclasses_and_inspect():
         timeout=120,
         env={**os.environ, "PYTHONPATH": str(Path(wftc.__file__).resolve().parents[1])},
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "wftc.cli" in proc.stdout.split()
+    assert {"dataclasses", "inspect", *DEFERRED} & set(proc.stdout.split()) == set()
 
 
 def imported_modules(stderr: str) -> set[str]:
@@ -621,17 +626,19 @@ def imported_modules(stderr: str) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "command, loads_evaluator",
+    "command, loads",
     [
-        (["build", MOTIVATING, "--output", "json"], False),
-        (["verify", MOTIVATING, "--formula", "EF p13"], True),
-        (["metrics", MOTIVATING], True),
+        (["build", MOTIVATING, "--output", "json"], set()),
+        (["build", MOTIVATING, "--json", "{tmp}/srg.json", "--dot", "{tmp}/srg.dot"], {"wftc.export"}),
+        (["verify", MOTIVATING, "--formula", "EF p13"], {"wftc.dctl", "wftc.dctlparse"}),
+        (["metrics", MOTIVATING], {"wftc.dctl"}),
     ],
-    ids=["build", "verify", "metrics"],
+    ids=["build", "build-exports", "verify", "metrics"],
 )
-def test_only_formula_commands_load_the_evaluator(command, loads_evaluator):
+def test_only_formula_commands_load_the_evaluator(tmp_path, command, loads):
+    # each command compiles only the deferred modules whose code it runs
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "wftc.cli", *command],
+        [sys.executable, "-X", "importtime", "-m", "wftc.cli", *(arg.format(tmp=tmp_path) for arg in command)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -640,7 +647,7 @@ def test_only_formula_commands_load_the_evaluator(command, loads_evaluator):
     assert proc.returncode in (EXIT_OK, EXIT_FALSE), proc.stderr
     modules = imported_modules(proc.stderr)
     assert {"wftc.model", "wftc.srg", "wftc.textio"} <= modules
-    assert ("wftc.dctl" in modules) == loads_evaluator
+    assert modules & DEFERRED == loads
 
 
 def test_evaluation_error_exits_usage_without_a_traceback():
@@ -655,18 +662,44 @@ def test_evaluation_error_exits_usage_without_a_traceback():
 DCTL_NAMES = ["Verdict", "builtin_metrics", "sat", "sat_au", "sat_eg", "sat_eu", "sat_ex", "verify"]
 
 
+# the names each module resolves on first access, by the module that defines them
+DEFERRED_NAMES = {
+    "wftc": {
+        **dict.fromkeys(DCTL_NAMES, "dctl"),
+        "parse_dctl": "dctlparse",
+        **dict.fromkeys(["export_dot", "export_json", "serialize_model"], "export"),
+    },
+    "wftc.cli": {
+        "builtin_metrics": "dctl",
+        "verify": "dctl",
+        "parse_dctl": "dctlparse",
+        "export_dot": "export",
+        "export_json": "export",
+    },
+    "wftc.textio": {
+        **dict.fromkeys(["DctlParser", "MAX_FORMULA_DEPTH", "parse_dctl"], "dctlparse"),
+        **dict.fromkeys(["export_dot", "export_json", "serialize_model"], "export"),
+    },
+}
+
+
 def test_package_names_resolve_to_their_modules():
     from wftc import dctl, model, srg, textio
 
-    for name in wftc.__all__:
-        home = dctl if name in DCTL_NAMES else next(m for m in (model, srg, textio) if hasattr(m, name))
-        assert getattr(wftc, name) is getattr(home, name), name
-    assert set(DCTL_NAMES) <= set(wftc.__all__)
+    deferred = DEFERRED_NAMES["wftc"]
+    assert set(deferred) <= set(wftc.__all__)
+    for name in set(wftc.__all__) - set(deferred):
+        home = next(m for m in (model, srg, textio) if name in vars(m))
+        assert getattr(wftc, name) is vars(home)[name], name
+    for module, names in DEFERRED_NAMES.items():
+        for name, home in names.items():
+            defined = vars(importlib.import_module(f"wftc.{home}"))
+            assert getattr(sys.modules[module], name) is defined[name], (module, name)
     assert dctl.EvalError is model.EvalError
     namespace: dict = {}
     exec("from wftc import *", namespace)
     assert {name for name in namespace if name != "__builtins__"} == set(wftc.__all__)
-    for module in (wftc, wftc.cli):
+    for module in (wftc, wftc.cli, textio):
         with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
             module.nonexistent
 

@@ -24,7 +24,22 @@ from wftc import (
     parse_model,
     refine,
 )
-from wftc.model import BOT, FALSE, TRUE, UNDEF, Guard, GuardRef, ModelError, Place, Predicate, Transition
+from wftc.model import (
+    BOT,
+    FALSE,
+    TRUE,
+    UNDEF,
+    DeleteOp,
+    Guard,
+    GuardRef,
+    InsertOp,
+    ModelError,
+    Place,
+    Predicate,
+    SelScope,
+    Transition,
+    UpdateOp,
+)
 from wftc.srg import FiringError, StateC, fresh_token
 
 TABLE0 = (("id1", "license1", "copy1"), ("id2", "license2", "copy2"))
@@ -240,6 +255,19 @@ INVALID_NETS = {
         "names used as both place and transition: ['p3']",
     ),
     "duplicate-data-item": (lambda net: net.data_items.append("id"), "duplicate data item"),
+    "ops-on-undeclared-transition": (
+        lambda net: (
+            net.sel.update(t97=(SelScope("User", "Id"),)),
+            net.ins.update(t99=(InsertOp("User", (("Id", ("item", "id")),)),)),
+            net.dele.update(t98=(DeleteOp("User", "Id", ("item", "id")),)),
+            net.upd.update(t96=(UpdateOp("User", (("Copy", ("const", "c")),), "Id", ("item", "id")),)),
+        ),
+        "; ".join(f"{op} label on unknown transition {t}" for op, t in (("sel", "t97"), ("ins", "t99"), ("del", "t98"), ("upd", "t96"))),
+    ),
+    "sel-where-without-source": (
+        lambda net: net.sel.update(t10=(SelScope("User", "License", where_attr="Id", assign_item="license"),)),
+        "sel where on t10 has no value source",
+    ),
 }
 
 

