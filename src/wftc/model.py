@@ -375,7 +375,7 @@ class WftcNet(Struct):
     )
     # the lookup tables that ``_index`` derives from the fields
     __slots__ = _fields + (
-        "place_by_name", "transition_by_name", "guard_order", "_pre", "_post", "compiled", "validated",
+        "place_by_name", "transition_by_name", "guard_order", "_pre", "_post", "compiled",
     )
 
     def __init__(
@@ -436,9 +436,9 @@ class WftcNet(Struct):
             pre.setdefault(dst, set()).add(src)
         self._pre = {n: frozenset(nodes) for n, nodes in pre.items()}
         self._post = {n: frozenset(nodes) for n, nodes in post.items()}
-        # per-transition firing plans, compiled by ``srg`` on first use, and the
-        # parser's verdict that the net is valid; re-indexing drops both
-        self.compiled = self.validated = None
+        # per-transition firing plans, compiled and validated by ``srg`` on
+        # first use; re-indexing drops them
+        self.compiled = None
 
     def _node_names(self):
         return [p.name for p in self.places] + [t.name for t in self.transitions]
@@ -470,44 +470,21 @@ class WftcNet(Struct):
 # structural validation
 
 
-class ValidationReport(Struct):
-    """``errors`` name, once each, what the net declares twice or references
-    but does not declare, initial records of the wrong width, and arcs that
-    do not join a place and a transition; such a net cannot be built.
-    ``violations`` are findings on the workflow shape."""
+def validate_workflow_structure(net: WftcNet) -> list[str]:
+    """What stops ``net`` from being built, each error once and in a fixed
+    order: names declared twice or referenced but not declared, initial
+    records of the wrong width, arcs that do not join a place and a
+    transition. ``srg`` asks it once per net, at first use."""
+    errors = []
+    error = errors.append
 
-    __slots__ = _fields = ("violations", "errors")
-
-    def __init__(self, violations: list[str] | None = None, errors: list[str] | None = None):
-        self.violations = [] if violations is None else violations
-        self.errors = [] if errors is None else errors
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations and not self.errors
-
-
-def _closure(seeds, step):
-    seen = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        node = frontier.pop()
-        for nxt in step(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def validate_workflow_structure(net: WftcNet) -> ValidationReport:
-    """Check the workflow shape (unique source/sink, every node on a
-    source-to-sink path) and whether the net can be built, asked once
-    per net by the parser or at first use. Errors come in a fixed order."""
-    report = ValidationReport()
-    shape, error = report.violations.append, report.errors.append
-
-    for kind, nodes in (("place", net.places), ("transition", net.transitions)):
-        names = sorted(node.name for node in nodes)
+    schema = net.schema
+    for kind, names in (
+        ("place", [p.name for p in net.places]),
+        ("transition", [t.name for t in net.transitions]),
+        ("attribute", [f"{schema.name}.{a}" for a in schema.attributes] if schema is not None else []),
+    ):
+        names = sorted(names)
         for name in [name for name, after in zip(names, names[1:]) if name == after]:
             error(f"duplicate {kind} {name}")
     place_names = {p.name for p in net.places}
@@ -516,11 +493,9 @@ def validate_workflow_structure(net: WftcNet) -> ValidationReport:
         error(f"names used as both place and transition: {sorted(overlap)}")
     if len(set(net.data_items)) != len(net.data_items):
         error("duplicate data item")
-    width = len(net.schema.attributes) if net.schema is not None else 0
+    width = len(schema.attributes) if schema is not None else 0
     for record in [record for record in net.initial_records if len(record) != width]:
         error(f"initial record {record} has {len(record)} values, expected {width}")
-    if net.start == net.end:
-        shape("start and end must be two distinct places")
     if net.start not in place_names:
         error(f"start place {net.start!r} not declared")
     if net.end not in place_names:
@@ -532,28 +507,6 @@ def validate_workflow_structure(net: WftcNet) -> ValidationReport:
         for node in (src, dst):
             if node not in place_names and node not in transition_names:
                 error(f"arc endpoint {node} not declared")
-
-    sources = [p for p in sorted(place_names) if not net._pre.get(p)]
-    sinks = [p for p in sorted(place_names) if not net._post.get(p)]
-    if net.start in place_names and sources != [net.start]:
-        extra = [p for p in sources if p != net.start]
-        if net.start not in sources:
-            shape(f"start place {net.start} has incoming arcs")
-        for p in extra:
-            shape(f"extra source place {p}")
-    if net.end in place_names and sinks != [net.end]:
-        extra = [p for p in sinks if p != net.end]
-        if net.end not in sinks:
-            shape(f"end place {net.end} has outgoing arcs")
-        for p in extra:
-            shape(f"extra sink place {p}")
-
-    if net.start in place_names and net.end in place_names:
-        forward = _closure({net.start}, lambda n: net._post.get(n, ()))
-        backward = _closure({net.end}, lambda n: net._pre.get(n, ()))
-        for node in sorted(place_names | transition_names):
-            if node not in forward or node not in backward:
-                shape(f"node {node} is not on a path from {net.start} to {net.end}")
 
     items = set(net.data_items)
     for label, mapping in (("rd", net.rd), ("wt", net.wt), ("dt", net.dt)):
@@ -628,5 +581,4 @@ def validate_workflow_structure(net: WftcNet) -> ValidationReport:
                 if guard_name not in net.guards:
                     error(f"constraint references unknown guard {guard_name}")
 
-    report.errors = list(dict.fromkeys(report.errors))
-    return report
+    return list(dict.fromkeys(errors))

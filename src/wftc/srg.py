@@ -216,7 +216,7 @@ class _Compiled:
     distinct guard valuation its constraint verdict."""
 
     def __init__(self, net: WftcNet):
-        if not net.validated and (errors := validate_workflow_structure(net).errors):
+        if errors := validate_workflow_structure(net):
             raise ModelError("; ".join(errors))
         bound = {name: pi.bind(net) for name, pi in net.predicates.items()}
         # per guard in declaration order, its function and its predicates' items

@@ -21,7 +21,6 @@ from .model import (
     WftcNet,
     canonical_table,
     deferred,
-    validate_workflow_structure,
 )
 
 SECTIONS = (
@@ -160,11 +159,8 @@ def parse_model(text: str) -> WftcNet:
     net.start, net.end = initial[0], final[0]
 
     net._index()
-    # a net of the wrong workflow shape still parses; one that cannot be
-    # built does not, and its first use need not validate it again
-    if errors := validate_workflow_structure(net).errors:
-        raise ParseError("; ".join(errors))
-    net.validated = True
+    # what the net references but does not declare is no text problem: its
+    # first use reports it (``srg._Compiled``)
     return net
 
 
@@ -409,9 +405,5 @@ def _to_dnf(expr, lineno) -> tuple:
     return tuple(tuple(map(literal, operands(d, "and"))) for d in operands(expr, "or"))
 
 
-# the names that moved to the formula parser and the writers stay reachable here
-__getattr__ = deferred(
-    __name__,
-    dict.fromkeys(("DctlParser", "MAX_FORMULA_DEPTH", "parse_dctl"), "dctlparse")
-    | dict.fromkeys(("export_dot", "export_json", "serialize_model"), "export"),
-)
+# ``parse_dctl`` moved to ``dctlparse``; ``perfbench/trace_child.py`` still wraps it here
+__getattr__ = deferred(__name__, {"parse_dctl": "dctlparse"})

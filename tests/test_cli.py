@@ -262,6 +262,15 @@ def test_isolated_place_is_no_parse_error(capsys, tmp_path, place):
     assert "states         54" in out
 
 
+def test_unbuildable_model_writes_no_export(capsys, tmp_path):
+    # the build, which finds the undeclared item, runs before the writers
+    data = tmp_path / "srg.json"
+    model = model_with(tmp_path, "t0: wt(id, password)", "t0: wt(idx, password)")
+    code, out, err = run(capsys, "build", model, "--json", str(data))
+    assert (code, out, err) == (EXIT_USAGE, "", "error: wt(t0) references unknown data item idx\n")
+    assert not data.exists()
+
+
 def test_arc_to_undeclared_place_exits_usage(capsys, tmp_path):
     model = tmp_path / "bad.wftc"
     model.write_text(fixture_text("motivating.wftc").replace("t18->p13", "t18->p13 t18->unknown1"))
@@ -447,6 +456,11 @@ MALFORMED_MODELS = {
         "[TABLE] User(Id, License, Copy)\n  id1, license1, copy1\n  id2, license2, copy2\n",
         "",
         "predicate pi3 needs table User which is not declared",
+    ),
+    "duplicate-attribute": (
+        "[TABLE] User(Id, License, Copy)\n  id1, license1, copy1\n  id2, license2, copy2\n",
+        "[TABLE] User(Id, License, Copy, Id)\n  id1, license1, copy1, id1\n  id2, license2, copy2, id2\n",
+        "duplicate attribute User.Id",
     ),
 }
 
@@ -676,10 +690,7 @@ DEFERRED_NAMES = {
         "export_dot": "export",
         "export_json": "export",
     },
-    "wftc.textio": {
-        **dict.fromkeys(["DctlParser", "MAX_FORMULA_DEPTH", "parse_dctl"], "dctlparse"),
-        **dict.fromkeys(["export_dot", "export_json", "serialize_model"], "export"),
-    },
+    "wftc.textio": {"parse_dctl": "dctlparse"},
 }
 
 

@@ -37,6 +37,7 @@ from wftc.model import (
     Place,
     Predicate,
     SelScope,
+    TableSchema,
     Transition,
     UpdateOp,
 )
@@ -268,6 +269,14 @@ INVALID_NETS = {
         lambda net: net.sel.update(t10=(SelScope("User", "License", where_attr="Id", assign_item="license"),)),
         "sel where on t10 has no value source",
     ),
+    # ``attr_index`` would read only the first of the two columns
+    "duplicate-attribute": (
+        lambda net: (
+            setattr(net, "schema", TableSchema("User", ("Id", "License", "Copy", "Id"))),
+            setattr(net, "initial_records", tuple(record + record[:1] for record in net.initial_records)),
+        ),
+        "duplicate attribute User.Id",
+    ),
 }
 
 
@@ -294,19 +303,27 @@ def test_invalid_hand_built_net_is_one_model_error(edit, message):
 
 
 def test_a_net_is_validated_once(monkeypatch):
-    # the parser's pass counts as a parsed net's validation; re-indexing
+    # the parser does not validate; the first use does, and re-indexing
     # drops that verdict with the plans
     from conftest import fixture_text
 
     validate, calls = wftc.srg.validate_workflow_structure, []
-    monkeypatch.setattr(wftc.srg, "validate_workflow_structure", lambda net: calls.append(net) or validate(net))
+
+    def counted(net):
+        calls.append(net)
+        return validate(net)
+
+    for module in (wftc.model, wftc.srg):
+        monkeypatch.setattr(module, "validate_workflow_structure", counted)
     net = parse_model(fixture_text("motivating.wftc"))
-    build_srg(net)
     assert calls == []
-    net._index()
     build_srg(net)
     fire(net, initial_state(net), "t0")
     assert len(calls) == 1
+    net._index()
+    build_srg(net)
+    fire(net, initial_state(net), "t0")
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("mode", ["Constrained", "", None])

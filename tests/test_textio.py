@@ -27,6 +27,7 @@ from wftc.dctl import formula_text
 from wftc.model import (
     Guard,
     GuardRef,
+    ModelError,
     Place,
     Predicate,
     SelScope,
@@ -114,18 +115,28 @@ def test_net_without_data_items_has_no_data_section(tiny_net):
     assert "[DATA]" not in serialize_model(tiny_net)
 
 
+@pytest.mark.parametrize("text, fragment", [("junk before", "content before any section")])
+def test_parse_errors(text, fragment):
+    with pytest.raises(ParseError) as err:
+        parse_model(text)
+    assert fragment in str(err.value)
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
         ("[PLACES] p0 p0\n[TRANSITIONS] t\n[INITIAL] p0\n[FINAL] p0", "duplicate place"),
         ("[PLACES] p0 p1\n[TRANSITIONS] t\n[ARCS] p0->p1\n[INITIAL] p0\n[FINAL] p1", "does not connect"),
         ("[PLACES] p0 p1\n[TRANSITIONS] t\n[ARCS] p0->t t->p1\n[OPS] t: wt(x)\n[INITIAL] p0\n[FINAL] p1", "unknown data item"),
-        ("junk before", "content before any section"),
     ],
+    ids=["duplicate-place", "arc-between-places", "undeclared-item"],
 )
-def test_parse_errors(text, fragment):
-    with pytest.raises(ParseError) as err:
-        parse_model(text)
+def test_reference_errors_parse_and_stop_the_build(text, fragment):
+    # what a well-formed text references but does not declare is found
+    # when the net is first built, not by the parser
+    net = parse_model(text)
+    with pytest.raises(ModelError) as err:
+        build_srg(net)
     assert fragment in str(err.value)
 
 
