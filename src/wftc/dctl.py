@@ -136,38 +136,6 @@ def AG(inner: Formula) -> Formula:
     return Not(EF(Not(inner)))
 
 
-def formula_text(node: Formula) -> str:
-    if isinstance(node, TrueF):
-        return "true"
-    if isinstance(node, PlaceAtom):
-        return node.place
-    if isinstance(node, DataAtom):
-        return f"{_term_text(node.lhs)} {node.op} {_term_text(node.rhs)}"
-    if isinstance(node, Quantifier):
-        return f"{node.kind} {node.var} in R, [{formula_text(node.body)}]"
-    if isinstance(node, Not):
-        return f"!({formula_text(node.inner)})"
-    if isinstance(node, And):
-        return f"({formula_text(node.lhs)} & {formula_text(node.rhs)})"
-    if isinstance(node, Or):
-        return f"({formula_text(node.lhs)} | {formula_text(node.rhs)})"
-    if isinstance(node, EX):
-        return f"EX ({formula_text(node.inner)})"
-    if isinstance(node, EG):
-        return f"EG ({formula_text(node.inner)})"
-    if isinstance(node, EU):
-        return f"E(({formula_text(node.lhs)}) U ({formula_text(node.rhs)}))"
-    return f"A(({formula_text(node.lhs)}) U ({formula_text(node.rhs)}))"
-
-
-def _term_text(term) -> str:
-    if term[0] == "empty":
-        return "empty"
-    if term[0] == "attr":
-        return f"{term[1]}.{term[2]}"
-    return term[1]
-
-
 # ---------------------------------------------------------------------------
 # state-local subformulas, compiled once per node
 
@@ -178,23 +146,16 @@ def _record_variable(net, node: Quantifier) -> bool:
     quantifier reduces to a key-column membership precondition."""
     if net.schema is None:
         return True
-    attrs = set(net.schema.attributes)
-
-    def walk(sub) -> bool:
+    attrs, stack = set(net.schema.attributes), [node.body]
+    while stack:
+        sub = stack.pop()
         if isinstance(sub, DataAtom):
-            for term in (sub.lhs, sub.rhs):
-                if term[0] == "attr" and term[1] == node.var and term[2] in attrs:
-                    return True
-            return False
-        if isinstance(sub, Quantifier):
-            return sub.var != node.var and walk(sub.body)
-        if isinstance(sub, (Not, EX, EG)):
-            return walk(sub.inner)
-        if isinstance(sub, (And, Or, EU, AU)):
-            return walk(sub.lhs) or walk(sub.rhs)
-        return False
-
-    return walk(node.body)
+            if any(term[0] == "attr" and term[1] == node.var and term[2] in attrs for term in (sub.lhs, sub.rhs)):
+                return True
+        # a quantifier over the same name hides its body
+        elif not (isinstance(sub, Quantifier) and sub.var == node.var):
+            stack.extend(subformulas(sub))
+    return False
 
 
 # comparisons of two defined tokens: tokens sharing a prefix order by
@@ -587,16 +548,24 @@ class _Shapes:
 
 
 class _Evaluation:
-    """Evaluation state of one finished graph: state groups, the
-    satisfaction bitset of every formula node evaluated so far, keyed on
-    the node's structure so that equal subformulas of different formulas
-    are computed once, and the graph's bisimulation quotient, which
-    decides every subformula without a quantifier."""
+    """Evaluation state of one finished graph: its adjacency lists, state
+    groups, the satisfaction bitset of every formula node evaluated so
+    far, keyed on the node's structure so that equal subformulas of
+    different formulas are computed once, and the graph's bisimulation
+    quotient, which decides every subformula without a quantifier."""
 
-    def __init__(self, srg: Srg, shapes: _Shapes | None = None):
-        self.srg, self.states, self.net = srg, srg.states, srg.net
-        self.size = n = len(srg.states)
+    def __init__(self, net, states: list, arcs, shapes: _Shapes | None = None):
+        self.states, self.net = states, net
+        self.size = n = len(states)
         self.everything = (1 << n) - 1
+        # per state, the targets of its arcs and the sources of the arcs
+        # into it, one entry per ``(src, dst)`` arc in ``arcs`` order
+        post: list[list[int]] = [[] for _ in states]
+        pre: list[list[int]] = [[] for _ in states]
+        for src, dst in arcs:
+            post[src].append(dst)
+            pre[dst].append(src)
+        self.post, self.pre = post, pre
         self.groups: dict[tuple[bool, bool], tuple] = {}  # see ``partition``
         self.shapes = shapes or _Shapes()
         self.memo: dict[int, int] = {}  # structural id -> satisfaction bitset
@@ -613,18 +582,13 @@ class _Evaluation:
         quantifier-free subformula holds exactly at the states of the
         blocks satisfying it in the quotient. A block's arcs are those of
         its first state."""
-        block, blocks = _bisimulation(self.srg)
+        block, blocks = _bisimulation([state.marking for state in self.states], self.post, self.pre)
         if blocks == self.size:
             return self
         first, self.block = _groups(block, blocks)  # the block number of each state
         self.lifted: dict[int, int] = {}  # quotient bitset -> its states; a few recur often
-        graph = Srg(net=self.net, mode=self.srg.mode, initial=block[self.srg.initial])
-        graph.states = [self.states[i] for i in first]
-        graph.edges = [
-            (block[src], t, block[dst]) for src, t, dst in self.srg.edges if first[block[src]] == src
-        ]
-        graph.finish()
-        quotient = _Evaluation(graph, self.shapes)
+        arcs = ((b, block[dst]) for b, src in enumerate(first) for dst in self.post[src])
+        quotient = _Evaluation(self.net, [self.states[i] for i in first], arcs, self.shapes)
         quotient.quotient = quotient
         return quotient
 
@@ -723,7 +687,7 @@ class _Evaluation:
 
     def ex(self, target: int) -> int:
         """States with at least one successor inside ``target``."""
-        pre = self.srg.adjacency()[1]
+        pre = self.pre
         found = bytearray(self.size)
         for i in _members(target):
             for pred in pre[i]:
@@ -741,14 +705,14 @@ class _Evaluation:
 
     def au(self, lhs: int, rhs: int) -> int:
         """Least fixed point of  Q = rhs | (lhs & AX Q & not deadlock)."""
-        return self.backward(lhs, rhs, list(map(len, self.srg.adjacency()[0])))
+        return self.backward(lhs, rhs, list(map(len, self.post)))
 
     def backward(self, lhs: int, rhs: int, remaining: list[int]) -> int:
         """The states of ``rhs``, and by a backward walk from them each
         state ``i`` of ``lhs`` once ``remaining[i]`` of its arcs lead into
         the result: one for EU, all of them for AU. A deadlock is a
         predecessor of nothing, so it joins only from ``rhs``."""
-        pre = self.srg.adjacency()[1]
+        pre = self.pre
         result = _flags(rhs, self.size)
         allowed = _flags(lhs, self.size)
         frontier = list(compress(range(self.size), result))
@@ -781,18 +745,18 @@ def _numbered(keys: list) -> tuple[list[int], int]:
     return [numbers.setdefault(key, len(numbers)) for key in keys], len(numbers)
 
 
-def _bisimulation(srg: Srg) -> tuple[list[int], int]:
+def _bisimulation(markings: list, post: list[list[int]], pre: list[list[int]]) -> tuple[list[int], int]:
     """The block of each state in the coarsest partition that keeps states
-    with different markings apart and in which the states of a block have
-    successors in the same blocks, and the number of blocks.
+    with different ``markings`` apart and in which the states of a block
+    have successors in the same blocks, and the number of blocks; ``post``
+    and ``pre`` list each state's arc targets and arc sources.
 
     Blocks start as the sets of states with one marking. A block splits
     by the set of blocks its states step into, and a split sends the
     blocks holding predecessors of its states back for another look, until
     no block splits. Blocks are then numbered by their first state, so the
     numbering does not depend on the hash seed."""
-    post, pre = srg.adjacency()
-    block, blocks = _numbered([state.marking for state in srg.states])
+    block, blocks = _numbered(markings)
     members: list[list[int]] = [[] for _ in range(blocks)]
     for i, b in enumerate(block):
         members[b].append(i)
@@ -817,7 +781,7 @@ def _bisimulation(srg: Srg) -> tuple[list[int], int]:
 
 def _evaluation(srg: Srg) -> _Evaluation:
     if srg.evaluation is None:
-        srg.evaluation = _Evaluation(srg)
+        srg.evaluation = _Evaluation(srg.net, srg.states, ((src, dst) for src, _, dst in srg.edges))
     return srg.evaluation
 
 

@@ -483,6 +483,7 @@ def validate_workflow_structure(net: WftcNet) -> list[str]:
         ("place", [p.name for p in net.places]),
         ("transition", [t.name for t in net.transitions]),
         ("attribute", [f"{schema.name}.{a}" for a in schema.attributes] if schema is not None else []),
+        ("data item", net.data_items),
     ):
         names = sorted(names)
         for name in [name for name, after in zip(names, names[1:]) if name == after]:
@@ -491,8 +492,6 @@ def validate_workflow_structure(net: WftcNet) -> list[str]:
     transition_names = {t.name for t in net.transitions}
     if overlap := place_names & transition_names:
         error(f"names used as both place and transition: {sorted(overlap)}")
-    if len(set(net.data_items)) != len(net.data_items):
-        error("duplicate data item")
     width = len(schema.attributes) if schema is not None else 0
     for record in [record for record in net.initial_records if len(record) != width]:
         error(f"initial record {record} has {len(record)} values, expected {width}")

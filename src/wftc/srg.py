@@ -87,12 +87,6 @@ class StateC(Frozen):
             and self.sigma == other.sigma
         )
 
-    def marked_places(self, net: WftcNet) -> list[str]:
-        return [p.name for p in net.places if self.marking[p.index] > 0]
-
-    def sigma_map(self, net: WftcNet) -> dict:
-        return dict(zip(net.guard_order, self.sigma))
-
 
 def initial_state(net: WftcNet) -> StateC:
     """One token on start, all items unwritten, the declared table, and
@@ -281,7 +275,7 @@ class _Store:
     firing needs from them, each computed once. Answers name a table by
     ``id``, which stays its own while ``tables`` keeps it."""
 
-    __slots__ = ("tables", "hashes", "found", "columns", "derived", "settled")
+    __slots__ = ("tables", "hashes", "found", "columns", "derived")
 
     def __init__(self):
         self.tables: dict[tuple, tuple] = {}  # also keeps one copy of each guard valuation
@@ -289,7 +283,6 @@ class _Store:
         self.found: dict[tuple, tuple] = {}  # (table, column, value) -> the rows holding it
         self.columns: dict[tuple, list] = {}  # (table, column) -> its values
         self.derived: dict[tuple, tuple] = {}  # (table, plan, values the ops read) -> table
-        self.settled: dict[tuple, str] = {}  # (guard, table, values of its items) -> guard value
 
     def intern(self, table: tuple) -> tuple:
         """The kept copy of ``table``, hashed when it is first kept."""
@@ -423,7 +416,6 @@ def _sigma_after(plan: _Plan, parent_sigma, data: tuple, table: tuple, mode, sto
         return [parent_sigma]
     sigma = list(parent_sigma)
     choices = []
-    settled, tid = store.settled, id(table)
     for gi, deps, settle in plan.settle:
         values = deps(data)
         if UNDEF in values:
@@ -431,11 +423,7 @@ def _sigma_after(plan: _Plan, parent_sigma, data: tuple, table: tuple, mode, sto
         elif mode == UNCONSTRAINED:
             choices.append(gi)
         else:
-            key = (gi, tid) + values
-            value = settled.get(key)
-            if value is None:
-                value = settled[key] = TRUE if settle(data, table, store.rows) else FALSE
-            sigma[gi] = value
+            sigma[gi] = TRUE if settle(data, table, store.rows) else FALSE
     if not choices:
         valuation = tuple(sigma)
         return [store.tables.setdefault(valuation, valuation)]
@@ -511,7 +499,7 @@ class Srg(Struct):
     """Reachability graph: canonical state store plus labeled edges."""
 
     _fields = ("net", "mode", "states", "edges", "initial", "pseudo", "build_millis")
-    __slots__ = _fields + ("_post", "_pre", "evaluation")
+    __slots__ = _fields + ("evaluation",)
 
     def __init__(
         self,
@@ -535,28 +523,10 @@ class Srg(Struct):
     def state_id(self, index: int) -> str:
         return f"c{index}"
 
-    def successors(self, index: int) -> set[int]:
-        return set(self.adjacency()[0][index])
-
-    def predecessors(self, index: int) -> set[int]:
-        return set(self.adjacency()[1][index])
-
-    def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per state, the targets of its arcs and the sources of the arcs
-        into it, one entry per arc in ``edges`` order."""
-        if self._post is None:
-            post: list[list[int]] = [[] for _ in self.states]
-            pre: list[list[int]] = [[] for _ in self.states]
-            for src, _, dst in self.edges:
-                post[src].append(dst)
-                pre[dst].append(src)
-            self._post, self._pre = post, pre
-        return self._post, self._pre
-
     def finish(self):
-        # adjacency and formula-evaluation state (groups, memoised sat sets)
-        # are built when a formula first needs them; stale once edges change
-        self._post = self._pre = self.evaluation = None
+        # the evaluator (adjacency lists, groups, memoised sat sets) is made
+        # when a formula first needs it; stale once states or edges change
+        self.evaluation = None
         return self
 
 

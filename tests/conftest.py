@@ -5,6 +5,7 @@ from importlib import resources
 import pytest
 
 from wftc import CONSTRAINED, UNCONSTRAINED, build_srg, parse_model
+from wftc import dctl as ast
 from wftc.model import Place, Transition, WftcNet
 from wftc.srg import Srg, StateC
 
@@ -28,6 +29,60 @@ def bitset(states) -> int:
     """The bitset of some state ids, in the form ``sat`` takes and returns:
     bit i stands for state i."""
     return sum(1 << i for i in set(states))
+
+
+def marked_places(state: StateC, net: WftcNet) -> list[str]:
+    """The places that hold a token in ``state``, in declaration order."""
+    return [p.name for p in net.places if state.marking[p.index] > 0]
+
+
+def sigma_map(state: StateC, net: WftcNet) -> dict:
+    """The guard values of ``state`` by guard name."""
+    return dict(zip(net.guard_order, state.sigma))
+
+
+def formula_text(node) -> str:
+    """A formula tree written back as text that ``parse_dctl`` reads."""
+    if isinstance(node, ast.TrueF):
+        return "true"
+    if isinstance(node, ast.PlaceAtom):
+        return node.place
+    if isinstance(node, ast.DataAtom):
+        return f"{term_text(node.lhs)} {node.op} {term_text(node.rhs)}"
+    if isinstance(node, ast.Quantifier):
+        return f"{node.kind} {node.var} in R, [{formula_text(node.body)}]"
+    if isinstance(node, ast.Not):
+        return f"!({formula_text(node.inner)})"
+    if isinstance(node, ast.And):
+        return f"({formula_text(node.lhs)} & {formula_text(node.rhs)})"
+    if isinstance(node, ast.Or):
+        return f"({formula_text(node.lhs)} | {formula_text(node.rhs)})"
+    if isinstance(node, ast.EX):
+        return f"EX ({formula_text(node.inner)})"
+    if isinstance(node, ast.EG):
+        return f"EG ({formula_text(node.inner)})"
+    if isinstance(node, ast.EU):
+        return f"E(({formula_text(node.lhs)}) U ({formula_text(node.rhs)}))"
+    return f"A(({formula_text(node.lhs)}) U ({formula_text(node.rhs)}))"
+
+
+def term_text(term) -> str:
+    if term[0] == "empty":
+        return "empty"
+    if term[0] == "attr":
+        return f"{term[1]}.{term[2]}"
+    return term[1]
+
+
+def arc_lists(srg: Srg) -> tuple[list[list[int]], list[list[int]]]:
+    """Per state, the targets of its arcs and the sources of the arcs into
+    it, one entry per arc of ``srg.edges``, in edge order."""
+    post: list[list[int]] = [[] for _ in srg.states]
+    pre: list[list[int]] = [[] for _ in srg.states]
+    for src, _, dst in srg.edges:
+        post[src].append(dst)
+        pre[dst].append(src)
+    return post, pre
 
 
 def requirement_texts() -> list[str]:

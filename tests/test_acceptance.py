@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bitset, make_random_srg
+from conftest import bitset, formula_text, make_random_srg, marked_places, sigma_map
 from test_dctl import oracle_au, oracle_eg, oracle_eu, oracle_ex, random_sets
 from test_textio import random_formula, random_net
 from wftc import (
@@ -31,7 +31,7 @@ from wftc import (
     serialize_model,
     verify,
 )
-from wftc.dctl import Verdict, formula_text
+from wftc.dctl import Verdict
 from wftc.model import BOT, FALSE, TRUE
 
 SUITE_STARTED = time.perf_counter()
@@ -72,7 +72,7 @@ PHI2 = "EG((forall id10 in R), [id10.copy = true])"
 
 def state_row(net, state):
     return (
-        tuple(sorted(state.marked_places(net))),
+        tuple(sorted(marked_places(state, net))),
         state.data,
         state.table,
         state.sigma,
@@ -111,7 +111,7 @@ def test_criterion_3_branching(motivating_net, wfd_net):
     constrained = fire(motivating_net, initial_state(motivating_net), "t0", CONSTRAINED)
     branches = fire(wfd_net, initial_state(wfd_net), "t0", UNCONSTRAINED)
     pseudo = sum(
-        not constraint_consistent(s.sigma_map(wfd_net), wfd_net.constraints)
+        not constraint_consistent(sigma_map(s, wfd_net), wfd_net.constraints)
         for s in branches
     )
     ok = len(constrained) == 3 and len(branches) == 4 and pseudo == 2
@@ -158,7 +158,7 @@ def test_criterion_7a_constraint_soundness(motivating_net, motivating_srg, wfd_n
         (wfd_net, build_srg(wfd_net, CONSTRAINED)),
     ):
         for s in srg.states:
-            if not constraint_consistent(s.sigma_map(net), net.constraints):
+            if not constraint_consistent(sigma_map(s, net), net.constraints):
                 violations += 1
     announce("constrained soundness (0 violations)", violations == 0)
 

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from conftest import fixture_text, make_copied_srg, make_random_srg, table_model
+from conftest import arc_lists, fixture_text, make_copied_srg, make_random_srg, table_model
 from wftc import CONSTRAINED, UNCONSTRAINED, build_srg, parse_model
 from wftc.dctl import _bisimulation
 
@@ -77,7 +77,7 @@ def test_partition_on_random_graphs():
             srg = make_copied_srg(rng, max_states=16, markings=rng.randint(1, 3))
         else:
             srg = make_random_srg(rng, max_states=14)
-        block, count = _bisimulation(srg)
+        block, count = _bisimulation(markings(srg), *arc_lists(srg))
         check_partition(srg, block, count)
         found = {frozenset(s for s, b in enumerate(block) if b == k) for k in range(count)}
         assert found == classes(srg)
@@ -94,6 +94,6 @@ def test_partition_on_random_graphs():
 )
 def test_partition_on_fixtures(text, mode, count):
     srg = build_srg(parse_model(text), mode)
-    block, blocks = _bisimulation(srg)
+    block, blocks = _bisimulation(markings(srg), *arc_lists(srg))
     assert blocks == count
     check_partition(srg, block, blocks)

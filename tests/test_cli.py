@@ -433,6 +433,7 @@ def test_superscript_table_cell_builds(tmp_path):
 MALFORMED_MODELS = {
     "place-and-transition": ("[TRANSITIONS] t0", "[TRANSITIONS] p0 t0", "names used as both place and transition: ['p0']"),
     "duplicate-arc": ("p0->t0", "p0->t0 p0->t0", "duplicate arc 'p0->t0' at line {line}"),
+    "duplicate-data-item": ("[DATA] id password license copy", "[DATA] id password license copy id", "duplicate data item id"),
     "table-header": ("User(Id, License, Copy)", "User Id, License, Copy", "malformed table header 'User Id, License, Copy' at line {line}"),
     "table-no-attributes": ("User(Id, License, Copy)", "User()", "table needs at least one attribute at line {line}"),
     "ops-before-transition": ("t0: wt(id", "wt(id", "operation line without a transition: 'wt(id, password) sel(User.Id)' at line {line}"),

@@ -476,7 +476,7 @@ def test_state_groups_follow_values_in_order_of_first_state():
             for i, s in enumerate(states):
                 members.setdefault((s.marking if marking else None, s.table if table else None), set()).add(i)
             want = [(states[min(ids)].marking, states[min(ids)].table, ids) for ids in members.values()]
-            groups, number = _Evaluation(srg).partition(marking, table)
+            groups, number = _Evaluation(srg.net, states, ()).partition(marking, table)
             assert len(number) == len(states)
             got = [(m, t, {i for i, g in enumerate(number) if g == k}) for k, (m, t) in enumerate(groups)]
             assert got == want

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import fixture_text
 from wftc import constraint_consistent, parse_model, serialize_model, validate_workflow_structure
+from wftc.dctl import _evaluation
 from wftc.model import (
     BOT,
     FALSE,
@@ -215,10 +216,10 @@ def test_net_pickles_before_and_after_a_build():
             assert back == net and back.compiled is None, (built, protocol)
             srg = build_srg(back)
             assert (len(srg.states), len(srg.edges)) == (54, 73), (built, protocol)
-            srg.adjacency()  # built on first use, and left out of the pickle
+            _evaluation(srg)  # made on first use, and left out of the pickle
             again = pickle.loads(pickle.dumps(srg, protocol))
-            assert again == srg and again._post is None, (built, protocol)
-            assert again.successors(0) == srg.successors(0), (built, protocol)
+            assert again == srg and again.evaluation is None, (built, protocol)
+            assert _evaluation(again).post == _evaluation(srg).post, (built, protocol)
 
 
 def test_mutable_classes_are_unhashable(motivating_srg):

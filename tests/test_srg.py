@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import wftc
+from conftest import arc_lists, marked_places, sigma_map
 from wftc import (
     CONSTRAINED,
     UNCONSTRAINED,
@@ -41,20 +42,20 @@ from wftc.model import (
     Transition,
     UpdateOp,
 )
-from wftc.srg import FiringError, StateC, fresh_token
+from wftc.srg import FiringError, Srg, StateC, fresh_token
 
 TABLE0 = (("id1", "license1", "copy1"), ("id2", "license2", "copy2"))
 
 
 def find_state(net, srg, place, data):
     for s in srg.states:
-        if s.marked_places(net) == [place] and s.data == data:
+        if marked_places(s, net) == [place] and s.data == data:
             yield s
 
 
 def test_initial_state_of_motivating_net(motivating_net):
     c0 = initial_state(motivating_net)
-    assert c0.marked_places(motivating_net) == ["p0"]
+    assert marked_places(c0, motivating_net) == ["p0"]
     assert c0.data == (UNDEF, UNDEF, UNDEF, UNDEF)
     assert c0.table == TABLE0
     assert c0.sigma == (BOT,) * 6
@@ -108,7 +109,7 @@ def test_t0_enabled_initially(motivating_net):
 def test_guarded_transition_blocked_on_false(motivating_net):
     c0 = initial_state(motivating_net)
     c3 = [s for s in fire(motivating_net, c0, "t0") if s.data[0] == "id3"][0]
-    assert c3.sigma_map(motivating_net)["g1"] == FALSE
+    assert sigma_map(c3, motivating_net)["g1"] == FALSE
     assert not enabled(motivating_net, c3, "t1")
     assert enabled(motivating_net, c3, "t2")
 
@@ -150,7 +151,7 @@ def test_fire_t2_inserts_fresh_row(motivating_net):
     c0 = initial_state(motivating_net)
     c3 = [s for s in fire(motivating_net, c0, "t0") if s.data[0] == "id3"][0]
     (c35,) = fire(motivating_net, c3, "t2")
-    assert c35.marked_places(motivating_net) == ["p3"]
+    assert marked_places(c35, motivating_net) == ["p3"]
     assert c35.table == TABLE0 + (("id3", UNDEF, UNDEF),)
     assert c35.sigma == (FALSE, TRUE, BOT, BOT, BOT, BOT)
 
@@ -159,7 +160,7 @@ def test_fire_t0_unconstrained_on_wfd(wfd_net):
     succ = fire(wfd_net, initial_state(wfd_net), "t0", UNCONSTRAINED)
     assert len(succ) == 4
     pseudo = [
-        not constraint_consistent(s.sigma_map(wfd_net), wfd_net.constraints)
+        not constraint_consistent(sigma_map(s, wfd_net), wfd_net.constraints)
         for s in succ
     ]
     assert sum(pseudo) == 2
@@ -255,7 +256,7 @@ INVALID_NETS = {
         lambda net: net.transitions.append(Transition("p3", 19)),
         "names used as both place and transition: ['p3']",
     ),
-    "duplicate-data-item": (lambda net: net.data_items.append("id"), "duplicate data item"),
+    "duplicate-data-item": (lambda net: net.data_items.append("id"), "duplicate data item id"),
     "ops-on-undeclared-transition": (
         lambda net: (
             net.sel.update(t97=(SelScope("User", "Id"),)),
@@ -406,7 +407,7 @@ def test_state_ceiling(motivating_net):
 
 def test_constrained_states_satisfy_constraints(motivating_net, motivating_srg):
     for s in motivating_srg.states:
-        assert constraint_consistent(s.sigma_map(motivating_net), motivating_net.constraints)
+        assert constraint_consistent(sigma_map(s, motivating_net), motivating_net.constraints)
 
 
 def test_build_is_deterministic(motivating_net, motivating_srg):
@@ -443,6 +444,7 @@ def test_unpickled_state_hashes_in_its_new_process(motivating_srg):
 def test_mode_relationship(wfd_net, wfd_srg):
     # constrained state set sits inside the unconstrained one restricted to
     # plain states reachable through plain states
+    post, _ = arc_lists(wfd_srg)
     reachable = set()
     frontier = [wfd_srg.initial]
     while frontier:
@@ -450,7 +452,7 @@ def test_mode_relationship(wfd_net, wfd_srg):
         if wfd_srg.pseudo[i] or i in reachable:
             continue
         reachable.add(i)
-        frontier.extend(wfd_srg.successors(i))
+        frontier.extend(post[i])
     plain = {wfd_srg.states[i] for i in reachable}
     constrained = build_srg(wfd_net, CONSTRAINED)
     assert set(constrained.states) <= plain
@@ -498,11 +500,11 @@ def test_insert_then_delete_restores_table():
     c0 = srg.states[srg.initial]
     # the fresh-token branch inserts a new row, the delete removes it again
     fresh_mid = [
-        s for s in srg.states if s.data == ("k1",) and s.marked_places(net) == ["p1"]
+        s for s in srg.states if s.data == ("k1",) and marked_places(s, net) == ["p1"]
     ]
     assert fresh_mid[0].table == (("k1",), ("v1",))
     fresh_final = [
-        s for s in srg.states if s.data == ("k1",) and s.marked_places(net) == ["p2"]
+        s for s in srg.states if s.data == ("k1",) and marked_places(s, net) == ["p2"]
     ]
     assert fresh_final[0].table == c0.table
 
@@ -542,27 +544,7 @@ def test_unconstrained_mode_on_table_backed_net(motivating_net):
 
 
 # ---------------------------------------------------------------------------
-# adjacency sets, built on first use
-
-
-def adjacency_from_edges(srg):
-    post = [set() for _ in srg.states]
-    pre = [set() for _ in srg.states]
-    for src, _, dst in srg.edges:
-        post[src].add(dst)
-        pre[dst].add(src)
-    return post, pre
-
-
-def assert_adjacency_matches_edges(srg):
-    post, pre = adjacency_from_edges(srg)
-    assert [srg.successors(i) for i in range(len(srg.states))] == post
-    assert [srg.predecessors(i) for i in range(len(srg.states))] == pre
-    # the lists the evaluator reads hold every arc once, in edge order
-    arcs = [(src, dst) for src, _, dst in srg.edges]
-    post, pre = srg.adjacency()
-    assert [(src, dst) for src, dsts in enumerate(post) for dst in dsts] == sorted(arcs, key=lambda arc: arc[0])
-    assert [(src, dst) for dst, srcs in enumerate(pre) for src in srcs] == sorted(arcs, key=lambda arc: arc[1])
+# the evaluator's adjacency lists, built on first use
 
 
 @pytest.mark.parametrize("name", ["motivating.wftc", "motivating-wfd.wftc"])
@@ -570,32 +552,45 @@ def assert_adjacency_matches_edges(srg):
 def test_adjacency_is_built_on_first_use(name, mode):
     from conftest import fixture_text
 
-    from wftc.dctl import _Evaluation
+    from wftc.dctl import _evaluation
 
     srg = build_srg(parse_model(fixture_text(name)), mode)
-    # a build that checks no formula holds no adjacency sets
-    assert (srg._post, srg._pre, srg.evaluation) == (None, None, None)
-    assert_adjacency_matches_edges(srg)
-    assert all(isinstance(srg.successors(i), set) for i in range(len(srg.states)))
-    quotient = _Evaluation(srg).quotient.srg
+    # a build that checks no formula holds no evaluator, so no lists
+    assert srg.evaluation is None
+    evaluation = _evaluation(srg)
+    assert (evaluation.post, evaluation.pre) == arc_lists(srg)
+    quotient = evaluation.quotient
     assert len(quotient.states) < len(srg.states)
-    assert_adjacency_matches_edges(quotient)
+    # a block's arcs are those of its first state; a build lists the arcs
+    # of each state after those of the states before it
+    block = list(evaluation.block)
+    first = [block.index(b) for b in range(len(quotient.states))]
+    arcs = [(block[src], t, block[dst]) for src, t, dst in srg.edges if first[block[src]] == src]
+    blocks = Srg(net=srg.net, mode=srg.mode, states=quotient.states, edges=arcs)
+    assert (quotient.post, quotient.pre) == arc_lists(blocks)
 
 
 def test_finish_drops_stale_adjacency(motivating_net):
+    from wftc.dctl import _evaluation
+
+    def lists():
+        evaluation = _evaluation(srg)
+        return evaluation.post, evaluation.pre
+
     srg = build_srg(motivating_net, CONSTRAINED)
-    assert srg.successors(0) and 0 not in srg.successors(0)
+    assert lists()[0][0] and 0 not in lists()[0][0]
     srg.edges = srg.edges + [(0, "t0", 0)]
     srg.finish()
-    assert 0 in srg.successors(0) and 0 in srg.predecessors(0)
-    assert_adjacency_matches_edges(srg)
+    assert srg.evaluation is None
+    assert 0 in lists()[0][0] and 0 in lists()[1][0]
+    assert lists() == arc_lists(srg)
     srg.edges = srg.edges[:-1]
     srg.finish()
-    assert 0 not in srg.successors(0)
-    assert_adjacency_matches_edges(srg)
+    assert 0 not in lists()[0][0]
+    assert lists() == arc_lists(srg)
     # a second transition between the same two states is a second arc
     src, _, dst = srg.edges[0]
     srg.edges = srg.edges + [(src, "t9", dst)]
     srg.finish()
-    assert srg.adjacency()[0][src].count(dst) == 2 and dst in srg.successors(src)
-    assert_adjacency_matches_edges(srg)
+    assert lists()[0][src].count(dst) == 2
+    assert lists() == arc_lists(srg)

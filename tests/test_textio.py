@@ -22,8 +22,7 @@ from wftc import (
     serialize_model,
 )
 from wftc import dctl as ast
-from conftest import PREFIX_SHAPES, TINY_CHAIN, deepest_prefix, fixture_text, formula_seeds, on_fresh_stack
-from wftc.dctl import formula_text
+from conftest import PREFIX_SHAPES, TINY_CHAIN, deepest_prefix, fixture_text, formula_seeds, formula_text, on_fresh_stack
 from wftc.model import (
     Guard,
     GuardRef,
