@@ -7,6 +7,7 @@ error, 3 state-ceiling exceeded or input nested too deeply for the stack.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -206,5 +207,19 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
 
 
+def entry() -> int:
+    """``main`` as a process of its own: the ``wftc`` console script and
+    ``python -m wftc.cli``. A run makes no reference cycles worth a pass
+    of the cyclic collector, so the collector stays off while it runs,
+    and the heap is frozen on the way out, however ``main`` ends, so that
+    the collection at interpreter shutdown has nothing to walk. ``main``
+    itself leaves the collector as its caller set it."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

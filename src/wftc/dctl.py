@@ -571,10 +571,11 @@ class _Evaluation:
         self.memo: dict[int, int] = {}  # structural id -> satisfaction bitset
 
     @cached_property
-    def quotient(self) -> _Evaluation:
+    def quotient(self) -> _Evaluation | None:
         """The evaluator of the quotient graph by the coarsest bisimulation
-        that keeps states with different markings apart; itself when no
-        two states are bisimilar.
+        that keeps states with different markings apart; None when no two
+        states are bisimilar, and None on a quotient, so that no evaluator
+        refers to itself and a dropped graph is freed by reference counting.
 
         Without a quantifier a subformula reads nothing of a state but its
         marking, and bisimilar states satisfy the same such formulas,
@@ -584,22 +585,23 @@ class _Evaluation:
         its first state."""
         block, blocks = _bisimulation([state.marking for state in self.states], self.post, self.pre)
         if blocks == self.size:
-            return self
+            return None
         first, self.block = _groups(block, blocks)  # the block number of each state
         self.lifted: dict[int, int] = {}  # quotient bitset -> its states; a few recur often
         arcs = ((b, block[dst]) for b, src in enumerate(first) for dst in self.post[src])
         quotient = _Evaluation(self.net, [self.states[i] for i in first], arcs, self.shapes)
-        quotient.quotient = quotient
+        quotient.quotient = None  # already minimal
         return quotient
 
     def decider(self, sid: int) -> _Evaluation:
-        """The evaluator of a node: the quotient for a temporal node
-        without a quantifier; the graph itself for a node with a
-        quantifier, which reads tables (they barely merge any states), and
-        for a state-local one, which walks no arcs and so gains nothing
-        from the quotient that would pay for computing it."""
+        """The evaluator of a node: the quotient, if smaller, for a
+        temporal node without a quantifier; the graph itself for a node
+        with a quantifier, which reads tables (they barely merge any
+        states), and for a state-local one, which walks no arcs and so
+        gains nothing from the quotient that would pay for computing it."""
         shapes = self.shapes
-        return self.quotient if sid in shapes.temporal and sid not in shapes.quantified else self
+        quotient = self.quotient if sid in shapes.temporal and sid not in shapes.quantified else None
+        return self if quotient is None else quotient
 
     def lift(self, bits: int) -> int:
         """The states of the quotient blocks in ``bits``."""

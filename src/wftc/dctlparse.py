@@ -21,7 +21,7 @@ class _Token(Struct):
 
 _FORMULA_TOKENS = re.compile(
     r"\s*(?:(?P<arrow>->)|(?P<cmp><=|>=|!=|<|>|=)|(?P<punct>[()\[\],.!&|])"
-    rf"|(?P<name>{_NAME}))"
+    rf'|(?P<name>{_NAME})|(?P<place>"{_NAME}"))'
 )
 
 
@@ -164,6 +164,8 @@ class DctlParser:
                 return self.parse_quantified()[0]
             if tok.kind == "name":
                 return self.parse_comparison_or_atom()
+            if tok.kind == "place":
+                return self.parse_quoted_place()
             raise ParseError(f"unexpected token {tok.text!r}", column=tok.pos + 1)
         finally:
             self.depth -= 1
@@ -291,7 +293,10 @@ class DctlParser:
             )
         name = term[1]
         if name in ("true", "false", "deadlock") and self.net is not None and self.net.is_place(name):
-            raise ParseError(f"{name!r} is both a keyword and a place of the net", column=start.pos + 1)
+            raise ParseError(
+                f'{name!r} is both a keyword and a place of the net; write "{name}" for the place',
+                column=start.pos + 1,
+            )
         if name == "true":
             return dctl.TrueF()
         if name == "false":
@@ -301,6 +306,14 @@ class DctlParser:
         if self.net is None or self.net.is_place(name):
             return dctl.PlaceAtom(name)
         raise ParseError(f"unknown atom {name!r}", column=start.pos + 1)
+
+    def parse_quoted_place(self):
+        # "AG" is the place AG, whatever keyword or operator it spells
+        tok = self.next()
+        name = tok.text[1:-1]
+        if self.net is None or self.net.is_place(name):
+            return dctl.PlaceAtom(name)
+        raise ParseError(f"unknown place {name!r}", column=tok.pos + 1)
 
     def parse_term(self):
         tok = self.next()

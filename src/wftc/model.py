@@ -228,28 +228,31 @@ class Guard(Frozen):
         """``expr`` as one function of a data tuple, a table and a row
         lookup, true or false, over the ``Predicate.bind`` functions in
         ``bound``; ``srg`` calls it once the predicates' items are written."""
+        return _bind(self.expr, bound)
 
-        def function(node):
-            op = node[0]
-            if op == "pi":
-                return bound[node[1]]
-            if op == "not":
-                inner = function(node[1])
-                return lambda data, table, rows: not inner(data, table, rows)
-            operands = []
-            for operand in node[1:]:  # a loop, not a comprehension: one frame per level
-                operands.append(function(operand))
-            decisive = op == "or"  # the operand value that decides the chain
 
-            def chain(data, table, rows) -> bool:
-                for operand in operands:  # a loop, not ``all``: one frame per level
-                    if operand(data, table, rows) == decisive:
-                        return decisive
-                return not decisive
+def _bind(node: tuple, bound: dict):
+    """``Guard.bind`` of one expression node; a module-level function, so
+    that no compiled guard holds a closure over its own compiler (a
+    reference cycle per guard that only the cyclic collector frees)."""
+    op = node[0]
+    if op == "pi":
+        return bound[node[1]]
+    if op == "not":
+        inner = _bind(node[1], bound)
+        return lambda data, table, rows: not inner(data, table, rows)
+    operands = []
+    for operand in node[1:]:  # a loop, not a comprehension: one frame per level
+        operands.append(_bind(operand, bound))
+    decisive = op == "or"  # the operand value that decides the chain
 
-            return chain
+    def chain(data, table, rows) -> bool:
+        for operand in operands:  # a loop, not ``all``: one frame per level
+            if operand(data, table, rows) == decisive:
+                return decisive
+        return not decisive
 
-        return function(self.expr)
+    return chain
 
 
 # A constraint is a disjunction of conjunctions of guard literals,

@@ -483,7 +483,31 @@ def test_keyword_named_place_is_a_parse_error(capsys, tmp_path, keyword):
     model = model_with(tmp_path, "p13", keyword)
     code, out, err = run(capsys, "verify", model, "--formula", f"EF {keyword}")
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == f"error: {keyword!r} is both a keyword and a place of the net, column 4\n"
+    assert err == (
+        f"error: {keyword!r} is both a keyword and a place of the net;"
+        f' write "{keyword}" for the place, column 4\n'
+    )
+    # the quoted form the message suggests names the place
+    code, _, err = run(capsys, "verify", model, "--formula", f'EF "{keyword}"')
+    assert (code, err) == (EXIT_OK, "")
+
+
+def test_quoted_place_named_like_an_operator(capsys, tmp_path):
+    # the end place named AG can be named in a formula only when quoted
+    model = model_with(tmp_path, "p13", "AG")
+
+    def verdict(path, formula):
+        code, out, err = run(capsys, "verify", path, "--formula", formula, "--output", "json")
+        assert err == ""
+        (entry,) = json.loads(out)["formulas"]
+        return code, entry["verdict"], entry["satCount"]
+
+    for quoted, plain, holds in (('EF "AG"', "EF p13", (EXIT_OK, "TRUE")), ('AG "AG"', "AG p13", (EXIT_FALSE, "FALSE"))):
+        got = verdict(model, quoted)
+        assert got == verdict(MOTIVATING, plain)
+        assert got[:2] == holds
+    code, out, err = run(capsys, "verify", model, "--formula", 'EF "p13"')
+    assert (code, out, err) == (EXIT_USAGE, "", "error: unknown place 'p13', column 4\n")
 
 
 def test_byte_order_mark_is_no_content(capsys, tmp_path):

@@ -1,0 +1,172 @@
+"""The process entry point, and what a run leaves to the cyclic collector.
+
+``wftc.cli.entry`` runs ``main`` with the collector off and freezes the
+heap on the way out; ``main`` itself keeps its caller's collector
+settings, and a run makes no reference cycles of its own."""
+
+import gc
+import json
+import os
+import re
+import subprocess
+import sys
+import types
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
+
+import wftc
+from conftest import fixture_path, table_model
+from wftc.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, main
+
+ROOT = Path(wftc.__file__).resolve().parents[2]
+MOTIVATING = str(fixture_path("motivating.wftc"))
+REQUIREMENTS = str(fixture_path("requirements.dctl"))
+
+
+def console_script() -> str:
+    """The ``module:function`` that ``pyproject.toml`` installs as ``wftc``."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return re.search(r'^wftc\s*=\s*"([^"]+)"', scripts, re.M).group(1)
+
+
+# Runs the command the way the named entry does, and reports on the last
+# line of standard output whether the collector was on when ``main`` parsed
+# its arguments, and the freeze count once ``main`` has returned (``atexit``
+# runs after that, as the interpreter shuts down).
+PROBE = """
+import argparse, atexit, gc, importlib, json, runpy, sys
+
+seen = {}
+parse_args = argparse.ArgumentParser.parse_args
+
+def spy(self, *args, **kwargs):
+    seen["enabled"] = gc.isenabled()
+    return parse_args(self, *args, **kwargs)
+
+argparse.ArgumentParser.parse_args = spy
+atexit.register(lambda: print(json.dumps(dict(seen, frozen=gc.get_freeze_count()))))
+how, target, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+sys.argv = ["wftc", *argv]
+if how == "module":
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+else:
+    module, _, name = target.partition(":")
+    sys.exit(getattr(importlib.import_module(module), name)())
+"""
+
+
+ENTRIES = [("module", "wftc.cli"), ("script", console_script())]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["build", MOTIVATING, "--output", "json"], EXIT_OK), (["build", MOTIVATING, "--mode", "sideways"], EXIT_USAGE)],
+    ids=["normal-exit", "usage-error"],
+)
+@pytest.mark.parametrize("how, target", ENTRIES, ids=[how for how, _ in ENTRIES])
+def test_entry_runs_without_the_collector_and_freezes_on_exit(how, target, argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, how, target, *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == code, proc.stderr
+    *report, probe = proc.stdout.splitlines()
+    probe = json.loads(probe)
+    assert probe["enabled"] is False
+    assert probe["frozen"] > 0
+    if code == EXIT_OK:
+        assert json.loads("\n".join(report))["stateCount"] == 54
+    else:
+        assert "invalid choice: 'sideways'" in proc.stderr
+
+
+def collector_settings():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_in_process_keeps_the_callers_collector(capsys, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = collector_settings()
+        assert main(["build", MOTIVATING]) == EXIT_OK
+        assert main(["metrics", MOTIVATING]) == EXIT_FALSE
+        with pytest.raises(SystemExit):
+            main(["build", MOTIVATING, "--mode", "sideways"])
+        assert collector_settings() == before
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def commands(model: str) -> list[list[str]]:
+    return [
+        ["build", model, "--output", "json"],
+        ["verify", model, "--formula-file", REQUIREMENTS],
+        ["metrics", model],
+    ]
+
+
+@contextmanager
+def collector_off():
+    """The collector off, with nothing left for it from before; restored
+    afterwards, with ``gc.garbage`` emptied."""
+    was, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if was:
+            gc.enable()
+
+
+def defined_in_wftc(obj) -> bool:
+    if isinstance(obj, (types.FunctionType, types.MethodType)):
+        return getattr(obj, "__module__", "").split(".")[0] == "wftc"
+    return type(obj).__module__.split(".")[0] == "wftc"
+
+
+def test_a_run_leaves_no_cycles_through_wftc_objects(capsys, tmp_path):
+    # a dropped graph, its net, compiled guards and quotient are freed by
+    # reference counting alone; what a pass would still find is the
+    # standard library's (argparse's formatters, json's encoder)
+    model = tmp_path / "table8.wftc"
+    model.write_text(table_model(8), encoding="utf-8")
+    with collector_off():
+        for argv in commands(str(model)) + commands(MOTIVATING):
+            main(argv)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        assert [obj for obj in gc.garbage if defined_in_wftc(obj)] == []
+    capsys.readouterr()
+
+
+def test_cyclic_garbage_does_not_grow_with_the_graph(capsys, tmp_path):
+    # table-16 has 1 020 states, table-4 has 120; once one-time garbage
+    # (first compiles and imports) is gone, each command leaves as much
+    models = {}
+    for n in (2, 4, 16):
+        models[n] = tmp_path / f"table{n}.wftc"
+        models[n].write_text(table_model(n), encoding="utf-8")
+    with collector_off():
+        for argv in commands(str(models[2])):
+            main(argv)
+        gc.collect()
+        found = {}
+        for n in (4, 16):
+            found[n] = []
+            for argv in commands(str(models[n])):
+                main(argv)
+                found[n].append(gc.collect())
+    capsys.readouterr()
+    assert found[4] == found[16]

@@ -344,12 +344,23 @@ def test_nesting_bound_reports_a_column(motivating_net, text, column):
         ("forall r in R, [r.Id]", "comparison expected", "]"),
         ("EF  nonsense_atom", "unknown atom 'nonsense_atom'", "nonsense_atom"),
         ("AG((forall r in R), [r.Id = empty &])", "unexpected token ']'", "]"),
+        ('EF  "nowhere"', "unknown place 'nowhere'", '"'),
+        ('EF "p13', "unexpected character '\"'", '"'),
+        ('EF "p13" "p0"', "trailing input '\"p0\"'", '"p0"'),
     ],
 )
 def test_error_names_the_column_of_the_offending_token(motivating_net, text, message, token):
     with pytest.raises(ParseError) as err:
         parse_dctl(text, motivating_net)
     assert str(err.value) == f"{message}, column {text.index(token) + 1}"
+
+
+@pytest.mark.parametrize("name", ["AG", "EX", "E", "U", "forall", "in", "true", "empty", "p13"])
+def test_quoted_name_is_the_place_whatever_it_spells(name):
+    net = parse_model(fixture_text("motivating.wftc").replace("p13", name))
+    assert parse_dctl(f'EF "{name}" & !"p0"', net) == ast.And(ast.EF(ast.PlaceAtom(name)), ast.Not(ast.PlaceAtom("p0")))
+    # without a net, a quoted name is a place all the same
+    assert parse_dctl(f'"{name}"') == ast.PlaceAtom(name)
 
 
 @pytest.mark.parametrize(
