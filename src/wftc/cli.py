@@ -1,7 +1,8 @@
 """Command line front end: build graphs, verify formulas, run metrics.
 
 Exit codes: 0 all verdicts true, 1 some verdict false, 2 usage or parse
-error, 3 state-ceiling exceeded or input nested too deeply for the stack.
+error, 3 state-ceiling exceeded, input nested too deeply for the stack or
+memory exhausted.
 """
 
 from __future__ import annotations
@@ -204,6 +205,9 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except RecursionError:
         print("error: input nested too deeply for the stack", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
 
 

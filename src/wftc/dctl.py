@@ -25,7 +25,7 @@ import operator
 from functools import cached_property
 from itertools import compress, count, islice
 
-from .model import UNDEF, EvalError, Frozen, Struct, token_key
+from .model import UNDEF, EvalError, Frozen, Struct, column_of, token_key
 from .srg import Srg, fresh_token
 
 
@@ -872,7 +872,7 @@ def verify(srg: Srg, node: Formula) -> Verdict:
     """Full check: empty quantifier precondition refutes the formula
     outright, otherwise the verdict is membership of the initial state in
     the satisfaction set."""
-    pre = precondition_set(srg, node) if _quantifier_prefix(node) else _evaluation(srg).everything
+    pre = precondition_set(srg, node)
     if not pre:
         return Verdict(holds=False, sat_bits=0, pre_bits=pre)
     satisfied = sat(srg, node)
@@ -887,20 +887,18 @@ def verify(srg: Srg, node: Formula) -> Verdict:
 # built-in behavioural metrics
 
 
-PM_NAMES = ("PM1", "PM2", "PM3", "PM4", "PM5")
-
-
-def _fresh(net, column: str) -> str:
-    """A token that no initial record holds in ``column``, named after the
-    item an ``in`` predicate binds to the column, or else after the column."""
+def _fresh(net, col: int) -> str:
+    """A token that no initial record holds in column ``col``, named after
+    the item an ``in`` predicate binds to the column, or else after the column."""
+    column = net.schema.attributes[col]
     bound = (pi.item for pi in net.predicates.values() if pi.kind == "in" and pi.column == column)
-    return fresh_token(next(bound, column.lower()), net.column_values(column, net.initial_records))
+    return fresh_token(next(bound, column.lower()), column_of(net.initial_records, col))
 
 
 def _two_keys(net):
     if net.schema is None or not net.initial_records:
         raise EvalError("needs a table with records")
-    keys = net.key_column_values(net.initial_records)
+    keys = column_of(net.initial_records, 0)
     if len(keys) < 2:
         raise EvalError("needs two records")
     return keys[0], keys[1]
@@ -911,7 +909,7 @@ def _pm1(net) -> Formula:
     first, second = _two_keys(net)
     if len(net.schema.attributes) < 2:
         raise EvalError("needs a second attribute")
-    col = net.column_values(net.schema.attributes[1], net.initial_records)
+    col = column_of(net.initial_records, 1)
     if len(col) < 2:
         raise EvalError("needs two values in the second column")
     differ = DataAtom(("var", first), "!=", ("var", second))
@@ -937,7 +935,7 @@ def _pm4(net) -> Formula:
     first, _ = _two_keys(net)
     if len(net.schema.attributes) < 3:
         raise EvalError("needs a third attribute")
-    third = net.column_values(net.schema.attributes[2], net.initial_records)
+    third = column_of(net.initial_records, 2)
     if not third:
         raise EvalError("needs a value in the third column")
     return AX(Quantifier("exists", first, DataAtom(("attr", first, third[0]), "!=", ("empty",))))
@@ -949,30 +947,26 @@ def _pm5(net) -> Formula:
     _two_keys(net)
     if len(net.schema.attributes) < 2:
         raise EvalError("needs a second attribute")
-    key, value = _fresh(net, net.schema.attributes[0]), _fresh(net, net.schema.attributes[1])
+    key, value = _fresh(net, 0), _fresh(net, 1)
     defined = Quantifier("forall", key, DataAtom(("var", key), "!=", ("empty",)))
     cleared = Quantifier("forall", key, DataAtom(("attr", key, value), "=", ("empty",)))
     return EU(defined, cleared)
 
 
+# the five metric templates in report order, each instantiated against the
+# loaded net as a formula tree, so that any token of its table, a key named
+# ``EX`` or a cell ``license²``, fits; raises EvalError for a template the
+# net cannot express
 _PM_BUILDERS = {"PM1": _pm1, "PM2": _pm2, "PM3": _pm3, "PM4": _pm4, "PM5": _pm5}
-
-
-def metric_formulas(net) -> dict[str, Formula]:
-    """Instantiate the five metric templates against the loaded net as
-    formula trees, so that any token of its table, a key named ``EX`` or
-    a cell ``license²``, fits; raises EvalError for templates the net
-    cannot express."""
-    return {name: _PM_BUILDERS[name](net) for name in PM_NAMES}
 
 
 def builtin_metrics(srg: Srg) -> dict[str, "Verdict | str"]:
     """Evaluate every metric template; templates the net cannot host
     report the reason per metric instead of a verdict."""
     results: dict[str, Verdict | str] = {}
-    for name in PM_NAMES:
+    for name, build in _PM_BUILDERS.items():
         try:
-            results[name] = verify(srg, _PM_BUILDERS[name](srg.net))
+            results[name] = verify(srg, build(srg.net))
         except EvalError as exc:  # reported per metric, never fatal
             results[name] = f"not instantiable: {exc}"
     return results

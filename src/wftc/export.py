@@ -17,7 +17,9 @@ def serialize_model(net: WftcNet) -> str:
     out = []
     out.append("[PLACES] " + " ".join(p.name for p in net.places))
     out.append("[TRANSITIONS] " + " ".join(t.name for t in net.transitions))
-    arcs = sorted(net.arcs, key=lambda a: (_node_order(net, a[0]), _node_order(net, a[1])))
+    # places, then transitions, each in declaration order, then undeclared names
+    order = {t.name: (1, t.index) for t in net.transitions} | {p.name: (0, p.index) for p in net.places}
+    arcs = sorted(net.arcs, key=lambda a: (order.get(a[0], (2, a[0])), order.get(a[1], (2, a[1]))))
     out.append("[ARCS] " + " ".join(f"{s}->{d}" for s, d in arcs))
     if net.data_items:
         out.append("[DATA] " + " ".join(net.data_items))
@@ -43,7 +45,7 @@ def serialize_model(net: WftcNet) -> str:
             + " ".join(
                 f"{t}:{'' if ref.positive else '!'}{ref.guard}"
                 for t, ref in sorted(
-                    net.guard_of.items(), key=lambda kv: _node_order(net, kv[0])
+                    net.guard_of.items(), key=lambda kv: order.get(kv[0], (2, kv[0]))
                 )
             )
         )
@@ -54,14 +56,6 @@ def serialize_model(net: WftcNet) -> str:
     out.append("[INITIAL] " + net.start)
     out.append("[FINAL] " + net.end)
     return "\n".join(out) + "\n"
-
-
-def _node_order(net: WftcNet, name: str):
-    if name in net.place_by_name:
-        return (0, net.place_by_name[name].index)
-    if name in net.transition_by_name:
-        return (1, net.transition_by_name[name].index)
-    return (2, name)
 
 
 def _src_text(source) -> str:

@@ -377,9 +377,7 @@ class WftcNet(Struct):
         "guard_of", "predicates", "guards", "constraints", "start", "end",
     )
     # the lookup tables that ``_index`` derives from the fields
-    __slots__ = _fields + (
-        "place_by_name", "transition_by_name", "guard_order", "_pre", "_post", "compiled",
-    )
+    __slots__ = _fields + ("place_by_name", "guard_order", "compiled")
 
     def __init__(
         self,
@@ -429,44 +427,10 @@ class WftcNet(Struct):
 
     def _index(self):
         self.place_by_name = {p.name: p for p in self.places}
-        self.transition_by_name = {t.name: t for t in self.transitions}
         self.guard_order = list(self.guards)
-        pre: dict[str, set[str]] = {n: set() for n in self._node_names()}
-        post: dict[str, set[str]] = {n: set() for n in self._node_names()}
-        for src, dst in self.arcs:
-            # arcs may name undeclared nodes; validation reports them
-            post.setdefault(src, set()).add(dst)
-            pre.setdefault(dst, set()).add(src)
-        self._pre = {n: frozenset(nodes) for n, nodes in pre.items()}
-        self._post = {n: frozenset(nodes) for n, nodes in post.items()}
         # per-transition firing plans, compiled and validated by ``srg`` on
         # first use; re-indexing drops them
         self.compiled = None
-
-    def _node_names(self):
-        return [p.name for p in self.places] + [t.name for t in self.transitions]
-
-    def is_place(self, name: str) -> bool:
-        return name in self.place_by_name
-
-    def preset(self, node: str) -> frozenset[str]:
-        if node not in self._pre:
-            raise ModelError(f"unknown node {node}")
-        return self._pre[node]
-
-    def postset(self, node: str) -> frozenset[str]:
-        if node not in self._post:
-            raise ModelError(f"unknown node {node}")
-        return self._post[node]
-
-    def column_values(self, column: str, table) -> list[str]:
-        """Non-bottom values of a column in canonical order."""
-        return column_of(table, self.schema.attr_index(column))
-
-    def key_column_values(self, table) -> list[str]:
-        if self.schema is None:
-            return []
-        return self.column_values(self.schema.attributes[0], table)
 
 
 # ---------------------------------------------------------------------------

@@ -149,10 +149,9 @@ class _Plan:
     place, item and column positions, scopes, value sources, the guard
     value it requires and the guards it settles."""
 
-    def __init__(self, net: WftcNet, t: str, guards: list):
+    def __init__(self, net: WftcNet, t: str, guards: list, pre: list, post: list):
         item = net.data_items.index
-        self.pre = tuple(net.place_by_name[p].index for p in net.preset(t))
-        self.post = tuple(net.place_by_name[p].index for p in net.postset(t))
+        self.pre, self.post = tuple(sorted(pre)), tuple(sorted(post))  # place indices
         self.moves: dict[tuple, tuple] = {}  # marking -> marking after firing
         self.rd = tuple(map(item, net.rd.get(t, ())))
         self.dt = tuple(map(item, net.dt.get(t, ())))
@@ -218,7 +217,16 @@ class _Compiled:
             (g.bind(bound), frozenset(net.predicates[p].item for p in g.predicates()))
             for g in net.guards.values()
         ]
-        self.plans = {t.name: _Plan(net, t.name, guards) for t in net.transitions}
+        # each transition's input and output place indices; validation
+        # made every arc join a declared place and transition
+        pre = {t.name: [] for t in net.transitions}
+        post = {t.name: [] for t in net.transitions}
+        for src, dst in net.arcs:
+            if src in net.place_by_name:
+                pre[dst].append(net.place_by_name[src].index)
+            else:
+                post[src].append(net.place_by_name[dst].index)
+        self.plans = {t.name: _Plan(net, t.name, guards, pre[t.name], post[t.name]) for t in net.transitions}
         self.guard_order = tuple(net.guard_order)
         self.constraints = net.constraints
         self._candidates: dict[tuple, list[str]] = {}

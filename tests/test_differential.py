@@ -16,7 +16,6 @@ from test_bisimulation import classes
 from wftc import CONSTRAINED, build_srg, parse_dctl, parse_model, sat, verify
 from wftc import dctl as ast
 from wftc.cli import main
-from wftc.dctl import metric_formulas
 from wftc.model import Place, TableSchema, Transition, WftcNet, canonical_table
 from wftc.srg import Srg, StateC
 
@@ -418,7 +417,7 @@ def test_table8_metrics_and_quantified_formulas():
     net = parse_model(table_model(8))
     srg = build_srg(net, CONSTRAINED)
     assert len(srg.states) == 324
-    formulas = list(metric_formulas(net).values()) + [parse_dctl(text, net) for text in TABLE_FORMULAS]
+    formulas = [build(net) for build in ast._PM_BUILDERS.values()] + [parse_dctl(text, net) for text in TABLE_FORMULAS]
     for formula in formulas:
         assert_agrees(srg, formula)
 

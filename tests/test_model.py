@@ -1,4 +1,4 @@
-"""Net structure, preset/postset, validation, constraint evaluation."""
+"""Net declarations, validation, constraint evaluation, copies and round trips."""
 
 import copy
 import itertools
@@ -32,24 +32,6 @@ from wftc.srg import StateC, build_srg
 
 def test_motivating_net_is_valid(motivating_net):
     assert validate_workflow_structure(motivating_net) == []
-
-
-def test_presets_of_motivating_net(motivating_net):
-    assert motivating_net.preset("t0") == {"p0"}
-    assert motivating_net.postset("p13") == set()
-    assert motivating_net.preset("p13") == {"t18"}
-
-
-def test_preset_matches_arc_scan(motivating_net):
-    net = motivating_net
-    for node in [p.name for p in net.places] + [t.name for t in net.transitions]:
-        assert net.preset(node) == {a for a, b in net.arcs if b == node}
-        assert net.postset(node) == {b for a, b in net.arcs if a == node}
-
-
-def test_preset_unknown_node(motivating_net):
-    with pytest.raises(ModelError):
-        motivating_net.preset("nope")
 
 
 def test_labels_reference_declared_items(motivating_net):

@@ -1,4 +1,5 @@
-"""The process entry point, and what a run leaves to the cyclic collector.
+"""The process entry point, what a run leaves to the cyclic collector, and
+the exit code of a run that runs out of memory.
 
 ``wftc.cli.entry`` runs ``main`` with the collector off and freezes the
 heap on the way out; ``main`` itself keeps its caller's collector
@@ -18,7 +19,7 @@ import pytest
 
 import wftc
 from conftest import fixture_path, table_model
-from wftc.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, main
+from wftc.cli import EXIT_FALSE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 
 ROOT = Path(wftc.__file__).resolve().parents[2]
 MOTIVATING = str(fixture_path("motivating.wftc"))
@@ -170,3 +171,39 @@ def test_cyclic_garbage_does_not_grow_with_the_graph(capsys, tmp_path):
                 found[n].append(gc.collect())
     capsys.readouterr()
     assert found[4] == found[16]
+
+
+# The address space of a process that has imported the command line, as a
+# command starts, in bytes.
+START_SIZE = """
+import wftc.cli
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmSize:")))
+"""
+
+
+def test_running_out_of_memory_exits_resource(tmp_path):
+    resource = pytest.importorskip("resource")
+    if not Path("/proc/self/status").exists():
+        pytest.skip("sizes the child from /proc")
+    # constrained table-128 needs about 75 MB beyond start-up to build
+    model = tmp_path / "table128.wftc"
+    model.write_text(table_model(128), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    size = subprocess.run(
+        [sys.executable, "-c", START_SIZE], capture_output=True, text=True, timeout=120, env=env, check=True
+    )
+    limit = int(size.stdout) + (60 << 20)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "wftc.cli", "build", str(model)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+        preexec_fn=cap,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_RESOURCE, "error: out of memory\n")

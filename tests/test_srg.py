@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import wftc
-from conftest import arc_lists, marked_places, sigma_map
+from conftest import arc_lists, fixture_text, marked_places, sigma_map, table_model
 from wftc import (
     CONSTRAINED,
     UNCONSTRAINED,
@@ -41,6 +42,7 @@ from wftc.model import (
     TableSchema,
     Transition,
     UpdateOp,
+    column_of,
 )
 from wftc.srg import FiringError, Srg, StateC, fresh_token
 
@@ -194,8 +196,6 @@ def test_bound_guard_agrees_with_a_naive_evaluation(motivating_net):
 def test_unconstrained_build_never_settles_a_guard(monkeypatch):
     # an unconstrained firing branches each guard it settles over TRUE and
     # FALSE, so it has no use for the guard's value
-    from conftest import fixture_text
-
     calls = []
     bind = Guard.bind
 
@@ -283,8 +283,6 @@ INVALID_NETS = {
 
 @pytest.mark.parametrize("edit, message", INVALID_NETS.values(), ids=INVALID_NETS)
 def test_invalid_hand_built_net_is_one_model_error(edit, message):
-    from conftest import fixture_text
-
     net = parse_model(fixture_text("motivating.wftc"))
     build_srg(net)  # built once before the edit: re-indexing drops the plans and the verdict
     edit(net)
@@ -306,8 +304,6 @@ def test_invalid_hand_built_net_is_one_model_error(edit, message):
 def test_a_net_is_validated_once(monkeypatch):
     # the parser does not validate; the first use does, and re-indexing
     # drops that verdict with the plans
-    from conftest import fixture_text
-
     validate, calls = wftc.srg.validate_workflow_structure, []
 
     def counted(net):
@@ -358,8 +354,6 @@ PINNED_GRAPHS = [
 
 @pytest.mark.parametrize("name, mode, digest", PINNED_GRAPHS)
 def test_exported_graph_is_pinned(name, mode, digest):
-    from conftest import fixture_text, table_model
-
     text = table_model(int(name.removeprefix("table-"))) if name.startswith("table-") else fixture_text(name)
     srg = build_srg(parse_model(text), mode)
     assert hashlib.sha256(export_json(srg).encode("utf-8")).hexdigest() == digest
@@ -368,8 +362,6 @@ def test_exported_graph_is_pinned(name, mode, digest):
 def test_twelve_row_table_graph_is_pinned():
     # with ten rows or more, string order (id10 < id2) differs from the
     # numeric-suffix order of canonical tables
-    from conftest import table_model
-
     srg = build_srg(parse_model(table_model(12)), CONSTRAINED)
     assert len(srg.states) == 624
     digest = hashlib.sha256(export_json(srg).encode("utf-8")).hexdigest()
@@ -463,11 +455,42 @@ def test_token_conservation(motivating_net, motivating_srg):
     for src, t, dst in motivating_srg.edges:
         before = motivating_srg.states[src].marking
         after = motivating_srg.states[dst].marking
-        pre, post = net.preset(t), net.postset(t)
+        pre = {p for p, q in net.arcs if q == t}
+        post = {q for p, q in net.arcs if p == t}
         for place in net.places:
             delta = after[place.index] - before[place.index]
             expected = (place.name in post) - (place.name in pre)
             assert delta == expected
+
+
+@pytest.mark.parametrize(
+    "text, mode",
+    [
+        (fixture_text("motivating.wftc"), CONSTRAINED),
+        (fixture_text("motivating-wfd.wftc"), UNCONSTRAINED),
+        (table_model(8), CONSTRAINED),
+    ],
+    ids=["motivating", "motivating-wfd", "table-8"],
+)
+def test_random_walks_stay_inside_the_graph(text, mode):
+    # ``enabled`` and ``fire`` called without a store, one state at a time,
+    # reach only states of the graph the build made, along its arcs
+    net = parse_model(text)
+    srg = build_srg(net, mode)
+    index = {state: i for i, state in enumerate(srg.states)}
+    arcs = set(srg.edges)
+    rng = random.Random(7)
+    for _ in range(20):
+        state = initial_state(net)
+        assert index.get(state) == srg.initial
+        for _ in range(40):
+            ts = [t.name for t in net.transitions if enabled(net, state, t.name)]
+            successors = [(t, after) for t in ts for after in fire(net, state, t, mode)]
+            for t, after in successors:
+                assert (index.get(state), t, index.get(after)) in arcs
+            if not successors:
+                break
+            _, state = rng.choice(successors)
 
 
 def test_update_preserves_record_count(motivating_srg):
@@ -513,7 +536,7 @@ def test_fresh_token_never_collides(motivating_net, motivating_srg):
     net = motivating_net
     for s in motivating_srg.states:
         for item, column in (("id", "Id"), ("license", "License"), ("copy", "Copy")):
-            col = net.column_values(column, s.table)
+            col = column_of(s.table, net.schema.attr_index(column))
             fresh = fresh_token(item, col)
             assert fresh not in col
 
@@ -521,8 +544,6 @@ def test_fresh_token_never_collides(motivating_net, motivating_srg):
 def test_state_space_grows_with_table_size():
     # no golden numbers for larger tables; the build must stay finite,
     # deterministic and grow monotonically with the row count
-    from conftest import fixture_text
-
     base = fixture_text("motivating.wftc")
     counts = []
     for rows in (2, 4, 8):
@@ -550,8 +571,6 @@ def test_unconstrained_mode_on_table_backed_net(motivating_net):
 @pytest.mark.parametrize("name", ["motivating.wftc", "motivating-wfd.wftc"])
 @pytest.mark.parametrize("mode", [CONSTRAINED, UNCONSTRAINED])
 def test_adjacency_is_built_on_first_use(name, mode):
-    from conftest import fixture_text
-
     from wftc.dctl import _evaluation
 
     srg = build_srg(parse_model(fixture_text(name)), mode)

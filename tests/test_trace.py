@@ -49,7 +49,7 @@ BUILD_SPANS = {
             | {
                 "dctl.builtin_metrics": 1,
                 "dctl.verify": 5,
-                "dctl.precondition_set": 3,
+                "dctl.precondition_set": 5,
                 "dctl.sat": 5,
             },
         ),
