@@ -45,15 +45,17 @@ def _read(path: str) -> str:
         raise ParseError(f"{path}: {exc}") from None
 
 
-# characters per write: encoding a slice at a time keeps the bytes of a
-# large export from being a second full copy of it in memory
-_SLICE = 1 << 16
+class _Counted:
+    # an export returns its stream, and perfbench/trace_child.py records len() of it: the characters written
+    def __init__(self, handle):
+        self.handle, self.chars = handle, 0
 
+    def write(self, text: str):
+        self.chars += len(text)
+        self.handle.write(text)
 
-def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as handle:
-        for start in range(0, len(text), _SLICE):
-            handle.write(text[start : start + _SLICE])
+    def __len__(self) -> int:
+        return self.chars
 
 
 def _build(args):
@@ -115,13 +117,18 @@ def _report(args, srg, checked=()) -> int:
 
 def cmd_build(args) -> int:
     # the writers are resolved before the build, as the evaluator is in
-    # ``cmd_verify``; JSON first, so that the DOT lines reuse the memory
-    # that the JSON document freed
+    # ``cmd_verify``, and no file is opened until the graph is built; each
+    # writer streams its document to its file a block at a time
     wanted = ((args.json_out, "export_json"), (args.dot, "export_dot"))
     exports = [(path, _bound(name)) for path, name in wanted if path]
     srg = _build(args)
     for path, export in exports:
-        _write(path, export(srg))
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                export(srg, _Counted(handle))
+        except OSError as exc:
+            exc.filename = path  # a failed write names its file, as a failed open does
+            raise
     return _report(args, srg)
 
 
