@@ -312,10 +312,9 @@ class _Compiler:
             return _const(True)
         if isinstance(node, PlaceAtom):
             self.marking = True
-            place = self.net.place_by_name.get(node.place)
-            if place is None:
+            index = self.net.place_index.get(node.place)
+            if index is None:
                 return _raise(f"unknown place {node.place}")
-            index = place.index
             return lambda marking, table, env: marking[index] > 0
         if isinstance(node, DataAtom):
             return self.atom(node, scope)
@@ -389,7 +388,7 @@ class _Compiler:
             if isinstance(sub, (Not, And, Or)):
                 stack.extend(_operands(sub))
             elif isinstance(sub, PlaceAtom):
-                if sub.place not in self.net.place_by_name:
+                if sub.place not in self.net.place_index:
                     return None
             elif isinstance(sub, DataAtom):
                 terms = [self.term(term, scope) for term in (sub.lhs, sub.rhs)]

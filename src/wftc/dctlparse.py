@@ -292,7 +292,7 @@ class DctlParser:
                 "comparison expected", column=self.end_column if tok is None else tok.pos + 1
             )
         name = term[1]
-        if name in ("true", "false", "deadlock") and self.net is not None and name in self.net.place_by_name:
+        if name in ("true", "false", "deadlock") and self.net is not None and name in self.net.place_index:
             raise ParseError(
                 f'{name!r} is both a keyword and a place of the net; write "{name}" for the place',
                 column=start.pos + 1,
@@ -303,7 +303,7 @@ class DctlParser:
             return dctl.Not(dctl.TrueF())
         if name == "deadlock":
             return dctl.Not(dctl.EX(dctl.TrueF()))
-        if self.net is None or name in self.net.place_by_name:
+        if self.net is None or name in self.net.place_index:
             return dctl.PlaceAtom(name)
         raise ParseError(f"unknown atom {name!r}", column=start.pos + 1)
 
@@ -311,7 +311,7 @@ class DctlParser:
         # "AG" is the place AG, whatever keyword or operator it spells
         tok = self.next()
         name = tok.text[1:-1]
-        if self.net is None or name in self.net.place_by_name:
+        if self.net is None or name in self.net.place_index:
             return dctl.PlaceAtom(name)
         raise ParseError(f"unknown place {name!r}", column=tok.pos + 1)
 

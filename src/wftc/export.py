@@ -16,10 +16,10 @@ from .textio import BOT_TOKEN
 def serialize_model(net: WftcNet) -> str:
     """Canonical text form; parse(serialize(net)) reproduces the net."""
     out = []
-    out.append("[PLACES] " + " ".join(p.name for p in net.places))
-    out.append("[TRANSITIONS] " + " ".join(t.name for t in net.transitions))
+    out.append("[PLACES] " + " ".join(net.places))
+    out.append("[TRANSITIONS] " + " ".join(net.transitions))
     # places, then transitions, each in declaration order, then undeclared names
-    order = {t.name: (1, t.index) for t in net.transitions} | {p.name: (0, p.index) for p in net.places}
+    order = {t: (1, i) for i, t in enumerate(net.transitions)} | {p: (0, i) for i, p in enumerate(net.places)}
     arcs = sorted(net.arcs, key=lambda a: (order.get(a[0], (2, a[0])), order.get(a[1], (2, a[1]))))
     out.append("[ARCS] " + " ".join(f"{s}->{d}" for s, d in arcs))
     if net.data_items:
@@ -68,30 +68,30 @@ def _serialize_ops(net: WftcNet):
     for t in net.transitions:
         parts = []
         for label in ("rd", "wt", "dt"):
-            items = getattr(net, label).get(t.name)
+            items = getattr(net, label).get(t)
             if items:
                 parts.append(f"{label}({', '.join(items)})")
-        for scope in net.sel.get(t.name, ()):
+        for scope in net.sel.get(t, ()):
             text = f"{scope.table}.{scope.column}"
             if scope.where_attr:
                 text += f" where {scope.where_attr}={_src_text(scope.where_source)}"
             if scope.assign_item:
                 text += f" -> {scope.assign_item}"
             parts.append(f"sel({text})")
-        for op in net.ins.get(t.name, ()):
+        for op in net.ins.get(t, ()):
             sets = ", ".join(f"{a}={_src_text(s)}" for a, s in op.values)
             parts.append(f"ins({op.table}: {sets})")
-        for op in net.dele.get(t.name, ()):
+        for op in net.dele.get(t, ()):
             parts.append(
                 f"del({op.table} where {op.where_attr}={_src_text(op.where_source)})"
             )
-        for op in net.upd.get(t.name, ()):
+        for op in net.upd.get(t, ()):
             sets = ", ".join(f"{a}={_src_text(s)}" for a, s in op.sets)
             parts.append(
                 f"upd({op.table}: {sets} where {op.where_attr}={_src_text(op.where_source)})"
             )
         if parts:
-            lines.append(f"{t.name}: " + " ".join(parts))
+            lines.append(f"{t}: " + " ".join(parts))
     return lines
 
 
@@ -169,7 +169,7 @@ def _dot_blocks(srg: Srg):
     # a transition name may hold any non-space character, so each name's
     # label is escaped once here, not once per edge
     label = {
-        t.name: ' [label="{}"];\n'.format(t.name.replace("\\", "\\\\").replace('"', '\\"'))
+        t: ' [label="{}"];\n'.format(t.replace("\\", "\\\\").replace('"', '\\"'))
         for t in srg.net.transitions
     }
     edges = srg.edges
@@ -217,7 +217,7 @@ def _json_blocks(srg: Srg):
 
     pad = " " * 6
     marking = functools.cache(
-        lambda m: obj({p.name: scalar(m[p.index]) for p in net.places if m[p.index]}, pad)
+        lambda m: obj({p: scalar(m[i]) for i, p in enumerate(net.places) if m[i]}, pad)
     )
     data = functools.cache(
         lambda d: obj({name: scalar(v) for name, v in zip(net.data_items, d)}, pad)
@@ -226,7 +226,7 @@ def _json_blocks(srg: Srg):
         lambda t: arr([arr([scalar(v) for v in rec], pad + "  ") for rec in t], pad)
     )
     guards = functools.cache(
-        lambda sigma: obj({name: scalar(v) for name, v in zip(net.guard_order, sigma)}, pad)
+        lambda sigma: obj({name: scalar(v) for name, v in zip(net.guards, sigma)}, pad)
     )
     label = functools.cache(scalar)
     ids = [scalar(srg.state_id(i)) for i in range(len(srg.states))]

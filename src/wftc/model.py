@@ -90,22 +90,6 @@ class Frozen(Struct):
 # basic net elements
 
 
-class Place(Frozen):
-    __slots__ = _fields = ("name", "index")
-
-    def __init__(self, name: str, index: int):
-        self.name = name
-        self.index = index
-
-
-class Transition(Frozen):
-    __slots__ = _fields = ("name", "index")
-
-    def __init__(self, name: str, index: int):
-        self.name = name
-        self.index = index
-
-
 class TableSchema(Frozen):
     __slots__ = _fields = ("name", "attributes")
 
@@ -369,20 +353,21 @@ class GuardRef(Frozen):
 class WftcNet(Struct):
     """The full net. Built once by the parser and treated as read-only
     afterwards; safe to share across threads. Two nets are equal when
-    their constructor fields are."""
+    their constructor fields are. Places and transitions are names, and
+    a node's position is its index in ``places`` or ``transitions``."""
 
     _fields = (
         "places", "transitions", "arcs", "data_items", "schema", "initial_records",
         "rd", "wt", "dt", "sel", "ins", "dele", "upd",
         "guard_of", "predicates", "guards", "constraints", "start", "end",
     )
-    # the lookup tables that ``_index`` derives from the fields
-    __slots__ = _fields + ("place_by_name", "guard_order", "compiled")
+    # the lookup table that ``_index`` derives from the fields
+    __slots__ = _fields + ("place_index", "compiled")
 
     def __init__(
         self,
-        places: list[Place] | None = None,
-        transitions: list[Transition] | None = None,
+        places: list[str] | None = None,
+        transitions: list[str] | None = None,
         arcs: set[tuple[str, str]] | None = None,
         data_items: list[str] | None = None,
         schema: TableSchema | None = None,
@@ -426,8 +411,7 @@ class WftcNet(Struct):
     # -- lookup helpers ----------------------------------------------------
 
     def _index(self):
-        self.place_by_name = {p.name: p for p in self.places}
-        self.guard_order = list(self.guards)
+        self.place_index = {name: i for i, name in enumerate(self.places)}
         # per-transition firing plans, compiled and validated by ``srg`` on
         # first use; re-indexing drops them
         self.compiled = None
@@ -447,16 +431,16 @@ def validate_workflow_structure(net: WftcNet) -> list[str]:
 
     schema = net.schema
     for kind, names in (
-        ("place", [p.name for p in net.places]),
-        ("transition", [t.name for t in net.transitions]),
+        ("place", net.places),
+        ("transition", net.transitions),
         ("attribute", [f"{schema.name}.{a}" for a in schema.attributes] if schema is not None else []),
         ("data item", net.data_items),
     ):
         names = sorted(names)
         for name in [name for name, after in zip(names, names[1:]) if name == after]:
             error(f"duplicate {kind} {name}")
-    place_names = {p.name for p in net.places}
-    transition_names = {t.name for t in net.transitions}
+    place_names = set(net.places)
+    transition_names = set(net.transitions)
     if overlap := place_names & transition_names:
         error(f"names used as both place and transition: {sorted(overlap)}")
     width = len(schema.attributes) if schema is not None else 0

@@ -91,10 +91,10 @@ class StateC(Frozen):
 def initial_state(net: WftcNet) -> StateC:
     """One token on start, all items unwritten, the declared table, and
     every guard undetermined."""
-    marking = tuple(1 if p.name == net.start else 0 for p in net.places)
+    marking = tuple(1 if p == net.start else 0 for p in net.places)
     data = tuple(UNDEF for _ in net.data_items)
     table = canonical_table(net.initial_records)
-    sigma = tuple(BOT for _ in net.guard_order)
+    sigma = tuple(BOT for _ in net.guards)
     return StateC(marking, data, table, sigma)
 
 
@@ -149,7 +149,7 @@ class _Plan:
     place, item and column positions, scopes, value sources, the guard
     value it requires and the guards it settles."""
 
-    def __init__(self, net: WftcNet, t: str, guards: list, pre: list, post: list):
+    def __init__(self, net: WftcNet, t: str, guards: dict, pre: list, post: list):
         item = net.data_items.index
         self.pre, self.post = tuple(sorted(pre)), tuple(sorted(post))  # place indices
         self.moves: dict[tuple, tuple] = {}  # marking -> marking after firing
@@ -175,8 +175,6 @@ class _Plan:
             )
             for op in net.upd.get(t, ())
         )
-        # the rows a ``del`` or ``upd`` must find to be enabled
-        self.matches = tuple(where for where, _ in self.edits)
         # the items whose values the table ops read
         sources = [s for op in net.ins.get(t, ()) for _, s in op.values]
         sources += [op.where_source for op in net.dele.get(t, ()) + net.upd.get(t, ())]
@@ -189,7 +187,7 @@ class _Plan:
         ref = net.guard_of.get(t)
         self.guard = None
         if ref is not None:
-            self.guard = (net.guard_order.index(ref.guard), TRUE if ref.positive else FALSE)
+            self.guard = (guards[ref.guard][0], TRUE if ref.positive else FALSE)
         # the guards the firing settles (those over an item it writes or
         # deletes; items filled by a select assignment do not count), with
         # the positions of the items their predicates read and their bound
@@ -198,7 +196,7 @@ class _Plan:
         moved = set(written) | set(net.dt.get(t, ()))
         self.settle = tuple(
             (gi, _values_at(tuple(map(item, items))), settle)
-            for gi, (settle, items) in enumerate(guards)
+            for gi, settle, items in guards.values()
             if items & moved
         )
 
@@ -212,22 +210,24 @@ class _Compiled:
         if errors := validate_workflow_structure(net):
             raise ModelError("; ".join(errors))
         bound = {name: pi.bind(net) for name, pi in net.predicates.items()}
-        # per guard in declaration order, its function and its predicates' items
-        guards = [
-            (g.bind(bound), frozenset(net.predicates[p].item for p in g.predicates()))
-            for g in net.guards.values()
-        ]
+        # per guard name, its position in a guard valuation (its place in
+        # ``net.guards``), its function and its predicates' items
+        guards = {
+            name: (gi, g.bind(bound), frozenset(net.predicates[p].item for p in g.predicates()))
+            for gi, (name, g) in enumerate(net.guards.items())
+        }
         # each transition's input and output place indices; validation
         # made every arc join a declared place and transition
-        pre = {t.name: [] for t in net.transitions}
-        post = {t.name: [] for t in net.transitions}
+        pre = {t: [] for t in net.transitions}
+        post = {t: [] for t in net.transitions}
+        place = net.place_index
         for src, dst in net.arcs:
-            if src in net.place_by_name:
-                pre[dst].append(net.place_by_name[src].index)
+            if src in place:
+                pre[dst].append(place[src])
             else:
-                post[src].append(net.place_by_name[dst].index)
-        self.plans = {t.name: _Plan(net, t.name, guards, pre[t.name], post[t.name]) for t in net.transitions}
-        self.guard_order = tuple(net.guard_order)
+                post[src].append(place[dst])
+        self.plans = {t: _Plan(net, t, guards, pre[t], post[t]) for t in net.transitions}
+        self.guard_names = tuple(net.guards)
         self.constraints = net.constraints
         self._candidates: dict[tuple, list[str]] = {}
         self._verdicts: dict[tuple, bool] = {}
@@ -246,7 +246,7 @@ class _Compiled:
         distinct valuation; the filter and the pseudo flag both ask."""
         verdict = self._verdicts.get(sigma)
         if verdict is None:
-            named = dict(zip(self.guard_order, sigma))
+            named = dict(zip(self.guard_names, sigma))
             verdict = self._verdicts[sigma] = constraint_consistent(named, self.constraints)
         return verdict
 
@@ -327,9 +327,10 @@ def refine(net: WftcNet, state: StateC, item: str, scope=None, *, store=None) ->
     value is just the item name itself. ``scope`` is compiled by
     ``_scope`` and defaults to the item's ``_item_scope``.
     """
-    if item not in net.data_items:
-        raise ModelError(f"unknown data item {item}")
     if scope is None:
+        # a plan's items were validated with its net; a caller's are checked here
+        if item not in net.data_items:
+            raise ModelError(f"unknown data item {item}")
         _compiled(net)  # a net that cannot be built is a ``ModelError``
         scope = _item_scope(net, item)
     if scope is None:
@@ -373,7 +374,7 @@ def _enabled(plan: _Plan, state: StateC, table: tuple, store: _Store) -> bool:
     for _, scope in plan.assigns:
         if not store.values(scope, data, table):
             return False
-    for col, source in plan.matches:
+    for (col, source), _ in plan.edits:  # the rows a ``del`` or ``upd`` must find
         if not store.rows(table, col, source(data)):
             return False
     if plan.guard is not None:
@@ -432,10 +433,8 @@ def _sigma_after(plan: _Plan, parent_sigma, data: tuple, table: tuple, mode, sto
             choices.append(gi)
         else:
             sigma[gi] = TRUE if settle(data, table, store.rows) else FALSE
-    if not choices:
-        valuation = tuple(sigma)
-        return [store.tables.setdefault(valuation, valuation)]
     out = []
+    # one combination, the empty one, when no guard branches
     for combo in itertools.product((TRUE, FALSE), repeat=len(choices)):
         for i, value in zip(choices, combo):
             sigma[i] = value

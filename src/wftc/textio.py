@@ -12,11 +12,9 @@ from .model import (
     Guard,
     GuardRef,
     InsertOp,
-    Place,
     Predicate,
     SelScope,
     TableSchema,
-    Transition,
     UpdateOp,
     WftcNet,
     canonical_table,
@@ -93,15 +91,12 @@ def parse_model(text: str) -> WftcNet:
     number on malformed input."""
     sections = _split_sections(text)
 
-    place_names = _section_tokens(sections, "PLACES")
-    transition_names = _section_tokens(sections, "TRANSITIONS")
-    if not place_names:
+    places = _section_tokens(sections, "PLACES")
+    transitions = _section_tokens(sections, "TRANSITIONS")
+    if not places:
         raise ParseError("missing [PLACES] section")
-    if not transition_names:
+    if not transitions:
         raise ParseError("missing [TRANSITIONS] section")
-
-    places = [Place(n, i) for i, n in enumerate(place_names)]
-    transitions = [Transition(n, i) for i, n in enumerate(transition_names)]
 
     arcs = set()
     for lineno, line in sections.get("ARCS", []):

@@ -6,7 +6,7 @@ import pytest
 
 from wftc import CONSTRAINED, UNCONSTRAINED, build_srg, parse_model
 from wftc import dctl as ast
-from wftc.model import Place, Transition, WftcNet
+from wftc.model import WftcNet
 from wftc.srg import Srg, StateC
 
 
@@ -33,12 +33,12 @@ def bitset(states) -> int:
 
 def marked_places(state: StateC, net: WftcNet) -> list[str]:
     """The places that hold a token in ``state``, in declaration order."""
-    return [p.name for p in net.places if state.marking[p.index] > 0]
+    return [p for p, tokens in zip(net.places, state.marking) if tokens > 0]
 
 
 def sigma_map(state: StateC, net: WftcNet) -> dict:
     """The guard values of ``state`` by guard name."""
-    return dict(zip(net.guard_order, state.sigma))
+    return dict(zip(net.guards, state.sigma))
 
 
 def formula_text(node) -> str:
@@ -185,8 +185,8 @@ def make_random_srg(rng: random.Random, max_states: int = 20) -> Srg:
     """A synthetic graph over a one-hot net: state i marks place q{i}, so
     place atoms select single states. The initial state is random."""
     n = rng.randint(2, max_states)
-    places = [Place(f"q{i}", i) for i in range(n)]
-    net = WftcNet(places=places, transitions=[Transition("t", 0)], start="q0", end=f"q{n - 1}")
+    places = [f"q{i}" for i in range(n)]
+    net = WftcNet(places=places, transitions=["t"], start="q0", end=f"q{n - 1}")
     srg = Srg(net=net, mode=CONSTRAINED)
     for i in range(n):
         marking = tuple(1 if j == i else 0 for j in range(n))
@@ -208,8 +208,8 @@ def make_copied_srg(rng: random.Random, max_states: int = 16, markings: int = 2)
     bisimilar, and base nodes sharing a marking may or may not be. The
     initial state is random."""
     nodes = rng.randint(2, 6)
-    places = [Place(f"q{i}", i) for i in range(markings)]
-    net = WftcNet(places=places, transitions=[Transition("t", 0)], start="q0", end=f"q{markings - 1}")
+    places = [f"q{i}" for i in range(markings)]
+    net = WftcNet(places=places, transitions=["t"], start="q0", end=f"q{markings - 1}")
     label = [rng.randrange(markings) for _ in range(nodes)]
     base = [[v for v in range(nodes) if rng.random() < 1.5 / nodes] for _ in range(nodes)]
     # the first copies are the base nodes themselves, in order

@@ -15,16 +15,21 @@ import pytest
 
 import wftc
 from conftest import (
+    METRIC_TEXTS,
     PREFIX_SHAPES,
+    RECORD_READS,
     TINY_CHAIN,
     deepest_prefix,
     fixture_path,
     fixture_text,
     formula_seeds,
+    formula_text,
     on_fresh_stack,
+    requirement_texts,
     table_model,
 )
-from wftc import CONSTRAINED, UNCONSTRAINED, build_srg, export_dot, export_json, parse_model
+from wftc import CONSTRAINED, UNCONSTRAINED, build_srg, export_dot, export_json, parse_dctl, parse_model
+from wftc import dctl as ast
 from wftc.cli import EXIT_FALSE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
 from wftc.export import BLOCK
 
@@ -913,3 +918,95 @@ def test_mutated_formulas_exit_cleanly(capsys):
         codes.add(code)
     # the mutants reach both verdicts as well as errors
     assert {EXIT_OK, EXIT_FALSE, EXIT_USAGE} <= codes
+
+
+# the attribute names, comparison operators and constant tokens that
+# ``mutate_matrix`` puts into a matrix: the schema's attributes, a
+# misspelt one and a lower-case one, which makes its variable a literal
+MATRIX_ATTRIBUTES = ["Id", "License", "Copy", "Licence", "license1"]
+MATRIX_OPERATORS = ["=", "!=", "<", "<=", ">", ">="]
+MATRIX_TOKENS = ["id1", "id3", "license2", "copy1"]
+
+# well-formed seeds whose matrices hold a temporal operator that no
+# table reaches until an edit makes the comparison before it go the
+# other way, or turns a literal variable into a record variable
+GUARDED_TEMPORAL = [
+    "EF((exists r in R), [r.Id = empty & EF p13])",
+    "AG((forall id1 in R), [id1.license1 = empty -> AF p13])",
+    "EF((exists r in R, exists s in R), [r = s & s.Copy != empty & EX p2])",
+]
+
+
+def mutate_matrix(rng: random.Random, node):
+    """``node`` with one or two comparisons below a quantifier edited:
+    a new operator, a new attribute name, or an operand of another kind
+    (a variable bound there, an attribute of one, a token or ``empty``).
+    Nothing else changes, so the text of the result parses."""
+    atoms = []
+
+    def count(atom, bound):
+        atoms.append(atom)
+        return atom
+
+    edit_matrices(node, count)
+    chosen = set(rng.sample(range(len(atoms)), min(len(atoms), rng.randint(1, 2))))
+    numbers = iter(range(len(atoms)))
+
+    def edit(atom, bound):
+        if next(numbers) not in chosen:
+            return atom
+        sides = [atom.lhs, atom.rhs]
+        attributes = [i for i, term in enumerate(sides) if term[0] == "attr"]
+        kind = rng.randrange(3)
+        if kind == 0:
+            return ast.DataAtom(atom.lhs, rng.choice(MATRIX_OPERATORS), atom.rhs)
+        if kind == 1 and attributes:
+            i = rng.choice(attributes)
+            sides[i] = ("attr", sides[i][1], rng.choice(MATRIX_ATTRIBUTES))
+        else:
+            var = rng.choice(bound)
+            sides[rng.randrange(2)] = rng.choice(
+                [("var", var), ("attr", var, rng.choice(MATRIX_ATTRIBUTES)), ("const", rng.choice(MATRIX_TOKENS)), ("empty",)]
+            )
+        return ast.DataAtom(sides[0], atom.op, sides[1])
+
+    return edit_matrices(node, edit)
+
+
+def edit_matrices(node, edit, bound: tuple = ()):
+    """``node`` with each comparison below a quantifier replaced by
+    ``edit(atom, the variables bound there)``, left to right."""
+    if isinstance(node, ast.DataAtom):
+        return edit(node, bound) if bound else node
+    if isinstance(node, ast.Quantifier):
+        return ast.Quantifier(node.kind, node.var, edit_matrices(node.body, edit, bound + (node.var,)))
+    return type(node)(*[edit_matrices(v, edit, bound) if isinstance(v, ast.Formula) else v for v in node._astuple()])
+
+
+# the errors the evaluator raises for a comparison or a matrix
+MATRIX_ERRORS = (
+    "unknown attribute ",
+    "ordered comparison of whole records",
+    "temporal operator nested below a quantifier",
+)
+
+
+def test_mutated_matrices_reach_the_evaluators_errors(capsys, motivating_net):
+    """Seeded well-formed mutants of the quantified seeds: a verdict or
+    one usage error line, and between them every error of
+    ``MATRIX_ERRORS``."""
+    rng = random.Random(5)
+    seeds = requirement_texts() + list(METRIC_TEXTS.values()) + [RECORD_READS] + GUARDED_TEMPORAL
+    trees = [parse_dctl(text, motivating_net) for text in seeds]
+    reached = set()
+    for k in range(300):
+        mutant = formula_text(mutate_matrix(rng, trees[k % len(trees)]))
+        parse_dctl(mutant, motivating_net)  # well-formed, so an exit 2 is the evaluator's
+        code, _, err = run(capsys, "verify", MOTIVATING, f"--formula={mutant}")
+        assert code in (EXIT_OK, EXIT_FALSE, EXIT_USAGE), (k, mutant)
+        if code == EXIT_USAGE:
+            assert err.startswith("error: ") and err.count("\n") == 1, (k, mutant, err)
+            reached.update(error for error in MATRIX_ERRORS if err.startswith(f"error: {error}"))
+        else:
+            assert err == "", (k, err)
+    assert reached == set(MATRIX_ERRORS)

@@ -457,7 +457,7 @@ def test_quantifier_free_operand_without_arcs_skips_the_quotient():
     verdict = verify(srg, parse_dctl("AG((forall r in R), [r.Id != empty])", net))
     assert verdict.holds and verdict.sat_bits.bit_count() == 324
     assert "quotient" not in srg.evaluation.__dict__
-    p3 = net.place_by_name["p3"].index
+    p3 = net.place_index["p3"]
     assert sat(srg, parse_dctl("!p3", net)) == bitset(i for i, s in enumerate(srg.states) if not s.marking[p3])
     assert "quotient" not in srg.evaluation.__dict__
 

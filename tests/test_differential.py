@@ -16,7 +16,7 @@ from test_bisimulation import classes
 from wftc import CONSTRAINED, build_srg, parse_dctl, parse_model, sat, verify
 from wftc import dctl as ast
 from wftc.cli import main
-from wftc.model import Place, TableSchema, Transition, WftcNet, canonical_table
+from wftc.model import TableSchema, WftcNet, canonical_table
 from wftc.srg import Srg, StateC
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ class Naive:
         if isinstance(node, ast.TrueF):
             return True
         if isinstance(node, ast.PlaceAtom):
-            return state.marking[[p.name for p in self.net.places].index(node.place)] > 0
+            return state.marking[self.net.places.index(node.place)] > 0
         if isinstance(node, ast.Not):
             return not self.local(node.inner, state, binding)
         if isinstance(node, ast.And):
@@ -262,8 +262,8 @@ def make_table_srg(rng, max_states=10, tables=None):
     tables, repeated column values and UNDEF cells. Each state marks
     three places at random."""
     net = WftcNet(
-        places=[Place(f"q{i}", i) for i in range(3)],
-        transitions=[Transition("t", 0)],
+        places=[f"q{i}" for i in range(3)],
+        transitions=["t"],
         schema=TableSchema("R", ATTRIBUTES),
         start="q0",
         end="q2",

@@ -1,7 +1,9 @@
 """Metamorphic tests: a consistent renaming of a model's places,
-transitions and data items, or a new order of its table rows, must leave
-the graph's state, arc and pseudo-state counts and the PM1-PM5 verdicts
-and satCounts as they were. No oracle is needed: the model is its own."""
+transitions and data items, or a new order of its table rows or of its
+transitions, must leave the graph's state, arc and pseudo-state counts
+and the PM1-PM5 verdicts and satCounts as they were; a new order of its
+places must leave both exports as they were, byte for byte. No oracle is
+needed: the model is its own."""
 
 import random
 import re
@@ -9,8 +11,9 @@ import re
 import pytest
 
 from conftest import fixture_text, table_model
-from wftc import CONSTRAINED, UNCONSTRAINED, build_srg, parse_model
+from wftc import CONSTRAINED, UNCONSTRAINED, build_srg, export_dot, export_json, parse_model
 from wftc.dctl import builtin_metrics
+from wftc.model import WftcNet
 
 
 def renamed(text: str, mapping: dict[str, str]) -> str:
@@ -38,6 +41,21 @@ def names(text: str, section: str) -> list[str]:
     """The names a one-line section such as ``[PLACES]`` declares."""
     (line,) = [line for line in text.split("\n") if line.startswith(f"[{section}]")]
     return line.split()[1:]
+
+
+def reordered(text: str, section: str, rng: random.Random) -> str:
+    """``text`` with the names of its one-line ``[section]`` declared in a
+    new order."""
+    declared = names(text, section)
+    order = list(declared)
+    while order == declared:
+        rng.shuffle(order)
+    return text.replace(" ".join([f"[{section}]", *declared]), " ".join([f"[{section}]", *order]), 1)
+
+
+def exports(net: WftcNet, mode: str) -> tuple[str, str]:
+    srg = build_srg(net, mode)
+    return export_json(srg), export_dot(srg)
 
 
 def fingerprint(text: str, mode: str):
@@ -120,3 +138,43 @@ def test_renaming_is_by_whole_words():
     assert renamed(text, {"id": "who", "password": "id"}) == (
         "[DATA] who id\n  id1, who, id', xid\npi4 = eq(who, id2)\n"
     )
+
+
+FIXTURES = ["motivating.wftc", "motivating-wfd.wftc"]
+
+
+@pytest.mark.parametrize("mode", [CONSTRAINED, UNCONSTRAINED])
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_place_order_leaves_the_exports_byte_identical(fixture, mode):
+    # a marking is exported by place name, and states are numbered in the
+    # order the transitions fire, so no export shows the place order
+    text = fixture_text(fixture)
+    original = exports(parse_model(text), mode)
+    for seed in range(3):
+        permuted = reordered(text, "PLACES", random.Random(seed))
+        assert names(permuted, "PLACES") != names(text, "PLACES")
+        assert exports(parse_model(permuted), mode) == original, seed
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+def test_transition_order_preserves_counts_and_metrics(originals, model):
+    text, mode, _ = MODELS[model]
+    for seed in range(3):
+        permuted = reordered(text, "TRANSITIONS", random.Random(seed))
+        assert names(permuted, "TRANSITIONS") != names(text, "TRANSITIONS")
+        assert fingerprint(permuted, mode) == originals[model], seed
+
+
+@pytest.mark.parametrize("mode", [CONSTRAINED, UNCONSTRAINED])
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_hand_built_net_with_places_reversed_exports_as_parsed(fixture, mode):
+    # a node's position is its index in the net's lists and nothing else,
+    # so a net built by hand in another place order is the same net
+    parsed = parse_model(fixture_text(fixture))
+    fields = {name: getattr(parsed, name) for name in WftcNet._fields}
+    by_hand = WftcNet(**{**fields, "places": parsed.places[::-1]})
+    assert by_hand.places != parsed.places
+    srg = build_srg(by_hand, mode)
+    if (fixture, mode) == ("motivating.wftc", CONSTRAINED):
+        assert (len(srg.states), len(srg.edges)) == (54, 73)
+    assert (export_json(srg), export_dot(srg)) == exports(parsed, mode)

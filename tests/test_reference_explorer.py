@@ -42,9 +42,9 @@ class Reference:
         self.pos = {d: i for i, d in enumerate(net.data_items)}
         self.guards = list(net.guards)
         self.attrs = net.schema.attributes if net.schema else ()
-        self.pre = {t.name: [] for t in net.transitions}
-        self.post = {t.name: [] for t in net.transitions}
-        place = {p.name: p.index for p in net.places}
+        self.pre = {t: [] for t in net.transitions}
+        self.post = {t: [] for t in net.transitions}
+        place = {p: i for i, p in enumerate(net.places)}
         for src, dst in net.arcs:
             if src in self.pre:
                 self.post[src].append(place[dst])
@@ -228,7 +228,7 @@ class Reference:
     def explore(self):
         net = self.net
         root = (
-            tuple(1 if p.name == net.start else 0 for p in net.places),
+            tuple(1 if p == net.start else 0 for p in net.places),
             (None,) * len(net.data_items),
             canonical(net.initial_records),
             (U,) * len(self.guards),
@@ -237,10 +237,10 @@ class Reference:
         while queue:
             state = queue.popleft()
             for t in net.transitions:
-                if not self.enabled(state, t.name):
+                if not self.enabled(state, t):
                     continue
-                for succ in self.successors(state, t.name):
-                    edges.add((state, t.name, succ))
+                for succ in self.successors(state, t):
+                    edges.add((state, t, succ))
                     if succ not in seen:
                         seen.add(succ)
                         queue.append(succ)
@@ -416,9 +416,9 @@ def test_fire_without_a_build_gives_the_out_edges(sixteen_rows):
     edges = set()
     for i, state in enumerate(srg.states):
         for t in net.transitions:
-            if enabled(net, state, t.name):
-                successors = fire(net, state, t.name)
+            if enabled(net, state, t):
+                successors = fire(net, state, t)
                 assert len(set(successors)) == len(successors)
-                edges.update((i, t.name, number[succ]) for succ in successors)
+                edges.update((i, t, number[succ]) for succ in successors)
     assert len(edges) == len(srg.edges)
     assert edges == set(srg.edges)

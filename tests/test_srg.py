@@ -36,11 +36,9 @@ from wftc.model import (
     GuardRef,
     InsertOp,
     ModelError,
-    Place,
     Predicate,
     SelScope,
     TableSchema,
-    Transition,
     UpdateOp,
     column_of,
 )
@@ -251,9 +249,9 @@ INVALID_NETS = {
         "initial record ('id1', 'license1') has 2 values, expected 3",
     ),
     "arc-to-undeclared-node": (lambda net: net.arcs.add(("p1", "tq")), "arc endpoint tq not declared"),
-    "second-place": (lambda net: net.places.append(Place("p3", 14)), "duplicate place p3"),
+    "second-place": (lambda net: net.places.append("p3"), "duplicate place p3"),
     "place-is-transition": (
-        lambda net: net.transitions.append(Transition("p3", 19)),
+        lambda net: net.transitions.append("p3"),
         "names used as both place and transition: ['p3']",
     ),
     "duplicate-data-item": (lambda net: net.data_items.append("id"), "duplicate data item id"),
@@ -457,9 +455,9 @@ def test_token_conservation(motivating_net, motivating_srg):
         after = motivating_srg.states[dst].marking
         pre = {p for p, q in net.arcs if q == t}
         post = {q for p, q in net.arcs if p == t}
-        for place in net.places:
-            delta = after[place.index] - before[place.index]
-            expected = (place.name in post) - (place.name in pre)
+        for i, place in enumerate(net.places):
+            delta = after[i] - before[i]
+            expected = (place in post) - (place in pre)
             assert delta == expected
 
 
@@ -484,7 +482,7 @@ def test_random_walks_stay_inside_the_graph(text, mode):
         state = initial_state(net)
         assert index.get(state) == srg.initial
         for _ in range(40):
-            ts = [t.name for t in net.transitions if enabled(net, state, t.name)]
+            ts = [t for t in net.transitions if enabled(net, state, t)]
             successors = [(t, after) for t in ts for after in fire(net, state, t, mode)]
             for t, after in successors:
                 assert (index.get(state), t, index.get(after)) in arcs

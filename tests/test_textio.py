@@ -27,11 +27,9 @@ from wftc.model import (
     Guard,
     GuardRef,
     ModelError,
-    Place,
     Predicate,
     SelScope,
     TableSchema,
-    Transition,
     WftcNet,
     canonical_table,
 )
@@ -162,12 +160,12 @@ def test_duplicate_section_rejected():
 def random_net(rng: random.Random) -> WftcNet:
     n_places = rng.randint(2, 6)
     n_trans = rng.randint(1, 5)
-    places = [Place(f"p{i}", i) for i in range(n_places)]
-    transitions = [Transition(f"t{i}", i) for i in range(n_trans)]
+    places = [f"p{i}" for i in range(n_places)]
+    transitions = [f"t{i}" for i in range(n_trans)]
     arcs = set()
     for t in transitions:
-        arcs.add((rng.choice(places).name, t.name))
-        arcs.add((t.name, rng.choice(places).name))
+        arcs.add((rng.choice(places), t))
+        arcs.add((t, rng.choice(places)))
     items = [f"d{i}" for i in range(rng.randint(0, 3))]
     net = WftcNet(
         places=places,
@@ -183,19 +181,19 @@ def random_net(rng: random.Random) -> WftcNet:
             [(f"a{i}", f"b{i}" if rng.random() < 0.8 else None) for i in range(rng.randint(0, 3))]
         )
         if rng.random() < 0.7:
-            t = rng.choice(transitions).name
+            t = rng.choice(transitions)
             net.wt[t] = (items[0],)
             net.sel[t] = net.sel.get(t, ()) + (SelScope("T", "A"),)
         net.predicates["pi1"] = Predicate("pi1", "in", items[0], table="T", column="A")
         net.guards["g1"] = Guard("g1", ("pi", "pi1"))
         net.guards["g2"] = Guard("g2", ("not", ("pi", "pi1")))
-        net.guard_of[transitions[0].name] = GuardRef("g1", positive=rng.random() < 0.8)
+        net.guard_of[transitions[0]] = GuardRef("g1", positive=rng.random() < 0.8)
         net.constraints = (((("g1", True), ("g2", False)), (("g1", False), ("g2", True))),)
     for t in transitions:
         if items and rng.random() < 0.4:
-            net.dt[t.name] = (rng.choice(items),)
+            net.dt[t] = (rng.choice(items),)
         if items and rng.random() < 0.3:
-            net.rd[t.name] = (rng.choice(items),)
+            net.rd[t] = (rng.choice(items),)
     net._index()
     return net
 
@@ -240,7 +238,7 @@ def test_ag_equals_its_expansion(motivating_net):
 
 def test_three_way_expansion_agreement(motivating_net, motivating_srg):
     rng = random.Random(31)
-    places = [p.name for p in motivating_net.places]
+    places = motivating_net.places
     for _ in range(25):
         inner = rng.choice(places)
         variants = [
@@ -387,7 +385,7 @@ def random_formula(rng: random.Random, net, depth=3):
         if kind == 0:
             return ast.TrueF()
         if kind == 1:
-            return ast.PlaceAtom(rng.choice([p.name for p in net.places]))
+            return ast.PlaceAtom(rng.choice(net.places))
         if kind == 2:
             return ast.DataAtom(
                 ("const", rng.choice(["id1", "id2", "license9"])),
@@ -696,10 +694,10 @@ def json_module_export(srg) -> str:
         "states": [
             {
                 "id": srg.state_id(i),
-                "marking": {p.name: s.marking[p.index] for p in net.places if s.marking[p.index]},
+                "marking": {p: tokens for p, tokens in zip(net.places, s.marking) if tokens},
                 "data": dict(zip(net.data_items, s.data)),
                 "table": [list(rec) for rec in s.table],
-                "guards": dict(zip(net.guard_order, s.sigma)),
+                "guards": dict(zip(net.guards, s.sigma)),
                 "pseudo": srg.pseudo[i],
             }
             for i, s in enumerate(srg.states)
@@ -719,8 +717,8 @@ def test_json_export_matches_the_json_module(motivating_srg, wfd_srg):
 
 def test_json_export_escapes_like_the_json_module():
     net = WftcNet(
-        places=[Place("zz", 0), Place("aé", 1), Place('q"', 2)],
-        transitions=[Transition("t\\1", 0)],
+        places=["zz", "aé", 'q"'],
+        transitions=["t\\1"],
         data_items=["d ", "b"],
         schema=TableSchema("T", ("A", "B")),
         start="zz",
