@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from .model import EvalError, ModelError, deferred
@@ -43,6 +44,11 @@ def _read(path: str) -> str:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def _same_file(a: str, b: str) -> bool:
+    both = os.path.exists(a) and os.path.exists(b)  # then also through a hard link
+    return os.path.samefile(a, b) if both else os.path.realpath(a) == os.path.realpath(b)
 
 
 class _Counted:
@@ -119,10 +125,17 @@ def cmd_build(args) -> int:
     # the writers are resolved before the build, as the evaluator is in
     # ``cmd_verify``, and no file is opened until the graph is built; each
     # writer streams its document to its file a block at a time
-    wanted = ((args.json_out, "export_json"), (args.dot, "export_dot"))
-    exports = [(path, _bound(name)) for path, name in wanted if path]
+    wanted = (("--json", args.json_out, "export_json"), ("--dot", args.dot, "export_dot"))
+    exports = [(flag, path, _bound(name)) for flag, path, name in wanted if path]
+    # no export may overwrite the model or the other export
+    taken = [("the model", args.model)]
+    for flag, path, _ in exports:
+        for what, other in taken:
+            if _same_file(path, other):
+                raise ParseError(f"{flag} {path} would overwrite {what} {other}")
+        taken.append((flag, path))
     srg = _build(args)
-    for path, export in exports:
+    for _, path, export in exports:
         try:
             with open(path, "w", encoding="utf-8") as handle:
                 export(srg, _Counted(handle))

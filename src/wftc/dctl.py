@@ -557,13 +557,14 @@ class _Evaluation:
         self.states, self.net = states, net
         self.size = n = len(states)
         self.everything = (1 << n) - 1
-        # per state, the targets of its arcs and the sources of the arcs
-        # into it, one entry per ``(src, dst)`` arc in ``arcs`` order
+        # per state, its arcs' targets and the sources of arcs into it, one
+        # entry per ``(src, dst)`` in ``arcs`` order, each state one int object
         post: list[list[int]] = [[] for _ in states]
         pre: list[list[int]] = [[] for _ in states]
+        ids = list(range(n))
         for src, dst in arcs:
-            post[src].append(dst)
-            pre[dst].append(src)
+            post[src].append(ids[dst])
+            pre[dst].append(ids[src])
         self.post, self.pre = post, pre
         self.groups: dict[tuple[bool, bool], tuple] = {}  # see ``partition``
         self.shapes = shapes or _Shapes()
@@ -782,7 +783,7 @@ def _bisimulation(markings: list, post: list[list[int]], pre: list[list[int]]) -
 
 def _evaluation(srg: Srg) -> _Evaluation:
     if srg.evaluation is None:
-        srg.evaluation = _Evaluation(srg.net, srg.states, ((src, dst) for src, _, dst in srg.edges))
+        srg.evaluation = _Evaluation(srg.net, srg.states, zip(srg.edges.src, srg.edges.dst))
     return srg.evaluation
 
 

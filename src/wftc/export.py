@@ -167,14 +167,12 @@ def _dot_blocks(srg: Srg):
         yield block
         block = []
     # a transition name may hold any non-space character, so each name's
-    # label is escaped once here, not once per edge
-    label = {
-        t: ' [label="{}"];\n'.format(t.replace("\\", "\\\\").replace('"', '\\"'))
-        for t in srg.net.transitions
-    }
-    edges = srg.edges
-    for lo in range(0, len(edges), BLOCK):
-        block += [f"  {ids[src]} -> {ids[dst]}{label[t]}" for src, t, dst in edges[lo : lo + BLOCK]]
+    # label is escaped once here, not once per arc
+    label = [' [label="{}"];\n'.format(t.replace("\\", "\\\\").replace('"', '\\"')) for t in srg.net.transitions]
+    arcs = srg.edges
+    numbered = zip(arcs.src, arcs.label, arcs.dst)
+    for _ in range(0, len(arcs), BLOCK):
+        block += [f"  {ids[src]} -> {ids[dst]}{label[t]}" for src, t, dst in itertools.islice(numbered, BLOCK)]
         yield block
         block = []
     block.append("}\n")
@@ -228,7 +226,7 @@ def _json_blocks(srg: Srg):
     guards = functools.cache(
         lambda sigma: obj({name: scalar(v) for name, v in zip(net.guards, sigma)}, pad)
     )
-    label = functools.cache(scalar)
+    label = [scalar(t) for t in net.transitions]
     ids = [scalar(srg.state_id(i)) for i in range(len(srg.states))]
     flag = {False: "false", True: "true"}
 
@@ -237,14 +235,15 @@ def _json_blocks(srg: Srg):
     # ``close``, or is ``[]`` when empty
     block = ['{\n  "edges": ']
     first, sep, close = '[\n    {\n      "from": ', '\n    },\n    {\n      "from": ', "\n    }\n  ]"
-    edges = srg.edges
-    for lo in range(0, len(edges), BLOCK):
-        for a, t, b in edges[lo : lo + BLOCK]:
-            block += (first, ids[a], ',\n      "to": ', ids[b], ',\n      "transition": ', label(t))
+    arcs = srg.edges
+    numbered = zip(arcs.src, arcs.label, arcs.dst)
+    for _ in range(0, len(arcs), BLOCK):
+        for a, t, b in itertools.islice(numbered, BLOCK):
+            block += (first, ids[a], ',\n      "to": ', ids[b], ',\n      "transition": ', label[t])
             first = sep
         yield block
         block = []
-    block.append(close if edges else "[]")
+    block.append(close if arcs else "[]")
     block += (',\n  "initial": ', scalar(srg.state_id(srg.initial)))
     block += (',\n  "mode": ', scalar(srg.mode), ',\n  "states": ')
     first, sep = '[\n    {\n      "data": ', '\n    },\n    {\n      "data": '

@@ -108,12 +108,11 @@ class TableSchema(Frozen):
 # A table instance is a canonically sorted tuple of records.
 
 
-# Sort keys are memoised per token and per record: canonical tables are
-# re-sorted on every firing with table operations, and ordered
-# comparisons in formulas compare the same few tokens over and over.
+# Sort keys are memoised per token, for the process: ordered comparisons
+# in formulas compare the same few tokens over and over. A build memoises
+# record keys for its own sorts (``srg._Store``).
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def record_key(record):
     # UNDEF cells sort first; tokens sort by (prefix, numeric suffix, text)
     return tuple((0, "", 0, "") if v is None else (1,) + token_key(v) for v in record)
@@ -130,8 +129,8 @@ def token_key(token: str):
     return (token, -1, token)
 
 
-def canonical_table(records) -> tuple[tuple, ...]:
-    return tuple(sorted(set(map(tuple, records)), key=record_key))
+def canonical_table(records, key=record_key) -> tuple[tuple, ...]:
+    return tuple(sorted(set(map(tuple, records)), key=key))
 
 
 def column_of(table, col: int) -> list[str]:

@@ -20,6 +20,7 @@ import functools
 import itertools
 import os
 import time
+from array import array
 from collections import deque
 from operator import itemgetter
 
@@ -229,17 +230,17 @@ class _Compiled:
         self.plans = {t: _Plan(net, t, guards, pre[t], post[t]) for t in net.transitions}
         self.guard_names = tuple(net.guards)
         self.constraints = net.constraints
-        self._candidates: dict[tuple, list[str]] = {}
+        self._candidates: dict[tuple, list[tuple[int, str]]] = {}
         self._verdicts: dict[tuple, bool] = {}
 
-    def candidates(self, marking: tuple) -> list[str]:
-        """Transitions in declaration order whose every input place holds a token."""
-        names = self._candidates.get(marking)
-        if names is None:
-            names = self._candidates[marking] = [
-                t for t, plan in self.plans.items() if all(marking[i] >= 1 for i in plan.pre)
+    def candidates(self, marking: tuple) -> list[tuple[int, str]]:
+        """Number and name, in declaration order, of each transition whose every input place holds a token."""
+        found = self._candidates.get(marking)
+        if found is None:
+            found = self._candidates[marking] = [
+                (k, t) for k, (t, plan) in enumerate(self.plans.items()) if all(marking[i] >= 1 for i in plan.pre)
             ]
-        return names
+        return found
 
     def consistent(self, sigma: tuple) -> bool:
         """Whether ``sigma`` satisfies the constraints, decided once per
@@ -274,16 +275,12 @@ def fresh_token(item: str, used) -> str:
     return f"{item}{top + 1}"
 
 
-# most firings see a column they have seen before
-_fresh_token = functools.lru_cache(maxsize=1 << 12)(fresh_token)
-
-
 class _Store:
     """One build's tables, each kept once with its hash, and the answers
     firing needs from them, each computed once. Answers name a table by
     ``id``, which stays its own while ``tables`` keeps it."""
 
-    __slots__ = ("tables", "hashes", "found", "columns", "derived")
+    __slots__ = ("tables", "hashes", "found", "columns", "derived", "record_key", "fresh_token")
 
     def __init__(self):
         self.tables: dict[tuple, tuple] = {}  # also keeps one copy of each guard valuation
@@ -291,6 +288,9 @@ class _Store:
         self.found: dict[tuple, tuple] = {}  # (table, column, value) -> the rows holding it
         self.columns: dict[tuple, list] = {}  # (table, column) -> its values
         self.derived: dict[tuple, tuple] = {}  # (table, plan, values the ops read) -> table
+        # most sorted-in rows and refined columns recur; memoised for the build only
+        self.record_key = functools.lru_cache(maxsize=1 << 16)(record_key)
+        self.fresh_token = functools.lru_cache(maxsize=1 << 12)(fresh_token)
 
     def intern(self, table: tuple) -> tuple:
         """The kept copy of ``table``, hashed when it is first kept."""
@@ -338,7 +338,7 @@ def refine(net: WftcNet, state: StateC, item: str, scope=None, *, store=None) ->
     store = _Store() if store is None else store
     table = store.intern(state.table)
     column = store.values((scope[0], None), (), table)
-    return [*store.values(scope, state.data, table), _fresh_token(item, tuple(column))]
+    return [*store.values(scope, state.data, table), store.fresh_token(item, tuple(column))]
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +410,9 @@ def _apply_table_ops(plan: _Plan, table: tuple, data: tuple, store: _Store) -> t
                 for set_col, value in sets:
                     rec[set_col] = value(data)
                 added.append(tuple(rec))
-    for rec in canonical_table(added):
+    for rec in canonical_table(added, store.record_key):
         if rec not in kept:
-            bisect.insort(kept, rec, key=record_key)
+            bisect.insort(kept, rec, key=store.record_key)
     derived = store.derived[key] = store.intern(tuple(kept))
     return derived
 
@@ -502,8 +502,33 @@ def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED, *, store=
 # graph construction
 
 
+class Arcs(Struct):
+    """A graph's arcs as three int columns, in arc order: source state,
+    target state and transition number, the transition's position in
+    ``names``, the net's ``transitions``. Iterating and ``append`` take
+    ``(src, name, dst)``; the build appends to the columns."""
+
+    _fields = __slots__ = ("names", "src", "dst", "label")
+
+    def __init__(self, names: list[str], src=(), dst=(), label=()):
+        self.names = names
+        self.src, self.dst, self.label = array("i", src), array("i", dst), array("i", label)
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __iter__(self):
+        return zip(self.src, map(self.names.__getitem__, self.label), self.dst)
+
+    def append(self, arc: tuple[int, str, int]):
+        src, name, dst = arc
+        self.label.append(self.names.index(name))  # first: an unknown name adds no arc
+        self.src.append(src)
+        self.dst.append(dst)
+
+
 class Srg(Struct):
-    """Reachability graph: canonical state store plus labeled edges."""
+    """Reachability graph: canonical state store plus labeled arcs."""
 
     _fields = ("net", "mode", "states", "edges", "initial", "pseudo", "build_millis")
     __slots__ = _fields + ("evaluation",)
@@ -513,7 +538,7 @@ class Srg(Struct):
         net: WftcNet,
         mode: str,
         states: list[StateC] | None = None,
-        edges: list[tuple[int, str, int]] | None = None,
+        edges: Arcs | None = None,
         initial: int = 0,
         pseudo: list[bool] | None = None,
         build_millis: float = 0.0,
@@ -521,7 +546,7 @@ class Srg(Struct):
         self.net = net
         self.mode = mode
         self.states = [] if states is None else states
-        self.edges = [] if edges is None else edges
+        self.edges = Arcs(net.transitions) if edges is None else edges
         self.initial = initial
         self.pseudo = [] if pseudo is None else pseudo
         self.build_millis = build_millis
@@ -571,10 +596,11 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
     queue = deque([(0, root)])
     candidates = compiled.candidates
     store = _Store()
+    add_src, add_dst, add_label = srg.edges.src.append, srg.edges.dst.append, srg.edges.label.append
 
     while queue:
         sid, state = queue.popleft()
-        for t in candidates(state.marking):
+        for k, t in candidates(state.marking):
             if not enabled(net, state, t, store=store):
                 continue
             for succ in fire(net, state, t, mode, store=store):
@@ -586,8 +612,10 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
                     srg.pseudo.append(mode == UNCONSTRAINED and not compiled.consistent(succ.sigma))
                     queue.append((dst, succ))
                 # each (state, transition) pair is fired once and ``fire``
-                # returns distinct successors, so no edge repeats
-                srg.edges.append((sid, t, dst))
+                # returns distinct successors, so no arc repeats
+                add_src(sid)
+                add_dst(dst)
+                add_label(k)
 
     srg.build_millis = (time.perf_counter() - started) * 1000.0
     return srg.finish()

@@ -1,4 +1,7 @@
+import gc
 import random
+import re
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
@@ -7,7 +10,7 @@ import pytest
 from wftc import CONSTRAINED, UNCONSTRAINED, build_srg, parse_model
 from wftc import dctl as ast
 from wftc.model import WftcNet
-from wftc.srg import Srg, StateC
+from wftc.srg import Arcs, Srg, StateC
 
 
 def fixture_path(name: str):
@@ -23,6 +26,54 @@ def table_model(n: int) -> str:
     for K = 1..n."""
     rows = "".join(f"  id{k}, license{k}, copy{k}\n" for k in range(1, n + 1))
     return fixture_text("motivating.wftc").replace("  id1, license1, copy1\n  id2, license2, copy2\n", rows)
+
+
+# the names each copy of ``motivating.wftc`` renames in ``parallel_model``:
+# places, transitions, predicates, guards and data items; table constants
+# such as ``id2`` and ``license1`` keep theirs
+_COPIED_NAMES = re.compile(r"\b(p\d+|t\d+|pi\d+|g\d+|id|password|license|copy)\b")
+
+
+def parallel_model(k: int) -> str:
+    """Net-k: ``k`` copies of ``motivating.wftc`` between a fork ``ps -> tf``
+    and a join ``tj -> pe``. Copy i names its nodes, items, predicates and
+    guards with the suffix ``_i``, and all copies share one ``User`` table."""
+    sections, body = {}, []
+    for line in fixture_text("motivating.wftc").splitlines():
+        line = line.split("#", 1)[0]
+        if line.startswith("["):
+            header, _, line = line.partition("]")
+            body = sections[header + "]"] = []
+        body.append(line)
+    forks = " ".join(f"tf->p0_{i} p13_{i}->tj" for i in range(1, k + 1))
+    shared = {"[PLACES]": "ps pe", "[TRANSITIONS]": "tf tj", "[ARCS]": f"ps->tf tj->pe {forks}"}
+    shared |= {"[INITIAL]": "ps", "[FINAL]": "pe"}
+    parts = []
+    for header, lines in sections.items():
+        if header == "[TABLE]":
+            copies = lines
+        elif header in ("[INITIAL]", "[FINAL]"):
+            copies = []
+        else:
+            copies = [_COPIED_NAMES.sub(rf"\1_{i}", line) for i in range(1, k + 1) for line in lines]
+        parts.append("\n".join([f"{header} {shared.get(header, '')}", *copies]))
+    return "\n".join(parts) + "\n"
+
+
+def retained_bytes(text: str, mode: str):
+    """``(bytes, graph)``: the bytes tracemalloc sees still held once the
+    graph of model ``text`` is built in ``mode``, which are the graph and
+    what the build left on its net; the net is parsed before tracing."""
+    net = parse_model(text)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        srg = build_srg(net, mode)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, srg
+    finally:
+        tracemalloc.stop()
 
 
 def bitset(states) -> int:
@@ -72,6 +123,15 @@ def term_text(term) -> str:
     if term[0] == "attr":
         return f"{term[1]}.{term[2]}"
     return term[1]
+
+
+def arcs_of(net: WftcNet, arcs) -> Arcs:
+    """A graph's arc store over ``net`` holding the ``(src, name, dst)``
+    triples of ``arcs``, in order."""
+    store = Arcs(net.transitions)
+    for arc in arcs:
+        store.append(arc)
+    return store
 
 
 def arc_lists(srg: Srg) -> tuple[list[list[int]], list[list[int]]]:
@@ -183,10 +243,11 @@ def tiny_net():
 
 def make_random_srg(rng: random.Random, max_states: int = 20) -> Srg:
     """A synthetic graph over a one-hot net: state i marks place q{i}, so
-    place atoms select single states. The initial state is random."""
+    place atoms select single states. The initial state is random. Every
+    arc is labelled ``t``; the net also declares ``u`` for arcs added later."""
     n = rng.randint(2, max_states)
     places = [f"q{i}" for i in range(n)]
-    net = WftcNet(places=places, transitions=["t"], start="q0", end=f"q{n - 1}")
+    net = WftcNet(places=places, transitions=["t", "u"], start="q0", end=f"q{n - 1}")
     srg = Srg(net=net, mode=CONSTRAINED)
     for i in range(n):
         marking = tuple(1 if j == i else 0 for j in range(n))

@@ -320,6 +320,32 @@ def test_unbuildable_model_writes_no_export(capsys, tmp_path):
     assert not data.exists()
 
 
+def test_export_onto_the_model_or_the_other_export_exits_usage(capsys, tmp_path):
+    # the clash is found before anything is built or written
+    model = tmp_path / "m.wftc"
+    text = fixture_text("motivating.wftc")
+    model.write_text(text, encoding="utf-8")
+    os.link(model, tmp_path / "hard.wftc")
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / "g.out"
+    cases = [
+        (["--json", str(model)], f"--json {model} would overwrite the model {model}"),
+        (["--dot", str(tmp_path / "sub" / ".." / "m.wftc")], f"--dot {tmp_path}/sub/../m.wftc would overwrite the model {model}"),
+        (["--dot", str(tmp_path / "hard.wftc")], f"--dot {tmp_path}/hard.wftc would overwrite the model {model}"),
+        (["--json", str(out), "--dot", str(out)], f"--dot {out} would overwrite --json {out}"),
+        (["--json", str(out), "--dot", f"{tmp_path}/./g.out"], f"--dot {tmp_path}/./g.out would overwrite --json {out}"),
+    ]
+    for extra, message in cases:
+        code, stdout, err = run(capsys, "build", str(model), *extra)
+        assert (code, stdout, err) == (EXIT_USAGE, "", f"error: {message}\n"), extra
+        assert model.read_text(encoding="utf-8") == text
+        assert not out.exists()
+    # an export that names another, existing file is written as before
+    out.write_text("old", encoding="utf-8")
+    code, _, _ = run(capsys, "build", str(model), "--json", str(out), "--dot", str(tmp_path / "g.dot"))
+    assert code == EXIT_OK and json.loads(out.read_text())["initial"] == "c0"
+
+
 def test_arc_to_undeclared_place_exits_usage(capsys, tmp_path):
     model = tmp_path / "bad.wftc"
     model.write_text(fixture_text("motivating.wftc").replace("t18->p13", "t18->p13 t18->unknown1"))

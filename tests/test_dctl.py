@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import METRIC_TEXTS, bitset, fixture_text, make_random_srg, requirement_texts, table_model
+from conftest import METRIC_TEXTS, arcs_of, bitset, fixture_text, make_random_srg, requirement_texts, table_model
 from wftc import (
     CONSTRAINED,
     UNCONSTRAINED,
@@ -121,7 +121,8 @@ def test_fixed_points_agree_with_path_oracles_over_parallel_arcs():
     rng = random.Random(4321)
     for _ in range(60):
         srg = make_random_srg(rng)
-        srg.edges += [(src, "u", dst) for src, _, dst in srg.edges if rng.random() < 0.5]
+        for arc in [(src, "u", dst) for src, _, dst in srg.edges if rng.random() < 0.5]:
+            srg.edges.append(arc)
         srg.finish()
         lhs, rhs = random_sets(rng, len(srg.states))
         a, b = bitset(lhs), bitset(rhs)
@@ -379,7 +380,7 @@ def with_rows(srg, rows: int):
     """The graph with every state's table cut to its first ``rows`` rows."""
     cut = Srg(net=srg.net, mode=srg.mode, initial=srg.initial)
     cut.states = [StateC(s.marking, s.data, s.table[:rows], s.sigma) for s in srg.states]
-    cut.pseudo, cut.edges = list(srg.pseudo), list(srg.edges)
+    cut.pseudo, cut.edges = list(srg.pseudo), arcs_of(srg.net, srg.edges)
     return cut.finish()
 
 

@@ -11,7 +11,7 @@ import json
 import random
 import re
 
-from conftest import bitset, fixture_text, make_copied_srg, make_random_srg
+from conftest import arcs_of, bitset, fixture_text, make_copied_srg, make_random_srg
 from test_bisimulation import classes
 from wftc import CONSTRAINED, build_srg, parse_dctl, parse_model, sat, verify
 from wftc import dctl as ast
@@ -239,7 +239,7 @@ def test_refinishing_a_graph_drops_its_memo():
     srg = make_random_srg(random.Random(3), max_states=6)
     ex_q0 = ast.EX(ast.PlaceAtom("q0"))
     for pred in (2, 1):
-        srg.edges = [(pred, "t", 0)]
+        srg.edges = arcs_of(srg.net, [(pred, "t", 0)])
         srg.finish()
         assert sat(srg, ex_q0) == 1 << pred
 
@@ -277,7 +277,7 @@ def make_table_srg(rng, max_states=10, tables=None):
         marking = tuple(rng.randrange(2) for _ in range(3))
         srg.states.append(StateC(marking, (), canonical_table(rows), ()))
         srg.pseudo.append(False)
-    srg.edges = [(i, "t", j) for i in range(n) for j in range(n) if rng.random() < 2 / n]
+    srg.edges = arcs_of(net, [(i, "t", j) for i in range(n) for j in range(n) if rng.random() < 2 / n])
     srg.initial = rng.randrange(n)
     return srg.finish()
 

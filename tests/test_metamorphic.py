@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from conftest import fixture_text, table_model
+from conftest import fixture_text, parallel_model, table_model
 from wftc import CONSTRAINED, UNCONSTRAINED, build_srg, export_dot, export_json, parse_model
 from wftc.dctl import builtin_metrics
 from wftc.model import WftcNet
@@ -178,3 +178,18 @@ def test_hand_built_net_with_places_reversed_exports_as_parsed(fixture, mode):
     if (fixture, mode) == ("motivating.wftc", CONSTRAINED):
         assert (len(srg.states), len(srg.edges)) == (54, 73)
     assert (export_json(srg), export_dot(srg)) == exports(parsed, mode)
+
+
+def test_swapping_the_copies_of_net_2_relabels_its_graph():
+    # the two copies of net-2 differ only in their suffixes, so giving copy
+    # 1 the names of copy 2 and back changes no count or metric; each copy's
+    # transitions keep their positions, so the states keep their numbers and
+    # the DOT export is the original's with the labels swapped
+    text = parallel_model(2)
+    mapping = {name: name[:-1] + "21"[int(name[-1]) - 1] for name in re.findall(r"\b\w+_[12]\b", text)}
+    swapped = renamed(text, mapping)
+    assert swapped != text
+    metrics = {"PM1": (True, 3421), "PM2": (True, 3424), "PM3": (True, 271), "PM4": (True, 3421), "PM5": (False, 0)}
+    assert fingerprint(text, CONSTRAINED) == fingerprint(swapped, CONSTRAINED) == (3424, 9094, 0, metrics)
+    _, dot = exports(parse_model(text), CONSTRAINED)
+    assert exports(parse_model(swapped), CONSTRAINED)[1] == renamed(dot, mapping)

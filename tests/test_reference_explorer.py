@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from conftest import table_model
+from conftest import parallel_model, table_model
 from wftc import CONSTRAINED, UNCONSTRAINED, ResourceLimitError, build_srg, enabled, fire, parse_model
 
 T, F, U = "T", "F", "U"
@@ -422,3 +422,10 @@ def test_fire_without_a_build_gives_the_out_edges(sixteen_rows):
                 edges.update((i, t, number[succ]) for succ in successors)
     assert len(edges) == len(srg.edges)
     assert edges == set(srg.edges)
+
+
+def test_net_2_agrees_with_the_reference():
+    # two copies of the bundled model fork, interleave over one shared
+    # table and join: 198 markings instead of one token's 14
+    srg = assert_agrees(parse_model(parallel_model(2)), CONSTRAINED)
+    assert (len(srg.states), len(srg.edges)) == (3424, 9094)

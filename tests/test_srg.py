@@ -1,5 +1,6 @@
 """States, refinement, firing, and graph construction."""
 
+import gc
 import hashlib
 import itertools
 import os
@@ -7,12 +8,14 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
 
 import wftc
-from conftest import arc_lists, fixture_text, marked_places, sigma_map, table_model
+from conftest import arc_lists, arcs_of, fixture_text, marked_places, parallel_model, retained_bytes, sigma_map, table_model
 from wftc import (
     CONSTRAINED,
     UNCONSTRAINED,
@@ -42,7 +45,7 @@ from wftc.model import (
     UpdateOp,
     column_of,
 )
-from wftc.srg import FiringError, Srg, StateC, fresh_token
+from wftc.srg import Arcs, FiringError, Srg, StateC, fresh_token
 
 TABLE0 = (("id1", "license1", "copy1"), ("id2", "license2", "copy2"))
 
@@ -347,14 +350,30 @@ PINNED_GRAPHS = [
     ("motivating-wfd.wftc", UNCONSTRAINED, "1df116436241396577ff3b3c55568dd905f51079958b9d11d083b3069dc2419e"),
     # ``table_model(4)``: 4 341 states, 3 630 of them pseudo, and 7 226 arcs
     ("table-4", UNCONSTRAINED, "a2eb2f069c6b3c1a4afaaa5fa62ee58a82de1b00fb92a3f7ca1447f19fbe312f"),
+    # ``parallel_model(2)``: 3 424 states and 9 094 arcs
+    ("net-2", CONSTRAINED, "7ed7dcae7da72707d540adbd36c87017b0ce3cd3698d842446ba2cdfc8d909e8"),
 ]
+
+
+def model_text(name: str) -> str:
+    if name.startswith("table-"):
+        return table_model(int(name.removeprefix("table-")))
+    if name.startswith("net-"):
+        return parallel_model(int(name.removeprefix("net-")))
+    return fixture_text(name)
 
 
 @pytest.mark.parametrize("name, mode, digest", PINNED_GRAPHS)
 def test_exported_graph_is_pinned(name, mode, digest):
-    text = table_model(int(name.removeprefix("table-"))) if name.startswith("table-") else fixture_text(name)
-    srg = build_srg(parse_model(text), mode)
+    srg = build_srg(parse_model(model_text(name)), mode)
     assert hashlib.sha256(export_json(srg).encode("utf-8")).hexdigest() == digest
+
+
+def test_unconstrained_net_2_stops_at_the_ceiling():
+    # unconstrained, the copies' guards branch freely: the graph passes 10^6
+    # states, so a small ceiling must stop it
+    with pytest.raises(ResourceLimitError, match="^state ceiling of 5000 states exceeded$"):
+        build_srg(parse_model(parallel_model(2)), UNCONSTRAINED, limit=5000)
 
 
 def test_twelve_row_table_graph_is_pinned():
@@ -369,7 +388,7 @@ def test_twelve_row_table_graph_is_pinned():
 def test_two_place_chain(tiny_net):
     srg = build_srg(tiny_net)
     assert len(srg.states) == 2
-    assert srg.edges == [(0, "t0", 1)]
+    assert list(srg.edges) == [(0, "t0", 1)]
 
 
 def test_stats_on_initial_only():
@@ -583,7 +602,7 @@ def test_adjacency_is_built_on_first_use(name, mode):
     block = list(evaluation.block)
     first = [block.index(b) for b in range(len(quotient.states))]
     arcs = [(block[src], t, block[dst]) for src, t, dst in srg.edges if first[block[src]] == src]
-    blocks = Srg(net=srg.net, mode=srg.mode, states=quotient.states, edges=arcs)
+    blocks = Srg(net=srg.net, mode=srg.mode, states=quotient.states, edges=arcs_of(srg.net, arcs))
     assert (quotient.post, quotient.pre) == arc_lists(blocks)
 
 
@@ -596,18 +615,113 @@ def test_finish_drops_stale_adjacency(motivating_net):
 
     srg = build_srg(motivating_net, CONSTRAINED)
     assert lists()[0][0] and 0 not in lists()[0][0]
-    srg.edges = srg.edges + [(0, "t0", 0)]
+    srg.edges = arcs_of(srg.net, [*srg.edges, (0, "t0", 0)])
     srg.finish()
     assert srg.evaluation is None
     assert 0 in lists()[0][0] and 0 in lists()[1][0]
     assert lists() == arc_lists(srg)
-    srg.edges = srg.edges[:-1]
+    srg.edges = arcs_of(srg.net, list(srg.edges)[:-1])
     srg.finish()
     assert 0 not in lists()[0][0]
     assert lists() == arc_lists(srg)
     # a second transition between the same two states is a second arc
-    src, _, dst = srg.edges[0]
-    srg.edges = srg.edges + [(src, "t9", dst)]
+    src, _, dst = next(iter(srg.edges))
+    srg.edges = arcs_of(srg.net, [*srg.edges, (src, "t9", dst)])
     srg.finish()
     assert lists()[0][src].count(dst) == 2
     assert lists() == arc_lists(srg)
+
+
+# ---------------------------------------------------------------------------
+# the arc store and what a build keeps
+
+
+def test_arcs_are_three_int_columns(motivating_net, motivating_srg):
+    arcs = motivating_srg.edges
+    assert type(arcs) is Arcs and arcs.names is motivating_net.transitions
+    assert [column.typecode for column in (arcs.src, arcs.dst, arcs.label)] == ["i", "i", "i"]
+    assert len(arcs) == len(arcs.src) == len(arcs.dst) == len(arcs.label) == 73
+    # the build numbers transitions by their place in the net's list
+    names = motivating_net.transitions
+    assert list(arcs) == [(s, names[t], d) for s, t, d in zip(arcs.src, arcs.label, arcs.dst)]
+    # the states are numbered breadth first, so the sources never fall
+    assert list(arcs.src) == sorted(arcs.src)
+
+
+def test_arcs_append_compare_and_pickle(motivating_net):
+    arcs = Arcs(motivating_net.transitions)
+    # hand-built arcs keep the order they are appended in
+    for arc in [(3, "t1", 0), (0, "t18", 2), (3, "t0", 3)]:
+        arcs.append(arc)
+    assert list(arcs) == [(3, "t1", 0), (0, "t18", 2), (3, "t0", 3)]
+    assert list(arcs.label) == [1, 18, 0]
+    with pytest.raises(ValueError):
+        arcs.append((0, "t99", 1))  # no such transition
+    assert len(arcs) == 3
+    assert arcs == arcs_of(motivating_net, list(arcs))
+    assert arcs != arcs_of(motivating_net, list(arcs)[:2])
+    assert arcs != list(arcs)  # a store equals a store, not a list
+    with pytest.raises(TypeError):
+        hash(arcs)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(arcs, protocol))
+        assert back == arcs and back.names == arcs.names
+        assert back.src == array("i", [3, 0, 3])
+
+
+def test_a_pickled_graph_keeps_its_arcs_on_its_net(motivating_srg):
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(motivating_srg, protocol))
+        assert back == motivating_srg and list(back.edges) == list(motivating_srg.edges)
+        # one list of names, the unpickled net's
+        assert back.edges.names is back.net.transitions
+
+
+def test_evaluator_lists_share_one_int_per_state():
+    from wftc.dctl import _evaluation
+
+    # past 256 states, where ints are no longer shared by the interpreter
+    srg = build_srg(parse_model(table_model(8)), CONSTRAINED)
+    evaluation = _evaluation(srg)
+    objects = {}
+    for lists in (evaluation.post, evaluation.pre):
+        for entries in lists:
+            for i in entries:
+                assert objects.setdefault(i, id(i)) == id(i), i
+    assert max(objects) > 256
+
+
+def test_graph_keeps_at_most_200_bytes_per_state():
+    # each arc is three C ints; the states share their markings, data
+    # tuples and tables (309 B per state with a tuple per arc)
+    kept, srg = retained_bytes(table_model(6), UNCONSTRAINED)
+    assert (len(srg.states), len(srg.edges)) == (8673, 14514)
+    assert kept / len(srg.states) <= 200, kept
+
+
+def test_a_dropped_build_leaves_at_most_64_kib():
+    # the build's memos, the record sort keys and fresh tokens included, go
+    # with its store; what stays is the process-wide memo of token sort
+    # keys, about 30 KiB for the 141 tokens of a first table-32 build (the
+    # record key memo alone held 0.36 MB when it was process-wide)
+    text = table_model(32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        srg = build_srg(parse_model(text), CONSTRAINED)
+        assert len(srg.states) == 3564
+        del srg
+        gc.collect()
+        residue = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert residue <= 64 * 1024, residue
+    # and the only memo a module keeps is that one
+    memos = {
+        getattr(value, "__qualname__", name)
+        for module in list(sys.modules.values())
+        if module.__name__.startswith("wftc")
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    assert memos == {"token_key"}

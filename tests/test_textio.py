@@ -33,7 +33,7 @@ from wftc.model import (
     WftcNet,
     canonical_table,
 )
-from wftc.srg import CONSTRAINED, UNCONSTRAINED, Srg, StateC
+from wftc.srg import CONSTRAINED, UNCONSTRAINED, Arcs, Srg, StateC
 
 
 def test_parse_motivating_counts(motivating_net):
@@ -734,5 +734,5 @@ def test_json_export_escapes_like_the_json_module():
     srg.pseudo += [False, True]
     srg.edges.append((0, "t\\1", 1))
     assert export_json(srg) == json_module_export(srg.finish())
-    srg.edges.clear()
+    srg.edges = Arcs(net.transitions)
     assert export_json(srg) == json_module_export(srg.finish())
