@@ -149,13 +149,16 @@ def cmd_verify(args) -> int:
     # resolved before the graph exists, so that compiling the evaluator and
     # the parser does not add its transient memory to the graph's
     verify, parse_dctl = _bound("verify"), _bound("parse_dctl")
-    srg = _build(args)
+    net = parse_model(_read(args.model))
+    # the formula texts are read before the build, so that a missing file or
+    # an empty list stops the command before any state is built
     texts = list(args.formula or [])
     for path in args.formula_file or []:
         lines = (line.strip() for line in _read(path).split("\n"))
         texts.extend(line for line in lines if line and not line.startswith("#"))
     if not texts:
         raise ParseError("no formula given (use --formula or --formula-file)")
+    srg = build_srg(net, args.mode)
     # parsed and verified one at a time, as the report reads them
     checked = (
         (f"phi{i}", verify(srg, parse_dctl(text, srg.net)), {"text": text})

@@ -21,7 +21,6 @@ import itertools
 import os
 import time
 from array import array
-from collections import deque
 from operator import itemgetter
 
 from .model import (
@@ -182,8 +181,10 @@ class _Plan:
         sources += [s for op in net.upd.get(t, ()) for _, s in op.sets]
         self.reads = _values_at(sorted({item(name) for kind, name in sources if kind == "item"}))
         # a transition that writes, assigns and changes nothing has one
-        # successor data tuple, its parent's with the deleted items cleared
+        # successor: its parent's table and data, the deleted items cleared
         self.plain = not (written or self.assigns or self.ins or self.edits)
+        # whether enabling asks more of a state than its marking and guards
+        self.tests_data = bool(self.rd or self.assigns or self.edits)
         self.width = len(net.schema.attributes) if net.schema is not None else 0
         ref = net.guard_of.get(t)
         self.guard = None
@@ -200,6 +201,9 @@ class _Plan:
             for gi, settle, items in guards.values()
             if items & moved
         )
+        # each guard a plain firing settles reads an item it deleted, so the
+        # firing leaves it undetermined
+        self.cleared = tuple(gi for gi, _, _ in self.settle) if self.plain else ()
 
 
 class _Compiled:
@@ -350,38 +354,31 @@ def _check_mode(mode: str):
         raise ModelError(f"unknown mode {mode!r}")
 
 
-def _plan(net: WftcNet, t: str) -> _Plan:
-    plan = _compiled(net).plans.get(t)
+def enabled(net: WftcNet, state: StateC, t: str, *, store=None) -> bool:
+    plan = (net.compiled or _compiled(net)).plans.get(t)
     if plan is None:
         raise ModelError(f"unknown transition {t}")
-    return plan
+    return _enabled(plan, state, _Store() if store is None else store)
 
 
-def enabled(net: WftcNet, state: StateC, t: str, *, store=None) -> bool:
-    plan = _plan(net, t)
-    store = _Store() if store is None else store
-    return _enabled(plan, state, store.intern(state.table), store)
-
-
-def _enabled(plan: _Plan, state: StateC, table: tuple, store: _Store) -> bool:
-    marking, data = state.marking, state.data
+def _enabled(plan: _Plan, state: StateC, store: _Store) -> bool:
+    marking = state.marking
     for i in plan.pre:
         if marking[i] < 1:
             return False
-    for i in plan.rd:
-        if data[i] is UNDEF:
-            return False
-    for _, scope in plan.assigns:
-        if not store.values(scope, data, table):
-            return False
-    for (col, source), _ in plan.edits:  # the rows a ``del`` or ``upd`` must find
-        if not store.rows(table, col, source(data)):
-            return False
-    if plan.guard is not None:
-        gi, value = plan.guard
-        if state.sigma[gi] != value:
-            return False
-    return True
+    if plan.tests_data:
+        data, table = state.data, store.intern(state.table)
+        for i in plan.rd:
+            if data[i] is UNDEF:
+                return False
+        for _, scope in plan.assigns:
+            if not store.values(scope, data, table):
+                return False
+        for (col, source), _ in plan.edits:  # the rows a ``del`` or ``upd`` must find
+            if not store.rows(table, col, source(data)):
+                return False
+    guard = plan.guard
+    return guard is None or state.sigma[guard[0]] == guard[1]
 
 
 def _apply_table_ops(plan: _Plan, table: tuple, data: tuple, store: _Store) -> tuple:
@@ -446,13 +443,16 @@ def _sigma_after(plan: _Plan, parent_sigma, data: tuple, table: tuple, mode, sto
 def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED, *, store=None) -> list[StateC]:
     """All successor configurations of firing ``t``, after constraint
     filtering in constrained mode."""
-    _check_mode(mode)
-    plan = _plan(net, t)
+    if mode is not CONSTRAINED and mode is not UNCONSTRAINED:
+        _check_mode(mode)
+    compiled = net.compiled or _compiled(net)
+    plan = compiled.plans.get(t)
+    if plan is None:
+        raise ModelError(f"unknown transition {t}")
     store = _Store() if store is None else store
-    table = store.intern(state.table)
-    if not _enabled(plan, state, table, store):
+    if not _enabled(plan, state, store):
         raise FiringError(f"transition {t} is not enabled")
-    compiled = _compiled(net)
+    table = store.intern(state.table)
     marking = plan.moves.get(state.marking)
     if marking is None:
         marking = list(state.marking)
@@ -468,26 +468,34 @@ def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED, *, store=
         for i in plan.dt:
             data[i] = UNDEF
         data = tuple(data)
+    if plan.plain:  # the parent's table carries over
+        sigma = state.sigma
+        if plan.cleared:
+            sigma = list(sigma)
+            for gi in plan.cleared:
+                sigma[gi] = BOT
+            sigma = tuple(sigma)
+            sigma = store.tables.setdefault(sigma, sigma)
+        if mode == CONSTRAINED and not compiled.consistent(sigma):
+            return []
+        return [StateC(marking, data, table, sigma, store.hashes[id(table)])]
     # (data, table) after each write combination that selects something
-    if plan.plain:
-        written = [(data, table)]
-    else:
-        written = []
-        base = list(data)
-        domains = [refine(net, state, d, scope, store=store) for d, scope in plan.refined]
-        for combo in itertools.product(*domains):
-            data = base.copy()
-            for i, value in zip(plan.wt, combo):
-                data[i] = value
-            probe = tuple(data)
-            for i, scope in plan.assigns:
-                values = store.values(scope, probe, table)
-                if not values:
-                    break  # this write combination selects nothing
-                data[i] = values[0]
-            else:
-                data = tuple(data)
-                written.append((data, _apply_table_ops(plan, table, data, store)))
+    written = []
+    base = list(data)
+    domains = [refine(net, state, d, scope, store=store) for d, scope in plan.refined]
+    for combo in itertools.product(*domains):
+        data = base.copy()
+        for i, value in zip(plan.wt, combo):
+            data[i] = value
+        probe = tuple(data)
+        for i, scope in plan.assigns:
+            values = store.values(scope, probe, table)
+            if not values:
+                break  # this write combination selects nothing
+            data[i] = values[0]
+        else:
+            data = tuple(data)
+            written.append((data, _apply_table_ops(plan, table, data, store)))
 
     successors = []
     for data, after in written:
@@ -592,25 +600,25 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
     srg.states.append(root)
     compiled = _compiled(net)
     srg.pseudo.append(not compiled.consistent(root.sigma))
-    # a state is queued with its number: taking it needs no lookup in ``index``
-    queue = deque([(0, root)])
     candidates = compiled.candidates
     store = _Store()
+    states, pseudo = srg.states, srg.pseudo
     add_src, add_dst, add_label = srg.edges.src.append, srg.edges.dst.append, srg.edges.label.append
 
-    while queue:
-        sid, state = queue.popleft()
+    # the states not yet expanded are always the end of ``states``, in the
+    # order they were found; a list's iterator also yields what is appended
+    # while it runs, so it is the breadth-first queue
+    for sid, state in enumerate(states):
         for k, t in candidates(state.marking):
             if not enabled(net, state, t, store=store):
                 continue
             for succ in fire(net, state, t, mode, store=store):
-                dst = index.setdefault(succ, len(srg.states))
-                if dst == len(srg.states):
+                dst = index.setdefault(succ, len(states))
+                if dst == len(states):
                     if dst >= ceiling:
                         raise ResourceLimitError(f"state ceiling of {ceiling} states exceeded")
-                    srg.states.append(succ)
-                    srg.pseudo.append(mode == UNCONSTRAINED and not compiled.consistent(succ.sigma))
-                    queue.append((dst, succ))
+                    states.append(succ)
+                    pseudo.append(mode == UNCONSTRAINED and not compiled.consistent(succ.sigma))
                 # each (state, transition) pair is fired once and ``fire``
                 # returns distinct successors, so no arc repeats
                 add_src(sid)

@@ -610,6 +610,25 @@ def test_missing_file_exit_code(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "formulas, message",
+    [
+        (["--formula-file", "/nonexistent.dctl"], "/nonexistent.dctl"),
+        ([], "no formula given (use --formula or --formula-file)"),
+    ],
+    ids=["missing-file", "no-formula"],
+)
+def test_verify_reads_its_formulas_before_the_build(capsys, monkeypatch, tmp_path, formulas, message):
+    # table-32 has more than 100 states: a build would stop at the ceiling
+    # with exit 3 before any formula was looked at
+    model = tmp_path / "table-32.wftc"
+    model.write_text(table_model(32), encoding="utf-8")
+    monkeypatch.setenv("WFTC_STATE_LIMIT", "100")
+    code, out, err = run(capsys, "verify", str(model), *formulas)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("limit", ["abc", "1e3", "0", "-5"])
 def test_bad_state_limit_exits_usage(capsys, monkeypatch, limit):
     monkeypatch.setenv("WFTC_STATE_LIMIT", limit)

@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from conftest import parallel_model, table_model
+from conftest import fixture_text, parallel_model, table_model
 from wftc import CONSTRAINED, UNCONSTRAINED, ResourceLimitError, build_srg, enabled, fire, parse_model
 
 T, F, U = "T", "F", "U"
@@ -408,20 +408,44 @@ def test_sixteen_row_table_agrees_with_the_reference(sixteen_rows):
     assert (len(srg.states), len(srg.edges)) == (1020, 1375)
 
 
-def test_fire_without_a_build_gives_the_out_edges(sixteen_rows):
+@pytest.fixture(scope="module")
+def fast_path_graphs(sixteen_rows):
+    """Graphs where each fast path of ``enabled`` and ``fire`` is taken
+    often: plain firings dominate the unconstrained ones, data-dependent
+    enabling tests the constrained table-16 graph."""
+    wfd, four = parse_model(fixture_text("motivating-wfd.wftc")), parse_model(table_model(4))
+    return {
+        "wfd-unconstrained": build_srg(wfd, UNCONSTRAINED),
+        "table-4-unconstrained": build_srg(four, UNCONSTRAINED),
+        "table-16-constrained": sixteen_rows[1],
+    }
+
+
+def test_enabled_agrees_with_the_reference_on_every_pair(fast_path_graphs):
+    # every (state, transition) pair, also those the build never fires
+    for name, srg in fast_path_graphs.items():
+        ref = Reference(srg.net, srg.mode)
+        for state in srg.states:
+            as_tuple = (state.marking, state.data, state.table, state.sigma)
+            for t in srg.net.transitions:
+                assert enabled(srg.net, state, t) == ref.enabled(as_tuple, t), (name, state, t)
+
+
+def test_fire_without_a_build_gives_the_out_edges(fast_path_graphs):
     # each call answers from its own table store, and a build from one
     # store for the whole graph; both must give the same successors
-    net, srg = sixteen_rows
-    number = {state: i for i, state in enumerate(srg.states)}
-    edges = set()
-    for i, state in enumerate(srg.states):
-        for t in net.transitions:
-            if enabled(net, state, t):
-                successors = fire(net, state, t)
-                assert len(set(successors)) == len(successors)
-                edges.update((i, t, number[succ]) for succ in successors)
-    assert len(edges) == len(srg.edges)
-    assert edges == set(srg.edges)
+    for name, srg in fast_path_graphs.items():
+        net = srg.net
+        number = {state: i for i, state in enumerate(srg.states)}
+        edges = set()
+        for i, state in enumerate(srg.states):
+            for t in net.transitions:
+                if enabled(net, state, t):
+                    successors = fire(net, state, t, srg.mode)
+                    assert len(set(successors)) == len(successors), (name, state, t)
+                    edges.update((i, t, number[succ]) for succ in successors)
+        assert len(edges) == len(srg.edges), name
+        assert edges == set(srg.edges), name
 
 
 def test_net_2_agrees_with_the_reference():
