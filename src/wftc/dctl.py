@@ -178,17 +178,6 @@ def _has_key(table, name: str) -> bool:
     return name in map(_KEY, table)
 
 
-def _test(op: str):
-    """The comparison of two defined tokens under ``op``."""
-    if op in _TESTS:
-        return _TESTS[op]
-
-    def unknown(a, b):
-        raise EvalError(f"unknown comparison {op}")
-
-    return unknown
-
-
 def _const(value):
     return lambda marking, table, env: value
 
@@ -200,12 +189,17 @@ def _raise(message: str):
     return fail
 
 
-def _safe(atom: DataAtom, terms) -> bool:
-    """Whether a comparison whose operands compile to ``terms`` never raises."""
-    if atom.op not in _TESTS or any(term[0] == "error" for term in terms):
-        return False
-    ordered = atom.op not in ("=", "!=") and "empty" not in (atom.lhs[0], atom.rhs[0])
-    return not (ordered and any(term[0] == "record" for term in terms))
+def _failure(atom: DataAtom, terms) -> str | None:
+    """The error that a comparison whose operands compile to ``terms``
+    raises wherever evaluation reaches it, or None if it never raises."""
+    for term in terms:
+        if term[0] == "error":
+            return term[1]
+    if "empty" in (atom.lhs[0], atom.rhs[0]):
+        return None  # a definedness test, or false for any other operator
+    if "record" in (terms[0][0], terms[1][0]):
+        return None if atom.op in ("=", "!=") else "ordered comparison of whole records"
+    return None if atom.op in _TESTS else f"unknown comparison {atom.op}"
 
 
 class _Compiler:
@@ -218,9 +212,9 @@ class _Compiler:
     record variable to its position and a literal variable to the token
     it stands for. Literal variables, attribute indices, the token test
     of each operator and comparisons between constants are settled here.
-    Every ``EvalError`` (unbound variable, unknown attribute or place,
-    ordered comparison of whole records, temporal operator below a
-    quantifier) is still raised only when evaluation reaches it, so an
+    Every ``EvalError`` (unbound variable, unknown attribute, place or
+    operator, ordered comparison of whole records, temporal operator
+    below a quantifier) is raised only when evaluation reaches it, so an
     error on a path that no table reaches changes no verdict. ``marking``
     and ``table`` record whether the compiled code reads either; nothing
     state-local reads the data items or the guard values."""
@@ -261,9 +255,9 @@ class _Compiler:
         false. Whole records compare by value; in a canonical table, which
         holds each record once, that is the same row."""
         lhs, rhs, op = self.term(atom.lhs, scope), self.term(atom.rhs, scope), atom.op
-        for side in (lhs, rhs):
-            if side[0] == "error":
-                return _raise(side[1])
+        failure = _failure(atom, (lhs, rhs))
+        if failure is not None:
+            return _raise(failure)
         if "empty" in (atom.lhs[0], atom.rhs[0]):
             other = rhs if atom.lhs[0] == "empty" else lhs
             if op not in ("=", "!="):
@@ -275,29 +269,21 @@ class _Compiler:
                 return lambda marking, table, env: env[pos][index] is not UNDEF
             return _const((other == ("value", UNDEF)) == (op == "="))
         if "record" in (lhs[0], rhs[0]):
-            if op not in ("=", "!="):
-                return _raise("ordered comparison of whole records")
             if lhs[0] != rhs[0]:
                 return _const(op == "!=")  # a record never equals a token
             a, b = lhs[1], rhs[1]
             if op == "=":
                 return lambda marking, table, env: env[a] == env[b]
             return lambda marking, table, env: env[a] != env[b]
+        # only ``empty`` compiles to an undefined value, so values are defined
+        test = _TESTS[op]
         if lhs[0] == "value":
-            if rhs[0] != "value":
-                lhs, rhs, op = rhs, lhs, _FLIP.get(op, op)
-            elif lhs[1] is UNDEF or rhs[1] is UNDEF:
-                return _const(False)
-            else:
-                try:
-                    return _const(_test(op)(lhs[1], rhs[1]))
-                except EvalError as exc:
-                    return _raise(str(exc))
-        test, (pos, index) = _test(op), lhs[1:]  # a cell from here on
+            if rhs[0] == "value":
+                return _const(test(lhs[1], rhs[1]))
+            lhs, rhs, test = rhs, lhs, _TESTS[_FLIP[op]]
+        pos, index = lhs[1:]  # a cell from here on
         if rhs[0] == "value":
             value = rhs[1]
-            if value is UNDEF:
-                return _const(False)
             return lambda marking, table, env: (a := env[pos][index]) is not UNDEF and test(a, value)
         pos2, index2 = rhs[1:]
         return lambda marking, table, env: (
@@ -392,7 +378,7 @@ class _Compiler:
                     return None
             elif isinstance(sub, DataAtom):
                 terms = [self.term(term, scope) for term in (sub.lhs, sub.rhs)]
-                if not _safe(sub, terms):
+                if _failure(sub, terms) is not None:
                     return None
                 reads = [term[1] for term in terms if term[0] in ("record", "cell")]
                 if not {first, second} & set(reads):
@@ -475,10 +461,6 @@ def _flags(bits: int, n: int = 0) -> bytearray:
 
 def _from_flags(flags: bytearray) -> int:
     return int(flags.translate(_TO_DIGITS)[::-1] or b"0", 2)
-
-
-def _members(bits: int) -> list[int]:
-    return list(compress(range(bits.bit_length()), _flags(bits)))
 
 
 def _spread(verdicts: bytes, number: bytes | list[int]) -> int:
@@ -691,7 +673,7 @@ class _Evaluation:
         """States with at least one successor inside ``target``."""
         pre = self.pre
         found = bytearray(self.size)
-        for i in _members(target):
+        for i in compress(range(target.bit_length()), _flags(target)):
             for pred in pre[i]:
                 found[pred] = 1
         return _from_flags(found)

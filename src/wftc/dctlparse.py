@@ -249,11 +249,7 @@ class DctlParser:
     def parse_quantifier_list(self):
         quantifiers = []
         while True:
-            tok = self.next()
-            if tok.text not in ("forall", "exists"):
-                raise ParseError(
-                    f"expected quantifier, found {tok.text!r}", column=tok.pos + 1
-                )
+            tok = self.next()  # each caller has seen a quantifier ahead
             var = self.next()
             if var.kind != "name":
                 raise ParseError("expected variable name", column=var.pos + 1)

@@ -59,10 +59,6 @@ def serialize_model(net: WftcNet) -> str:
     return "\n".join(out) + "\n"
 
 
-def _src_text(source) -> str:
-    return source[1]
-
-
 def _serialize_ops(net: WftcNet):
     lines = []
     for t in net.transitions:
@@ -74,22 +70,18 @@ def _serialize_ops(net: WftcNet):
         for scope in net.sel.get(t, ()):
             text = f"{scope.table}.{scope.column}"
             if scope.where_attr:
-                text += f" where {scope.where_attr}={_src_text(scope.where_source)}"
+                text += f" where {scope.where_attr}={scope.where_source[1]}"
             if scope.assign_item:
                 text += f" -> {scope.assign_item}"
             parts.append(f"sel({text})")
         for op in net.ins.get(t, ()):
-            sets = ", ".join(f"{a}={_src_text(s)}" for a, s in op.values)
+            sets = ", ".join(f"{a}={s[1]}" for a, s in op.values)
             parts.append(f"ins({op.table}: {sets})")
         for op in net.dele.get(t, ()):
-            parts.append(
-                f"del({op.table} where {op.where_attr}={_src_text(op.where_source)})"
-            )
+            parts.append(f"del({op.table} where {op.where_attr}={op.where_source[1]})")
         for op in net.upd.get(t, ()):
-            sets = ", ".join(f"{a}={_src_text(s)}" for a, s in op.sets)
-            parts.append(
-                f"upd({op.table}: {sets} where {op.where_attr}={_src_text(op.where_source)})"
-            )
+            sets = ", ".join(f"{a}={s[1]}" for a, s in op.sets)
+            parts.append(f"upd({op.table}: {sets} where {op.where_attr}={op.where_source[1]})")
         if parts:
             lines.append(f"{t}: " + " ".join(parts))
     return lines

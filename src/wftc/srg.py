@@ -479,8 +479,8 @@ def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED, *, store=
         if mode == CONSTRAINED and not compiled.consistent(sigma):
             return []
         return [StateC(marking, data, table, sigma, store.hashes[id(table)])]
-    # (data, table) after each write combination that selects something
-    written = []
+    # the successors of each write combination that selects something
+    successors = []
     base = list(data)
     domains = [refine(net, state, d, scope, store=store) for d, scope in plan.refined]
     for combo in itertools.product(*domains):
@@ -495,14 +495,11 @@ def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED, *, store=
             data[i] = values[0]
         else:
             data = tuple(data)
-            written.append((data, _apply_table_ops(plan, table, data, store)))
-
-    successors = []
-    for data, after in written:
-        after_hash = store.hashes[id(after)]
-        for sigma in _sigma_after(plan, state.sigma, data, after, mode, store):
-            if mode != CONSTRAINED or compiled.consistent(sigma):
-                successors.append(StateC(marking, data, after, sigma, after_hash))
+            after = _apply_table_ops(plan, table, data, store)
+            after_hash = store.hashes[id(after)]
+            for sigma in _sigma_after(plan, state.sigma, data, after, mode, store):
+                if mode != CONSTRAINED or compiled.consistent(sigma):
+                    successors.append(StateC(marking, data, after, sigma, after_hash))
     return successors if len(successors) < 2 else list(dict.fromkeys(successors))
 
 
@@ -626,5 +623,5 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
                 add_label(k)
 
     srg.build_millis = (time.perf_counter() - started) * 1000.0
-    return srg.finish()
+    return srg
 

@@ -152,8 +152,6 @@ def parse_model(text: str) -> WftcNet:
     if len(initial) != 1 or len(final) != 1:
         raise ParseError("[INITIAL] and [FINAL] must each name exactly one place")
     net.start, net.end = initial[0], final[0]
-
-    net._index()
     # what the net references but does not declare is no text problem: its
     # first use reports it (``srg._Compiled``)
     return net

@@ -205,6 +205,13 @@ def test_verify_trivial_true(capsys):
     assert code == EXIT_OK
 
 
+def test_verify_false_literal(capsys):
+    code, out, _ = run(capsys, "verify", MOTIVATING, "--formula", "false", "--output", "json")
+    assert code == EXIT_FALSE
+    (entry,) = json.loads(out)["formulas"]
+    assert (entry["verdict"], entry["satCount"]) == ("FALSE", 0)
+
+
 def test_verify_formula_file(capsys):
     code, out, _ = run(
         capsys,

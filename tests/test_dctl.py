@@ -23,6 +23,7 @@ from wftc import (
 )
 from wftc import dctl as ast
 from wftc.dctl import EvalError, Verdict, _Compiler, _Evaluation
+from wftc.model import UNDEF, TableSchema, WftcNet
 from wftc.srg import Srg, StateC
 
 
@@ -326,6 +327,41 @@ def test_metrics_without_table(tiny_net):
         assert isinstance(results[name], str) and "not instantiable" in results[name]
 
 
+@pytest.mark.parametrize(
+    "attributes, records, reasons",
+    [
+        (("Id", "License", "Copy"), (), dict.fromkeys(["PM1", "PM4", "PM5"], "needs a table with records")),
+        (("Id", "License", "Copy"), (("id1", "license1", "copy1"),), dict.fromkeys(["PM1", "PM4", "PM5"], "needs two records")),
+        (
+            ("Id",),
+            (("id1",), ("id2",)),
+            {"PM1": "needs a second attribute", "PM4": "needs a third attribute", "PM5": "needs a second attribute"},
+        ),
+        (
+            ("Id", "License"),
+            (("id1", "license1"), ("id2", UNDEF)),
+            {"PM1": "needs two values in the second column", "PM4": "needs a third attribute"},
+        ),
+        (
+            ("Id", "License", "Copy"),
+            (("id1", "license1", UNDEF), ("id2", "license2", UNDEF)),
+            {"PM4": "needs a value in the third column"},
+        ),
+    ],
+    ids=["no-records", "one-record", "one-attribute", "one-second-value", "no-third-value"],
+)
+def test_each_metric_names_what_the_table_lacks(attributes, records, reasons):
+    net = WftcNet(places=["p"], schema=TableSchema("R", attributes), initial_records=records, start="p", end="p")
+    results = builtin_metrics(build_srg(net))
+    lacking = {name: results[name] for name in ("PM1", "PM4", "PM5") if isinstance(results[name], str)}
+    assert lacking == {name: f"not instantiable: {reason}" for name, reason in reasons.items()}
+
+
+def test_a_verdict_is_true_exactly_when_it_holds(motivating_srg):
+    verdicts = list(builtin_metrics(motivating_srg).values())
+    assert [bool(v) for v in verdicts] == [v.holds for v in verdicts] == [True, True, True, True, False]
+
+
 def test_metrics_report_only_what_the_net_cannot_host(motivating_srg, monkeypatch):
     # an EvalError from a template is a reason; any other error is a fault
     # of the program and propagates
@@ -420,6 +456,40 @@ def test_unknown_attribute_in_a_block_raises_where_reached(motivating_net, motiv
     with pytest.raises(EvalError, match="unknown attribute Nope"):
         sat(motivating_srg, block)
     assert sat(with_rows(motivating_srg, 1), block) == ALL54
+
+
+def test_unknown_operator_raises_wherever_reached(motivating_net, motivating_srg):
+    # only a hand-built atom has another operator: the parser admits six
+    def unknown(lhs, rhs):
+        return ast.DataAtom(lhs, "~", rhs)
+
+    copy = ("attr", "r", "Copy")
+    reached = {
+        "constants": unknown(("const", "id1"), ("const", "id2")),
+        "defined cell": ast.Quantifier("exists", "r", unknown(("attr", "r", "Id"), ("const", "id1"))),
+        "undefined cell": ast.Quantifier(
+            "exists", "r", ast.And(ast.DataAtom(copy, "=", ("empty",)), unknown(copy, ("const", "copy1")))
+        ),
+    }
+    for formula in reached.values():
+        with pytest.raises(EvalError, match="unknown comparison ~"):
+            sat(motivating_srg, formula)
+    # no row: nothing reached; a comparison with ``empty`` is false
+    assert sat(with_rows(motivating_srg, 0), reached["undefined cell"]) == 0
+    assert sat(motivating_srg, ast.Quantifier("exists", "r", unknown(copy, ("empty",)))) == 0
+    # a block with an atom that raises runs the record loops
+    matrix = ast.Or(ast.DataAtom(copy, "=", ("attr", "s", "Copy")), reached["constants"])
+    block = ast.Quantifier("forall", "r", ast.Quantifier("forall", "s", matrix))
+    assert _Compiler(motivating_net).code(block, {}).__name__ == "forall"
+
+
+def test_true_and_an_unknown_place_in_a_quantifier_body(motivating_net, motivating_srg):
+    defined = ast.DataAtom(("attr", "r", "Id"), "!=", ("empty",))
+    assert sat(motivating_srg, ast.Quantifier("exists", "r", ast.And(defined, ast.TrueF()))) == ALL54
+    unknown = ast.Quantifier("exists", "r", ast.And(defined, ast.PlaceAtom("nope")))
+    with pytest.raises(EvalError, match="unknown place nope"):
+        sat(motivating_srg, unknown)
+    assert sat(with_rows(motivating_srg, 0), unknown) == 0
 
 
 def test_join_plan_covers_two_variable_blocks(motivating_net):

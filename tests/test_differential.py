@@ -11,7 +11,7 @@ import json
 import random
 import re
 
-from conftest import arcs_of, bitset, fixture_text, make_copied_srg, make_random_srg
+from conftest import arcs_of, bitset, make_copied_srg, make_random_srg, table_model
 from test_bisimulation import classes
 from wftc import CONSTRAINED, build_srg, parse_dctl, parse_model, sat, verify
 from wftc import dctl as ast
@@ -386,12 +386,6 @@ def test_blocks_the_witness_pairs_would_misjudge():
 
 # ---------------------------------------------------------------------------
 # table-8: the motivating net with an eight-row User table
-
-
-def table_model(rows: int) -> str:
-    text = fixture_text("motivating.wftc")
-    grown = "".join(f"  id{k}, license{k}, copy{k}\n" for k in range(1, rows + 1))
-    return re.sub(r"(\[TABLE\] User\(Id, License, Copy\)\n)(  id\d+,.*\n)+", r"\g<1>" + grown, text)
 
 
 TABLE_FORMULAS = [

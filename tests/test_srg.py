@@ -132,6 +132,8 @@ def test_unknown_transition_raises(motivating_net):
 
     with pytest.raises(ModelError):
         enabled(motivating_net, initial_state(motivating_net), "t99")
+    with pytest.raises(ModelError, match="unknown transition t99"):
+        fire(motivating_net, initial_state(motivating_net), "t99")
 
 
 def test_refine_unknown_item_raises(motivating_net):
@@ -148,6 +150,17 @@ def test_fire_t0_constrained_three_successors(motivating_net):
     assert all(s.data[1] == "password" for s in succ)
     sigmas = sorted(tuple(s.sigma[:2]) for s in succ)
     assert sigmas == [(FALSE, TRUE), (TRUE, FALSE), (TRUE, FALSE)]
+
+
+def test_constrained_plain_firing_from_a_violating_state_has_no_successor(motivating_net):
+    c0 = initial_state(motivating_net)
+    c1 = next(s for s in fire(motivating_net, c0, "t0") if s.sigma[:2] == (TRUE, FALSE))
+    # g1 and g2 both true break the first constraint; t1 has no data ops
+    violating = StateC(c1.marking, c1.data, c1.table, (TRUE, TRUE, *c1.sigma[2:]))
+    assert enabled(motivating_net, violating, "t1")
+    assert fire(motivating_net, violating, "t1", CONSTRAINED) == []
+    (succ,) = fire(motivating_net, violating, "t1", UNCONSTRAINED)
+    assert marked_places(succ, motivating_net) == ["p2"] and succ.sigma == violating.sigma
 
 
 def test_fire_t2_inserts_fresh_row(motivating_net):

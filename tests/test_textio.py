@@ -68,6 +68,14 @@ def test_roundtrip_keeps_the_export(name, mode):
     assert digest(parse_model(serialize_model(net))) == digest(net)
 
 
+def test_a_delete_survives_the_round_trip():
+    text = fixture_text("motivating.wftc").replace("t2: ins(User: Id=id)", "t2: ins(User: Id=id) del(User where Id=id2)")
+    net = parse_model(text)
+    assert "t2: ins(User: Id=id) del(User where Id=id2)" in serialize_model(net)
+    assert parse_model(serialize_model(net)) == net
+    assert len(build_srg(net).states) == 51
+
+
 def test_serialize_is_byte_stable(motivating_net):
     once = serialize_model(motivating_net)
     again = serialize_model(parse_model(once))
