@@ -64,6 +64,6 @@ __version__ = "0.1.0"
 __getattr__ = deferred(
     __name__,
     dict.fromkeys(("Verdict", "builtin_metrics", "sat", "sat_au", "sat_eg", "sat_eu", "sat_ex", "verify"), "dctl")
-    | {"parse_dctl": "dctlparse"}
-    | dict.fromkeys(("export_dot", "export_json", "serialize_model"), "export"),
+    | {"parse_dctl": "dctlparse", "serialize_model": "modeltext"}
+    | dict.fromkeys(("export_dot", "export_json"), "export"),
 )

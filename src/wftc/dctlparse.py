@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 
-from . import dctl
+from . import formula
 from .model import Struct, WftcNet
 from .textio import _NAME, ParseError
 
@@ -58,8 +58,8 @@ class DctlParser:
 
     Precedence: ! binds tightest, then &, then |, then ->. Temporal
     operators are prefix; E(a U b) / A(a U b) carry the until form. A
-    prefix operator is built by the ``dctl`` constructor of its name and
-    -> by ``dctl.implies``: ``dctl`` is the one home of the derived ones.
+    prefix operator is built by the ``formula`` constructor of its name
+    and -> by ``formula.implies``, the one home of the derived ones.
     """
 
     TEMPORAL = {"EX", "AX", "EF", "AF", "EG", "AG"}
@@ -125,7 +125,7 @@ class DctlParser:
             node = self.parse_or(first)
             if self.at("->"):
                 self.next()
-                return dctl.implies(node, self.parse_implies())
+                return formula.implies(node, self.parse_implies())
             return node
         finally:
             self.depth -= 5
@@ -134,14 +134,14 @@ class DctlParser:
         node = self.parse_and(first)
         while self.at("|"):
             self.next()
-            node = dctl.Or(node, self.parse_and())
+            node = formula.Or(node, self.parse_and())
         return node
 
     def parse_and(self, first=None):
         node = self.parse_unary() if first is None else first
         while self.at("&"):
             self.next()
-            node = dctl.And(node, self.parse_unary())
+            node = formula.And(node, self.parse_unary())
         return node
 
     def parse_unary(self):
@@ -152,10 +152,10 @@ class DctlParser:
                 raise ParseError("unexpected end of formula", column=self.end_column)
             if tok.text == "!":
                 self.next()
-                return dctl.Not(self.parse_unary())
+                return formula.Not(self.parse_unary())
             if tok.kind == "name" and tok.text in self.TEMPORAL:
                 self.next()
-                return getattr(dctl, tok.text)(self.parse_unary())
+                return getattr(formula, tok.text)(self.parse_unary())
             if tok.kind == "name" and tok.text in ("E", "A"):
                 return self.parse_until(tok.text)
             if tok.text == "(":
@@ -185,7 +185,7 @@ class DctlParser:
             self.expect("U")
             rhs = self.parse_implies()
         self.expect(")")
-        return dctl.EU(lhs, rhs) if path_quantifier == "E" else dctl.AU(lhs, rhs)
+        return formula.EU(lhs, rhs) if path_quantifier == "E" else formula.AU(lhs, rhs)
 
     def parse_group(self):
         # a parenthesized group: a plain subformula, or a quantified formula
@@ -271,7 +271,7 @@ class DctlParser:
     def _wrap(quantifiers, body):
         node = body
         for kind, var in reversed(quantifiers):
-            node = dctl.Quantifier(kind, var, node)
+            node = formula.Quantifier(kind, var, node)
         return node
 
     def parse_comparison_or_atom(self):
@@ -281,7 +281,7 @@ class DctlParser:
         if tok is not None and tok.kind == "cmp":
             self.next()
             rhs = self.parse_term()
-            return dctl.DataAtom(term, tok.text, rhs)
+            return formula.DataAtom(term, tok.text, rhs)
         # bare name: constant / place / keyword
         if term[0] != "const":
             raise ParseError(
@@ -294,13 +294,13 @@ class DctlParser:
                 column=start.pos + 1,
             )
         if name == "true":
-            return dctl.TrueF()
+            return formula.TrueF()
         if name == "false":
-            return dctl.Not(dctl.TrueF())
+            return formula.Not(formula.TrueF())
         if name == "deadlock":
-            return dctl.Not(dctl.EX(dctl.TrueF()))
+            return formula.Not(formula.EX(formula.TrueF()))
         if self.net is None or name in self.net.place_index:
-            return dctl.PlaceAtom(name)
+            return formula.PlaceAtom(name)
         raise ParseError(f"unknown atom {name!r}", column=start.pos + 1)
 
     def parse_quoted_place(self):
@@ -308,7 +308,7 @@ class DctlParser:
         tok = self.next()
         name = tok.text[1:-1]
         if self.net is None or name in self.net.place_index:
-            return dctl.PlaceAtom(name)
+            return formula.PlaceAtom(name)
         raise ParseError(f"unknown place {name!r}", column=tok.pos + 1)
 
     def parse_term(self):
@@ -351,6 +351,6 @@ def _levels(root) -> int:
     while stack:
         node, level = stack.pop()
         deepest = max(deepest, level)
-        stack.extend((sub, level + 1) for sub in dctl.subformulas(node))
+        stack.extend((sub, level + 1) for sub in formula.subformulas(node))
     return deepest
 

@@ -1,6 +1,7 @@
 """The model reader. The format is line oriented with bracketed section
 headers; ``#`` starts a comment. The formula parser (``dctlparse``) and the
-writers (``export``) load only with the commands that run them."""
+writers (``export`` for graphs, ``modeltext`` for the model text) load only
+with the calls that run them."""
 
 from __future__ import annotations
 

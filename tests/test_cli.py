@@ -739,15 +739,15 @@ def test_report_bytes_are_pinned(capsys, tmp_path, kind, output):
 # start-up and robustness
 
 
-# the modules only some commands load: the evaluator, the formula parser
-# and the writers
-DEFERRED = {"wftc.dctl", "wftc.dctlparse", "wftc.export"}
+# the modules only some commands load: the formula nodes, the state-local
+# compiler, the evaluator, the formula parser and the two writers
+DEFERRED = {"wftc.formula", "wftc.compiler", "wftc.dctl", "wftc.dctlparse", "wftc.export", "wftc.modeltext"}
+EVALUATOR = {"wftc.formula", "wftc.compiler", "wftc.dctl"}
 
 
-def test_import_leaves_out_dataclasses_and_inspect():
-    # both cost start-up time on every call; nothing in wftc needs them,
-    # and the deferred modules are imported only by the commands that run them
-    code = "import sys; before = set(sys.modules); import wftc.cli; print(*set(sys.modules) - before)"
+def loaded_by(module: str) -> set[str]:
+    """The modules that importing ``module`` loads in a fresh interpreter."""
+    code = f"import sys; before = set(sys.modules); import {module}; print(*set(sys.modules) - before)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -756,8 +756,19 @@ def test_import_leaves_out_dataclasses_and_inspect():
         env={**os.environ, "PYTHONPATH": str(Path(wftc.__file__).resolve().parents[1])},
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert "wftc.cli" in proc.stdout.split()
-    assert {"dataclasses", "inspect", *DEFERRED} & set(proc.stdout.split()) == set()
+    return set(proc.stdout.split())
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # both cost start-up time on every call; nothing in wftc needs them,
+    # and the deferred modules are imported only by the commands that run them
+    loaded = loaded_by("wftc.cli")
+    assert "wftc.cli" in loaded
+    assert {"dataclasses", "inspect", *DEFERRED} & loaded == set()
+
+
+def test_formula_parser_loads_the_nodes_but_not_the_evaluator():
+    assert DEFERRED & loaded_by("wftc.dctlparse") == {"wftc.formula", "wftc.dctlparse"}
 
 
 def imported_modules(stderr: str) -> set[str]:
@@ -770,8 +781,8 @@ def imported_modules(stderr: str) -> set[str]:
     [
         (["build", MOTIVATING, "--output", "json"], set()),
         (["build", MOTIVATING, "--json", "{tmp}/srg.json", "--dot", "{tmp}/srg.dot"], {"wftc.export"}),
-        (["verify", MOTIVATING, "--formula", "EF p13"], {"wftc.dctl", "wftc.dctlparse"}),
-        (["metrics", MOTIVATING], {"wftc.dctl"}),
+        (["verify", MOTIVATING, "--formula", "EF p13"], EVALUATOR | {"wftc.dctlparse"}),
+        (["metrics", MOTIVATING], EVALUATOR),
     ],
     ids=["build", "build-exports", "verify", "metrics"],
 )
@@ -807,7 +818,8 @@ DEFERRED_NAMES = {
     "wftc": {
         **dict.fromkeys(DCTL_NAMES, "dctl"),
         "parse_dctl": "dctlparse",
-        **dict.fromkeys(["export_dot", "export_json", "serialize_model"], "export"),
+        "serialize_model": "modeltext",
+        **dict.fromkeys(["export_dot", "export_json"], "export"),
     },
     "wftc.cli": {
         "builtin_metrics": "dctl",

@@ -22,7 +22,8 @@ from wftc import (
     verify,
 )
 from wftc import dctl as ast
-from wftc.dctl import EvalError, Verdict, _Compiler, _Evaluation
+from wftc.compiler import _Compiler
+from wftc.dctl import EvalError, Verdict, _Evaluation
 from wftc.model import UNDEF, TableSchema, WftcNet
 from wftc.srg import Srg, StateC
 

@@ -2,7 +2,8 @@
 
 The reference below evaluates every subformula at every state and every
 fixed point by plain iteration over the whole graph. It follows the
-formula semantics of the README and shares no helper with ``wftc.dctl``:
+formula semantics of the README and shares no helper with ``wftc.dctl``
+or ``wftc.compiler``:
 it has its own atom comparison, token ordering and quantifier
 classification.
 """
