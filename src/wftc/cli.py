@@ -14,7 +14,7 @@ import os
 import sys
 
 from .model import EvalError, ModelError, deferred
-from .srg import CONSTRAINED, UNCONSTRAINED, ResourceLimitError, build_srg
+from .srg import CONSTRAINED, DEFAULT_STATE_LIMIT, UNCONSTRAINED, ResourceLimitError, build_srg
 from .textio import ParseError, parse_model
 
 EXIT_OK = 0
@@ -64,8 +64,22 @@ class _Counted:
         return self.chars
 
 
+def _state_limit() -> int:
+    """The state ceiling of a build: ``WFTC_STATE_LIMIT`` when set."""
+    raw = os.environ.get("WFTC_STATE_LIMIT")
+    if not raw:
+        return DEFAULT_STATE_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ParseError(f"WFTC_STATE_LIMIT must be a positive integer, got {raw!r}")
+    return limit
+
+
 def _build(args):
-    return build_srg(parse_model(_read(args.model)), args.mode)
+    return build_srg(parse_model(_read(args.model)), args.mode, _state_limit())
 
 
 def _report(args, srg, checked=()) -> int:
@@ -158,7 +172,7 @@ def cmd_verify(args) -> int:
         texts.extend(line for line in lines if line and not line.startswith("#"))
     if not texts:
         raise ParseError("no formula given (use --formula or --formula-file)")
-    srg = build_srg(net, args.mode)
+    srg = build_srg(net, args.mode, _state_limit())
     # parsed and verified one at a time, as the report reads them
     checked = (
         (f"phi{i}", verify(srg, parse_dctl(text, srg.net)), {"text": text})

@@ -351,7 +351,8 @@ class GuardRef(Frozen):
 
 class WftcNet(Struct):
     """The full net. Built once by the parser and treated as read-only
-    afterwards; safe to share across threads. Two nets are equal when
+    afterwards; safe to share across threads. To change a net, construct
+    a new one (``copy.copy`` of an edited net). Two nets are equal when
     their constructor fields are. Places and transitions are names, and
     a node's position is its index in ``places`` or ``transitions``."""
 
@@ -360,7 +361,7 @@ class WftcNet(Struct):
         "rd", "wt", "dt", "sel", "ins", "dele", "upd",
         "guard_of", "predicates", "guards", "constraints", "start", "end",
     )
-    # the lookup table that ``_index`` derives from the fields
+    # what the constructor derives from the fields
     __slots__ = _fields + ("place_index", "compiled")
 
     def __init__(
@@ -405,14 +406,9 @@ class WftcNet(Struct):
         self.constraints = constraints
         self.start = start
         self.end = end
-        self._index()
-
-    # -- lookup helpers ----------------------------------------------------
-
-    def _index(self):
         self.place_index = {name: i for i, name in enumerate(self.places)}
         # per-transition firing plans, compiled and validated by ``srg`` on
-        # first use; re-indexing drops them
+        # first use
         self.compiled = None
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import os
 import time
 from array import array
 from operator import itemgetter
@@ -44,7 +43,6 @@ CONSTRAINED = "constrained"
 UNCONSTRAINED = "unconstrained"
 
 DEFAULT_STATE_LIMIT = 10**6
-STATE_LIMIT_ENV = "WFTC_STATE_LIMIT"
 
 
 class ResourceLimitError(Exception):
@@ -207,9 +205,9 @@ class _Plan:
 
 
 class _Compiled:
-    """A valid net's firing plans, kept on the net until it is re-indexed; per
-    distinct marking the transitions whose preset it marks, and per
-    distinct guard valuation its constraint verdict."""
+    """A valid net's firing plans, kept on the net; per distinct marking
+    the transitions whose preset it marks, and per distinct guard
+    valuation its constraint verdict."""
 
     def __init__(self, net: WftcNet):
         if errors := validate_workflow_structure(net):
@@ -533,7 +531,8 @@ class Arcs(Struct):
 
 
 class Srg(Struct):
-    """Reachability graph: canonical state store plus labeled arcs."""
+    """Reachability graph: canonical state store plus labeled arcs. To
+    change a graph, construct a new one (``copy.copy`` of an edited graph)."""
 
     _fields = ("net", "mode", "states", "edges", "initial", "pseudo", "build_millis")
     __slots__ = _fields + ("evaluation",)
@@ -542,65 +541,45 @@ class Srg(Struct):
         self,
         net: WftcNet,
         mode: str,
-        states: list[StateC] | None = None,
-        edges: Arcs | None = None,
-        initial: int = 0,
-        pseudo: list[bool] | None = None,
+        states: list[StateC],
+        edges: Arcs,
+        initial: int,
+        pseudo: list[bool],
         build_millis: float = 0.0,
     ):
         self.net = net
         self.mode = mode
-        self.states = [] if states is None else states
-        self.edges = Arcs(net.transitions) if edges is None else edges
+        self.states = states
+        self.edges = edges
         self.initial = initial
-        self.pseudo = [] if pseudo is None else pseudo
+        self.pseudo = pseudo
         self.build_millis = build_millis
-        self.finish()
+        # the evaluator (adjacency lists, groups, memoised sat sets), made
+        # when a formula first needs it
+        self.evaluation = None
 
     def state_id(self, index: int) -> str:
         return f"c{index}"
 
-    def finish(self):
-        # the evaluator (adjacency lists, groups, memoised sat sets) is made
-        # when a formula first needs it; stale once states or edges change
-        self.evaluation = None
-        return self
 
-
-def state_limit() -> int:
-    raw = os.environ.get(STATE_LIMIT_ENV)
-    if not raw:
-        return DEFAULT_STATE_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ModelError(f"{STATE_LIMIT_ENV} must be a positive integer, got {raw!r}")
-    return limit
-
-
-def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -> Srg:
-    """Breadth-first exploration with canonical-state deduplication.
+def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int = DEFAULT_STATE_LIMIT) -> Srg:
+    """Breadth-first exploration with canonical-state deduplication, up to
+    ``limit`` states.
 
     In constrained mode the successors violating the constraint set were
-    already dropped by ``fire``; in unconstrained mode they are kept and
-    flagged pseudo. The build's ``_Store`` goes when it returns.
+    already dropped by ``fire``; in unconstrained mode they are kept. A
+    state is pseudo when its guard valuation violates the constraints.
+    The build's ``_Store`` goes when it returns.
     """
     _check_mode(mode)
-    ceiling = state_limit() if limit is None else limit
     started = time.perf_counter()
-
-    srg = Srg(net=net, mode=mode)
-    root = initial_state(net)
-    index = {root: 0}
-    srg.states.append(root)
     compiled = _compiled(net)
-    srg.pseudo.append(not compiled.consistent(root.sigma))
     candidates = compiled.candidates
     store = _Store()
-    states, pseudo = srg.states, srg.pseudo
-    add_src, add_dst, add_label = srg.edges.src.append, srg.edges.dst.append, srg.edges.label.append
+    root = initial_state(net)
+    states, index = [root], {root: 0}
+    edges = Arcs(net.transitions)
+    add_src, add_dst, add_label = edges.src.append, edges.dst.append, edges.label.append
 
     # the states not yet expanded are always the end of ``states``, in the
     # order they were found; a list's iterator also yields what is appended
@@ -612,16 +591,15 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int | None = None) -
             for succ in fire(net, state, t, mode, store=store):
                 dst = index.setdefault(succ, len(states))
                 if dst == len(states):
-                    if dst >= ceiling:
-                        raise ResourceLimitError(f"state ceiling of {ceiling} states exceeded")
+                    if dst >= limit:
+                        raise ResourceLimitError(f"state ceiling of {limit} states exceeded")
                     states.append(succ)
-                    pseudo.append(mode == UNCONSTRAINED and not compiled.consistent(succ.sigma))
                 # each (state, transition) pair is fired once and ``fire``
                 # returns distinct successors, so no arc repeats
                 add_src(sid)
                 add_dst(dst)
                 add_label(k)
 
-    srg.build_millis = (time.perf_counter() - started) * 1000.0
-    return srg
-
+    pseudo = [not compiled.consistent(state.sigma) for state in states]
+    millis = (time.perf_counter() - started) * 1000.0
+    return Srg(net, mode, states, edges, 0, pseudo, millis)

@@ -61,8 +61,10 @@ def _split_sections(text: str):
         if not line.strip():
             continue
         m = re.match(r"^\[(\w+)\]\s*(.*)$", line.strip())
-        if m and m.group(1) in SECTIONS:
+        if m:
             name = m.group(1)
+            if name not in SECTIONS:
+                raise ParseError(f"unknown section [{name}]", lineno)
             if name in sections:
                 raise ParseError(f"duplicate section [{name}]", lineno)
             sections[name] = []
@@ -133,40 +135,47 @@ def parse_model(text: str) -> WftcNet:
             records.append(tuple(UNDEF if c == BOT_TOKEN else c for c in cells))
         initial_records = canonical_table(records)
 
-    net = WftcNet(
-        places=places,
-        transitions=transitions,
-        arcs=arcs,
-        data_items=list(data_items),
-        schema=schema,
-        initial_records=initial_records,
-    )
-
-    _parse_ops(net, sections.get("OPS", []))
-    _parse_predicates(net, sections.get("PREDICATES", []))
-    _parse_guards(net, sections.get("GUARDS", []))
-    _parse_guardmap(net, sections.get("GUARDMAP", []))
-    _parse_constraints(net, sections.get("CONSTRAINTS", []))
+    ops = _parse_ops(data_items, sections.get("OPS", []))
+    predicates = _parse_predicates(sections.get("PREDICATES", []))
+    guards = _parse_guards(sections.get("GUARDS", []))
+    guard_of = _parse_guardmap(sections.get("GUARDMAP", []))
+    constraints = _parse_constraints(sections.get("CONSTRAINTS", []))
 
     initial = _section_tokens(sections, "INITIAL")
     final = _section_tokens(sections, "FINAL")
     if len(initial) != 1 or len(final) != 1:
         raise ParseError("[INITIAL] and [FINAL] must each name exactly one place")
-    net.start, net.end = initial[0], final[0]
     # what the net references but does not declare is no text problem: its
     # first use reports it (``srg._Compiled``)
-    return net
+    return WftcNet(
+        places=places,
+        transitions=transitions,
+        arcs=arcs,
+        data_items=data_items,
+        schema=schema,
+        initial_records=initial_records,
+        **ops,
+        guard_of=guard_of,
+        predicates=predicates,
+        guards=guards,
+        constraints=constraints,
+        start=initial[0],
+        end=final[0],
+    )
 
 
-def _source(net: WftcNet, token: str):
+def _source(items: list, token: str):
     token = token.strip()
-    return ("item", token) if token in net.data_items else ("const", token)
+    return ("item", token) if token in items else ("const", token)
 
 
 _OP_RE = re.compile(r"(\w+)\s*\(([^()]*)\)")
 
 
-def _parse_ops(net: WftcNet, lines):
+def _parse_ops(items: list, lines) -> dict:
+    """The ``[OPS]`` lines as the net's op fields: per field name, the ops of
+    each transition in text order."""
+    ops = {field: {} for field in ("rd", "wt", "dt", "sel", "ins", "dele", "upd")}
     current = None
     for lineno, line in lines:
         m = re.match(rf"^({_NAME})\s*:\s*(.*)$", line)
@@ -181,25 +190,25 @@ def _parse_ops(net: WftcNet, lines):
         if consumed:
             raise ParseError(f"malformed operations {body!r}", lineno)
         for op, args in _OP_RE.findall(body):
-            _add_op(net, current, op, args.strip(), lineno)
+            field, added = _parse_op(items, op, args.strip(), lineno)
+            ops[field][current] = ops[field].get(current, ()) + added
+    return ops
 
 
-def _assignments(net: WftcNet, text: str, op: str, lineno: int):
+def _assignments(items: list, text: str, op: str, lineno: int):
     pairs = []
     for pair in text.split(","):
         if "=" not in pair:
             raise ParseError(f"{op}: expected attribute=value, got {pair.strip()!r}", lineno)
         attr, value = pair.split("=", 1)
-        pairs.append((attr.strip(), _source(net, value)))
+        pairs.append((attr.strip(), _source(items, value)))
     return tuple(pairs)
 
 
-def _add_op(net: WftcNet, t: str, op: str, args: str, lineno: int):
+def _parse_op(items: list, op: str, args: str, lineno: int) -> tuple[str, tuple]:
+    """One op as the net field it goes to and the tuple it adds there."""
     if op in ("rd", "wt", "dt"):
-        items = tuple(a.strip() for a in args.split(",") if a.strip())
-        mapping = getattr(net, op)
-        mapping[t] = mapping.get(t, ()) + items
-        return
+        return op, tuple(a.strip() for a in args.split(",") if a.strip())
     if op == "sel":
         m = re.match(
             rf"^({_NAME})\.({_NAME})"
@@ -214,37 +223,28 @@ def _add_op(net: WftcNet, t: str, op: str, args: str, lineno: int):
             table=table,
             column=column,
             where_attr=wattr or "",
-            where_source=_source(net, wsrc) if wsrc else None,
+            where_source=_source(items, wsrc) if wsrc else None,
             assign_item=assign or "",
         )
-        net.sel[t] = net.sel.get(t, ()) + (scope,)
-        return
+        return "sel", (scope,)
     if op == "ins":
         m = re.match(rf"^({_NAME})\s*:\s*(.+)$", args)
         if not m:
             raise ParseError(f"malformed ins({args})", lineno)
-        values = _assignments(net, m.group(2), op, lineno)
-        net.ins[t] = net.ins.get(t, ()) + (InsertOp(m.group(1), values),)
-        return
+        return "ins", (InsertOp(m.group(1), _assignments(items, m.group(2), op, lineno)),)
     if op == "del":
         m = re.match(rf"^({_NAME})\s+where\s+({_NAME})\s*=\s*({_NAME})$", args)
         if not m:
             raise ParseError(f"malformed del({args})", lineno)
-        net.dele[t] = net.dele.get(t, ()) + (
-            DeleteOp(m.group(1), m.group(2), _source(net, m.group(3))),
-        )
-        return
+        return "dele", (DeleteOp(m.group(1), m.group(2), _source(items, m.group(3))),)
     if op == "upd":
         m = re.match(
             rf"^({_NAME})\s*:\s*(.+?)\s+where\s+({_NAME})\s*=\s*({_NAME})$", args
         )
         if not m:
             raise ParseError(f"malformed upd({args})", lineno)
-        sets = _assignments(net, m.group(2), op, lineno)
-        net.upd[t] = net.upd.get(t, ()) + (
-            UpdateOp(m.group(1), sets, m.group(3), _source(net, m.group(4))),
-        )
-        return
+        sets = _assignments(items, m.group(2), op, lineno)
+        return "upd", (UpdateOp(m.group(1), sets, m.group(3), _source(items, m.group(4))),)
     raise ParseError(f"unknown operation {op!r}", lineno)
 
 
@@ -260,25 +260,25 @@ def _iter_defs(lines, what):
             yield lineno, name.strip(), body.strip()
 
 
-def _parse_predicates(net: WftcNet, lines):
+def _parse_predicates(lines) -> dict:
+    predicates = {}
     for lineno, name, body in _iter_defs(lines, "predicate"):
-        if name in net.predicates:
+        if name in predicates:
             raise ParseError(f"duplicate predicate {name}", lineno)
         m = re.match(rf"^in\s*\(\s*({_NAME})\s*,\s*({_NAME})\.({_NAME})\s*\)$", body)
         if m:
-            net.predicates[name] = Predicate(
-                name, "in", m.group(1), table=m.group(2), column=m.group(3)
-            )
+            predicates[name] = Predicate(name, "in", m.group(1), table=m.group(2), column=m.group(3))
             continue
         m = re.match(rf"^eq\s*\(\s*({_NAME})\s*,\s*({_NAME})\s*\)$", body)
         if m:
-            net.predicates[name] = Predicate(name, "eq", m.group(1), const=m.group(2))
+            predicates[name] = Predicate(name, "eq", m.group(1), const=m.group(2))
             continue
         m = re.match(rf"^def\s*\(\s*({_NAME})\s*\)$", body)
         if m:
-            net.predicates[name] = Predicate(name, "def", m.group(1))
+            predicates[name] = Predicate(name, "def", m.group(1))
             continue
         raise ParseError(f"malformed predicate {body!r}", lineno)
+    return predicates
 
 
 class _BoolParser:
@@ -352,26 +352,30 @@ def _chain_node(op: str, operands: list) -> tuple:
     return tuple(node) if len(node) > 2 else node[1]
 
 
-def _parse_guards(net: WftcNet, lines):
+def _parse_guards(lines) -> dict:
+    guards = {}
     for lineno, name, body in _iter_defs(lines, "guard"):
-        if name in net.guards:
+        if name in guards:
             raise ParseError(f"duplicate guard {name}", lineno)
-        net.guards[name] = Guard(name, _BoolParser(body, lineno).parse())
+        guards[name] = Guard(name, _BoolParser(body, lineno).parse())
+    return guards
 
 
-def _parse_guardmap(net: WftcNet, lines):
+def _parse_guardmap(lines) -> dict:
+    guard_of = {}
     for lineno, line in lines:
         for chunk in line.split():
             m = re.match(rf"^({_NAME})\s*:\s*(!?)({_NAME})$", chunk)
             if not m:
                 raise ParseError(f"malformed guard mapping {chunk!r}", lineno)
             t, neg, g = m.groups()
-            if t in net.guard_of:
+            if t in guard_of:
                 raise ParseError(f"transition {t} mapped to two guards", lineno)
-            net.guard_of[t] = GuardRef(g, positive=not neg)
+            guard_of[t] = GuardRef(g, positive=not neg)
+    return guard_of
 
 
-def _parse_constraints(net: WftcNet, lines):
+def _parse_constraints(lines) -> tuple:
     constraints = []
     for lineno, line in lines:
         for chunk in line.split(";"):
@@ -380,7 +384,7 @@ def _parse_constraints(net: WftcNet, lines):
                 continue
             expr = _BoolParser(chunk, lineno).parse()
             constraints.append(_to_dnf(expr, lineno))
-    net.constraints = tuple(constraints)
+    return tuple(constraints)
 
 
 def _to_dnf(expr, lineno) -> tuple:

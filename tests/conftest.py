@@ -248,17 +248,9 @@ def make_random_srg(rng: random.Random, max_states: int = 20) -> Srg:
     n = rng.randint(2, max_states)
     places = [f"q{i}" for i in range(n)]
     net = WftcNet(places=places, transitions=["t", "u"], start="q0", end=f"q{n - 1}")
-    srg = Srg(net=net, mode=CONSTRAINED)
-    for i in range(n):
-        marking = tuple(1 if j == i else 0 for j in range(n))
-        srg.states.append(StateC(marking, (), (), ()))
-        srg.pseudo.append(False)
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.random() < 2.5 / n:
-                srg.edges.append((i, "t", j))
-    srg.initial = rng.randrange(n)
-    return srg.finish()
+    states = [StateC(tuple(1 if j == i else 0 for j in range(n)), (), (), ()) for i in range(n)]
+    arcs = [(i, "t", j) for i in range(n) for j in range(n) if i != j and rng.random() < 2.5 / n]
+    return Srg(net, CONSTRAINED, states, arcs_of(net, arcs), rng.randrange(n), [False] * n)
 
 
 def make_copied_srg(rng: random.Random, max_states: int = 16, markings: int = 2) -> Srg:
@@ -276,13 +268,10 @@ def make_copied_srg(rng: random.Random, max_states: int = 16, markings: int = 2)
     # the first copies are the base nodes themselves, in order
     origin = list(range(nodes)) + [rng.randrange(nodes) for _ in range(rng.randint(0, max_states - nodes))]
     copies = [[s for s, u in enumerate(origin) if u == v] for v in range(nodes)]
-    srg = Srg(net=net, mode=CONSTRAINED)
-    for u in origin:
-        srg.states.append(StateC(tuple(int(p == label[u]) for p in range(markings)), (), (), ()))
-        srg.pseudo.append(False)
+    states = [StateC(tuple(int(p == label[u]) for p in range(markings)), (), (), ()) for u in origin]
+    arcs = []
     for s, u in enumerate(origin):
         for v in base[u]:
             for dst in rng.sample(copies[v], rng.randint(1, len(copies[v]))):
-                srg.edges.append((s, "t", dst))
-    srg.initial = rng.randrange(len(origin))
-    return srg.finish()
+                arcs.append((s, "t", dst))
+    return Srg(net, CONSTRAINED, states, arcs_of(net, arcs), rng.randrange(len(origin)), [False] * len(origin))

@@ -1,5 +1,6 @@
 """Formula evaluation: satisfaction sets, fixed points, verification."""
 
+import copy
 import pickle
 import random
 import tracemalloc
@@ -125,7 +126,7 @@ def test_fixed_points_agree_with_path_oracles_over_parallel_arcs():
         srg = make_random_srg(rng)
         for arc in [(src, "u", dst) for src, _, dst in srg.edges if rng.random() < 0.5]:
             srg.edges.append(arc)
-        srg.finish()
+        srg = copy.copy(srg)
         lhs, rhs = random_sets(rng, len(srg.states))
         a, b = bitset(lhs), bitset(rhs)
         assert sat_ex(srg, a) == bitset(oracle_ex(srg, lhs))
@@ -415,10 +416,8 @@ def test_pm2_matches_record_pair_scan(motivating_net, motivating_srg):
 
 def with_rows(srg, rows: int):
     """The graph with every state's table cut to its first ``rows`` rows."""
-    cut = Srg(net=srg.net, mode=srg.mode, initial=srg.initial)
-    cut.states = [StateC(s.marking, s.data, s.table[:rows], s.sigma) for s in srg.states]
-    cut.pseudo, cut.edges = list(srg.pseudo), arcs_of(srg.net, srg.edges)
-    return cut.finish()
+    states = [StateC(s.marking, s.data, s.table[:rows], s.sigma) for s in srg.states]
+    return Srg(srg.net, srg.mode, states, arcs_of(srg.net, srg.edges), srg.initial, list(srg.pseudo))
 
 
 def test_ordered_record_comparison_raises_where_reached(motivating_net, motivating_srg):
@@ -491,6 +490,26 @@ def test_true_and_an_unknown_place_in_a_quantifier_body(motivating_net, motivati
     with pytest.raises(EvalError, match="unknown place nope"):
         sat(motivating_srg, unknown)
     assert sat(with_rows(motivating_srg, 0), unknown) == 0
+    # the join plan refuses a block that can raise; the record loops raise
+    # at the first pair of rows with different ids
+    same_id = ast.DataAtom(("attr", "r", "Id"), "=", ("attr", "s", "Id"))
+    block = ast.Quantifier("forall", "r", ast.Quantifier("forall", "s", ast.Or(same_id, ast.PlaceAtom("nope"))))
+    assert _Compiler(motivating_net).code(block, {}).__name__ == "forall"
+    with pytest.raises(EvalError, match="unknown place nope"):
+        sat(motivating_srg, block)
+    assert sat(with_rows(motivating_srg, 1), block) == ALL54
+
+
+def test_unbound_variable_raises_where_reached(motivating_srg):
+    # only a hand-built atom names an unbound variable: the parser rejects it
+    unbound = ast.DataAtom(("attr", "x", "Id"), "=", ("const", "id1"))
+    defined = ast.DataAtom(("attr", "r", "Id"), "!=", ("empty",))
+    reached = ast.Quantifier("exists", "r", ast.And(defined, unbound))
+    for formula in (unbound, reached):
+        with pytest.raises(EvalError, match="unbound record variable x"):
+            sat(motivating_srg, formula)
+    # no row: nothing reached
+    assert sat(with_rows(motivating_srg, 0), reached) == 0
 
 
 def test_join_plan_covers_two_variable_blocks(motivating_net):
@@ -519,7 +538,7 @@ def test_eval_atom_compares_whole_records_by_value(motivating_net, motivating_sr
     assert sat(motivating_srg, same) == 0
     doubled = with_rows(motivating_srg, 1)
     doubled.states = [StateC(s.marking, s.data, s.table + (tuple(list(s.table[0])),), s.sigma) for s in doubled.states]
-    assert sat(doubled.finish(), same) == ALL54
+    assert sat(copy.copy(doubled), same) == ALL54
 
 
 def test_quantifier_free_operand_without_arcs_skips_the_quotient():

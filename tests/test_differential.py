@@ -8,6 +8,7 @@ it has its own atom comparison, token ordering and quantifier
 classification.
 """
 
+import copy
 import json
 import random
 import re
@@ -236,13 +237,13 @@ def test_memo_is_per_graph():
     assert any(sat(first, f) != sat(second, f) for f in formulas)
 
 
-def test_refinishing_a_graph_drops_its_memo():
+def test_a_copied_graph_drops_its_memo():
     srg = make_random_srg(random.Random(3), max_states=6)
     ex_q0 = ast.EX(ast.PlaceAtom("q0"))
     for pred in (2, 1):
         srg.edges = arcs_of(srg.net, [(pred, "t", 0)])
-        srg.finish()
-        assert sat(srg, ex_q0) == 1 << pred
+        srg = copy.copy(srg)
+        assert srg.evaluation is None and sat(srg, ex_q0) == 1 << pred
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +270,13 @@ def make_table_srg(rng, max_states=10, tables=None):
         start="q0",
         end="q2",
     )
-    srg = Srg(net=net, mode=CONSTRAINED)
     if tables is None:
         sizes = (rng.choice((0, 1, 1, 2, 3, 4, 6)) for _ in range(rng.randint(2, max_states)))
         tables = [[tuple(map(rng.choice, CELLS)) for _ in range(k)] for k in sizes]
     n = len(tables)
-    for rows in tables:
-        marking = tuple(rng.randrange(2) for _ in range(3))
-        srg.states.append(StateC(marking, (), canonical_table(rows), ()))
-        srg.pseudo.append(False)
-    srg.edges = arcs_of(net, [(i, "t", j) for i in range(n) for j in range(n) if rng.random() < 2 / n])
-    srg.initial = rng.randrange(n)
-    return srg.finish()
+    states = [StateC(tuple(rng.randrange(2) for _ in range(3)), (), canonical_table(rows), ()) for rows in tables]
+    arcs = arcs_of(net, [(i, "t", j) for i in range(n) for j in range(n) if rng.random() < 2 / n])
+    return Srg(net, CONSTRAINED, states, arcs, rng.randrange(n), [False] * n)
 
 
 def random_term(rng, bound):

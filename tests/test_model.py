@@ -137,6 +137,8 @@ def test_frozen_classes_compare_and_hash_by_fields(cls, args):
     value = cls(*args)
     twin = cls(*copy.deepcopy(args))
     assert value == twin and not value != twin and hash(value) == hash(twin)
+    # a value of another class, even the tuple of its fields, is unequal
+    assert value != args and args != value
     assert len(args) == len(cls._fields)
     for i in range(len(args)):
         other = cls(*args[:i], changed(args[i]), *args[i + 1:])

@@ -255,11 +255,11 @@ def graph_of(srg):
     return set(states), set(edges), dict(zip(states, srg.pseudo))
 
 
-def assert_agrees(net, mode, limit=None):
+def assert_agrees(net, mode, **limit):
     """Compare both explorers and return the graph; ``None`` when the net
     exceeds ``limit``."""
     try:
-        srg = build_srg(net, mode, limit=limit)
+        srg = build_srg(net, mode, **limit)
     except ResourceLimitError:
         return None
     states, edges, pseudo = graph_of(srg)

@@ -1,5 +1,6 @@
 """States, refinement, firing, and graph construction."""
 
+import copy
 import gc
 import hashlib
 import itertools
@@ -280,6 +281,10 @@ INVALID_NETS = {
         ),
         "; ".join(f"{op} label on unknown transition {t}" for op, t in (("sel", "t97"), ("ins", "t99"), ("del", "t98"), ("upd", "t96"))),
     ),
+    "del-over-undeclared-item": (
+        lambda net: net.dele.update(t2=(DeleteOp("User", "Id", ("item", "idx")),)),
+        "del where on t2 references unknown data item idx",
+    ),
     "sel-where-without-source": (
         lambda net: net.sel.update(t10=(SelScope("User", "License", where_attr="Id", assign_item="license"),)),
         "sel where on t10 has no value source",
@@ -298,9 +303,11 @@ INVALID_NETS = {
 @pytest.mark.parametrize("edit, message", INVALID_NETS.values(), ids=INVALID_NETS)
 def test_invalid_hand_built_net_is_one_model_error(edit, message):
     net = parse_model(fixture_text("motivating.wftc"))
-    build_srg(net)  # built once before the edit: re-indexing drops the plans and the verdict
+    build_srg(net)  # compiles the plans of the unedited net, which it keeps after the edit
     edit(net)
-    net._index()
+    # a copy is a new net: its place index derived anew, without the plans
+    net = copy.copy(net)
+    assert net.compiled is None and net.place_index == {p: i for i, p in enumerate(net.places)}
     c0 = initial_state(net)
     calls = (
         lambda: build_srg(net),
@@ -316,8 +323,8 @@ def test_invalid_hand_built_net_is_one_model_error(edit, message):
 
 
 def test_a_net_is_validated_once(monkeypatch):
-    # the parser does not validate; the first use does, and re-indexing
-    # drops that verdict with the plans
+    # the parser does not validate; the first use does, and a copy is a new
+    # net, without that verdict or the plans
     validate, calls = wftc.srg.validate_workflow_structure, []
 
     def counted(net):
@@ -331,7 +338,7 @@ def test_a_net_is_validated_once(monkeypatch):
     build_srg(net)
     fire(net, initial_state(net), "t0")
     assert len(calls) == 1
-    net._index()
+    net = copy.copy(net)
     build_srg(net)
     fire(net, initial_state(net), "t0")
     assert len(calls) == 2
@@ -615,11 +622,11 @@ def test_adjacency_is_built_on_first_use(name, mode):
     block = list(evaluation.block)
     first = [block.index(b) for b in range(len(quotient.states))]
     arcs = [(block[src], t, block[dst]) for src, t, dst in srg.edges if first[block[src]] == src]
-    blocks = Srg(net=srg.net, mode=srg.mode, states=quotient.states, edges=arcs_of(srg.net, arcs))
+    blocks = Srg(srg.net, srg.mode, quotient.states, arcs_of(srg.net, arcs), 0, [False] * len(quotient.states))
     assert (quotient.post, quotient.pre) == arc_lists(blocks)
 
 
-def test_finish_drops_stale_adjacency(motivating_net):
+def test_a_copied_graph_drops_stale_adjacency(motivating_net):
     from wftc.dctl import _evaluation
 
     def lists():
@@ -629,18 +636,18 @@ def test_finish_drops_stale_adjacency(motivating_net):
     srg = build_srg(motivating_net, CONSTRAINED)
     assert lists()[0][0] and 0 not in lists()[0][0]
     srg.edges = arcs_of(srg.net, [*srg.edges, (0, "t0", 0)])
-    srg.finish()
+    srg = copy.copy(srg)
     assert srg.evaluation is None
     assert 0 in lists()[0][0] and 0 in lists()[1][0]
     assert lists() == arc_lists(srg)
     srg.edges = arcs_of(srg.net, list(srg.edges)[:-1])
-    srg.finish()
+    srg = copy.copy(srg)
     assert 0 not in lists()[0][0]
     assert lists() == arc_lists(srg)
     # a second transition between the same two states is a second arc
     src, _, dst = next(iter(srg.edges))
     srg.edges = arcs_of(srg.net, [*srg.edges, (src, "t9", dst)])
-    srg.finish()
+    srg = copy.copy(srg)
     assert lists()[0][src].count(dst) == 2
     assert lists() == arc_lists(srg)
 

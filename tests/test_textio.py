@@ -1,5 +1,6 @@
 """Model format, formula grammar, and graph exports."""
 
+import copy
 import hashlib
 import json
 import os
@@ -120,11 +121,47 @@ def test_net_without_data_items_has_no_data_section(tiny_net):
     assert "[DATA]" not in serialize_model(tiny_net)
 
 
-@pytest.mark.parametrize("text, fragment", [("junk before", "content before any section")])
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("junk before", "content before any section"),
+        # a misspelt header is no section, and its records are no data items
+        pytest.param(
+            "[PLACES] p0 p1\n[TRANSITIONS] t0\n[ARCS] p0->t0 t0->p1\n[DATA] id\n"
+            "[TABEL] User(Id, License)\n  id1, l1\n[INITIAL] p0\n[FINAL] p1",
+            "unknown section [TABEL] at line 5",
+            id="unknown-section",
+        ),
+    ],
+)
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_model(text)
     assert fragment in str(err.value)
+
+
+def test_empty_definitions_are_skipped(motivating_net):
+    text = fixture_text("motivating.wftc")
+    text = text.replace("pi5 = eq(license, license1)", "pi5 = eq(license, license1) ;;")
+    text = text.replace("g1 = pi1 ;", "; g1 = pi1 ; ;")
+    text = text.replace("(g1 & !g2) | (!g1 & g2)", "; (g1 & !g2) | (!g1 & g2) ;")
+    assert parse_model(text) == motivating_net
+
+
+def test_parse_model_constructs_the_net_once(monkeypatch):
+    # the parser reads every section before it makes the net, and never
+    # changes the net afterwards
+    made, init = [], WftcNet.__init__
+
+    def counted(net, *args, **kwargs):
+        made.append(net)
+        init(net, *args, **kwargs)
+
+    monkeypatch.setattr(WftcNet, "__init__", counted)
+    for text in (fixture_text("motivating.wftc"), fixture_text("motivating-wfd.wftc"), TINY_CHAIN):
+        net = parse_model(text)
+        assert len(made) == 1 and made.pop() is net
+        assert net.compiled is None and net.place_index == {p: i for i, p in enumerate(net.places)}
 
 
 @pytest.mark.parametrize(
@@ -202,8 +239,7 @@ def random_net(rng: random.Random) -> WftcNet:
             net.dt[t] = (rng.choice(items),)
         if items and rng.random() < 0.3:
             net.rd[t] = (rng.choice(items),)
-    net._index()
-    return net
+    return copy.copy(net)
 
 
 def test_random_net_roundtrip():
@@ -729,18 +765,15 @@ def test_json_export_escapes_like_the_json_module():
         transitions=["t\\1"],
         data_items=["d ", "b"],
         schema=TableSchema("T", ("A", "B")),
+        guards={"gÿ": Guard("gÿ", ("pi", "pi"))},
         start="zz",
         end='q"',
     )
-    net.guards["gÿ"] = Guard("gÿ", ("pi", "pi"))
-    net._index()
-    srg = Srg(net=net, mode=UNCONSTRAINED)
-    srg.states += [
+    states = [
         StateC((1, 0, 0), (None, "x\ty"), (), ("U",)),
         StateC((0, 2, 1), ("\U0001f600", None), ((None, "bé"), ("a1", "</>")), ("T",)),
     ]
-    srg.pseudo += [False, True]
-    srg.edges.append((0, "t\\1", 1))
-    assert export_json(srg) == json_module_export(srg.finish())
-    srg.edges = Arcs(net.transitions)
-    assert export_json(srg) == json_module_export(srg.finish())
+    # one arc from c0 to c1, then none
+    for edges in (Arcs(net.transitions, [0], [1], [0]), Arcs(net.transitions)):
+        srg = Srg(net, UNCONSTRAINED, states, edges, 0, [False, True])
+        assert export_json(srg) == json_module_export(srg)
