@@ -7,15 +7,14 @@ memory exhausted.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import os
+import re
 import sys
 
 from .model import EvalError, ModelError, deferred
 from .srg import CONSTRAINED, DEFAULT_STATE_LIMIT, UNCONSTRAINED, ResourceLimitError, build_srg
-from .textio import ParseError, parse_model
+from .textio import ParseError, json_text, parse_model
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -112,7 +111,7 @@ def _report(args, srg, checked=()) -> int:
             "buildMillis": round(srg.build_millis, 3),
             "formulas": formulas,
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json_text(payload) + "\n")
     else:
         rows = [
             ("model", args.model),
@@ -188,52 +187,171 @@ def cmd_metrics(args) -> int:
     return _report(args, srg, ((name, verdict, {}) for name, verdict in results.items()))
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wftc",
-        description="model checker for workflow nets with tables and constraints",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command's options: flag, destination, choices (the first is the
+# default), whether it repeats, and its help; every command reads one MODEL
+COMMON = (
+    ("--mode", "mode", (CONSTRAINED, UNCONSTRAINED), False, "constraint handling during state-space construction"),
+    ("--output", "output", ("text", "json"), False, "report format"),
+)
+COMMANDS = {
+    "build": (cmd_build, "construct the state reachability graph", (
+        *COMMON,
+        ("--dot", "dot", None, False, "write a Graphviz rendering here"),
+        ("--json", "json_out", None, False, "write the full graph as JSON here"),
+    )),
+    "verify": (cmd_verify, "check formulas over the graph", (
+        *COMMON,
+        ("--formula", "formula", None, True, "formula text"),
+        ("--formula-file", "formula_file", None, True, "file with one formula per line"),
+    )),
+    "metrics": (cmd_metrics, "run the built-in metric suite", COMMON),
+}
+HELP = ("-h", "--help")
+_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
-    def common(p):
-        p.add_argument("model", help="model file")
-        p.add_argument(
-            "--mode",
-            choices=(CONSTRAINED, UNCONSTRAINED),
-            default=CONSTRAINED,
-            help="constraint handling during state-space construction",
-        )
-        p.add_argument(
-            "--output", choices=("text", "json"), default="text", help="report format"
-        )
 
-    p_build = sub.add_parser("build", help="construct the state reachability graph")
-    common(p_build)
-    p_build.add_argument("--dot", help="write a Graphviz rendering here")
-    p_build.add_argument(
-        "--json", dest="json_out", help="write the full graph as JSON here"
-    )
-    p_build.set_defaults(func=cmd_build)
+class Args:
+    """What ``read_args`` read: ``command``, ``model`` and one attribute
+    per option destination of the command."""
 
-    p_verify = sub.add_parser("verify", help="check formulas over the graph")
-    common(p_verify)
-    p_verify.add_argument("--formula", action="append", help="formula text")
-    p_verify.add_argument(
-        "--formula-file", action="append", help="file with one formula per line"
-    )
-    p_verify.set_defaults(func=cmd_verify)
+    def __init__(self, values: dict):
+        vars(self).update(values)
 
-    p_metrics = sub.add_parser("metrics", help="run the built-in metric suite")
-    common(p_metrics)
-    p_metrics.set_defaults(func=cmd_metrics)
-    return parser
+
+def _metavar(dest: str, choices) -> str:
+    return "{" + ",".join(choices) + "}" if choices else dest.upper()
+
+
+def _usage(command) -> str:
+    if command is None:
+        return "usage: wftc [-h] {" + ",".join(COMMANDS) + "} ..."
+    options = "".join(f" [{flag} {_metavar(dest, choices)}]" for flag, dest, choices, _, _ in COMMANDS[command][2])
+    return f"usage: wftc {command} [-h]{options} model"
+
+
+def _help(command) -> str:
+    if command is None:
+        about = "model checker for workflow nets with tables and constraints"
+        rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
+    else:
+        about = COMMANDS[command][1]
+        rows = [("model", "model file")]
+        rows += [(f"{flag} {_metavar(dest, choices)}", text) for flag, dest, choices, _, text in COMMANDS[command][2]]
+    rows.append((", ".join(HELP), "show this help message and exit"))
+    width = max(len(name) for name, _ in rows)
+    return "\n".join([_usage(command), "", about, "", *(f"  {name:{width}}  {text}" for name, text in rows)]) + "\n"
+
+
+def _fail(command, message: str):
+    """A usage error: the usage line and one error line, exit 2."""
+    prog = "wftc" if command is None else f"wftc {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _option(arg: str, flags, command):
+    """``arg`` read among ``flags``: ``None`` for a positional word, else
+    ``(flag, attached value or None)``, with flag ``None`` for an unknown
+    option. A long flag may be cut to a unique prefix and take its value
+    after ``=``; ``-`` alone, a negative number and a word with a space
+    that names no flag are positional."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in flags:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in flags:
+        return name, value
+    if arg[:2] == "--":
+        found = [(flag, value if eq else None) for flag in flags if flag.startswith(name)]
+    else:  # a short flag with its value attached
+        found = [(flag, arg[2:]) for flag in flags if flag == arg[:2]]
+    if len(found) > 1:
+        _fail(command, f"ambiguous option: {arg} could match {', '.join(flag for flag, _ in found)}")
+    if found:
+        return found[0]
+    return None if _NUMBER.fullmatch(arg) or " " in arg else (None, None)
+
+
+def _print_help(command, value):
+    if value is not None:
+        _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+    sys.stdout.write(_help(command))
+    raise SystemExit(EXIT_OK)
+
+
+def read_args(argv) -> Args:
+    """The command and values ``argv`` names, read left to right against
+    ``COMMANDS``. A usage error prints the usage line and one error line
+    and exits 2; ``-h``/``--help`` prints the help and exits 0. Before
+    the command only ``-h`` is an option; after it, the command's options
+    come before or after MODEL, a repeating option appends and any other
+    keeps its last value, and ``--`` makes every later word positional.
+    An unknown option and a second positional word are reported once the
+    words have been read, so a later ``-h`` still prints the help."""
+    unknown = []
+    for i, arg in enumerate(argv):
+        # ``--`` before the command is read as the command, an invalid one
+        found = _option(arg, HELP, None) if arg != "--" else None
+        if found is None:
+            break
+        flag, value = found
+        if flag is None:
+            unknown.append(arg)
+        else:
+            _print_help(None, value)
+    else:
+        _fail(None, "the following arguments are required: command")
+    command, words = argv[i], argv[i + 1 :]
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    options = {flag: (dest, choices, repeats) for flag, dest, choices, repeats, _ in COMMANDS[command][2]}
+    flags = (*HELP, *options)
+    values = {"command": command, "model": None}
+    values |= {dest: choices[0] if choices else None for dest, choices, _ in options.values()}
+    # every word is read before any is used, so an ambiguous prefix is an
+    # error even after -h; the first ``--`` ends the options
+    end = words.index("--") if "--" in words else len(words)
+    kinds = [_option(arg, flags, command) for arg in words[:end]]
+    positional = []
+    i = 0
+    while i < end:
+        arg, found = words[i], kinds[i]
+        i += 1
+        if found is None:
+            positional.append(arg)
+            continue
+        flag, value = found
+        if flag is None:
+            unknown.append(arg)
+            continue
+        if flag in HELP:
+            _print_help(command, value)
+        if value is None:
+            if i == end or kinds[i] is not None:
+                _fail(command, f"argument {flag}: expected one argument")
+            value = words[i]
+            i += 1
+        dest, choices, repeats = options[flag]
+        if choices and value not in choices:
+            listed = ", ".join(map(repr, choices))
+            _fail(command, f"argument {flag}: invalid choice: {value!r} (choose from {listed})")
+        values[dest] = [*(values[dest] or ()), value] if repeats else value
+    positional += words[end + 1 :]
+    if not positional:
+        _fail(command, "the following arguments are required: model")
+    values["model"] = positional[0]
+    unknown += positional[1:]
+    if unknown:
+        _fail(None, f"unrecognized arguments: {' '.join(unknown)}")
+    return Args(values)
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = read_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except (ParseError, ModelError, EvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

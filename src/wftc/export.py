@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
-from json.encoder import encode_basestring_ascii
 
 from .srg import Srg
+from .textio import json_array, json_object, json_string, json_text
 
 
 # states, or arcs, per block of an export written to a stream: the
@@ -69,49 +68,32 @@ def export_json(srg: Srg, out=None):
     to the stream ``out`` in blocks and returns ``out``.
 
     The text is exactly what ``json.dumps(payload, indent=2,
-    sort_keys=True)`` prints for that payload, written directly: the
-    indenting ``json`` encoder is pure Python and builds the whole
-    payload first, while states share markings, data, tables and guard
-    values, which are rendered once each here. Each block is a list of
-    pieces pointing at those shared texts."""
+    sort_keys=True)`` prints for that payload, written directly with the
+    JSON writer of ``textio``: the indenting ``json`` encoder would build
+    the whole payload first, while states share markings, data, tables
+    and guard values, which are rendered once each here. Each block is a
+    list of pieces pointing at those shared texts."""
     return _emit(_json_blocks(srg), out)
 
 
 def _json_blocks(srg: Srg):
     net = srg.net
-
-    def scalar(value) -> str:
-        if value is None:
-            return "null"
-        return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
-
-    def obj(pairs, pad: str) -> str:
-        if not pairs:
-            return "{}"
-        inner = ",\n".join(f"{pad}  {encode_basestring_ascii(k)}: {v}" for k, v in sorted(pairs.items()))
-        return f"{{\n{inner}\n{pad}}}"
-
-    def arr(texts, pad: str) -> str:
-        if not texts:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {text}" for text in texts)
-        return f"[\n{inner}\n{pad}]"
-
     pad = " " * 6
     marking = functools.cache(
-        lambda m: obj({p: scalar(m[i]) for i, p in enumerate(net.places) if m[i]}, pad)
+        lambda m: json_object({p: json_text(m[i]) for i, p in enumerate(net.places) if m[i]}, pad)
     )
     data = functools.cache(
-        lambda d: obj({name: scalar(v) for name, v in zip(net.data_items, d)}, pad)
+        lambda d: json_object({name: json_text(v) for name, v in zip(net.data_items, d)}, pad)
     )
     table = functools.cache(
-        lambda t: arr([arr([scalar(v) for v in rec], pad + "  ") for rec in t], pad)
+        lambda t: json_array([json_array([json_text(v) for v in rec], pad + "  ") for rec in t], pad)
     )
     guards = functools.cache(
-        lambda sigma: obj({name: scalar(v) for name, v in zip(net.guards, sigma)}, pad)
+        lambda sigma: json_object({name: json_text(v) for name, v in zip(net.guards, sigma)}, pad)
     )
-    label = [scalar(t) for t in net.transitions]
-    ids = [scalar(srg.state_id(i)) for i in range(len(srg.states))]
+    label = [json_string(t) for t in net.transitions]
+    # a state id is ``c`` and digits, which JSON writes as they are
+    ids = [f'"{srg.state_id(i)}"' for i in range(len(srg.states))]
     flag = {False: "false", True: "true"}
 
     # the top level keys in sorted order; each array item opens with
@@ -128,8 +110,8 @@ def _json_blocks(srg: Srg):
         yield block
         block = []
     block.append(close if arcs else "[]")
-    block += (',\n  "initial": ', scalar(srg.state_id(srg.initial)))
-    block += (',\n  "mode": ', scalar(srg.mode), ',\n  "states": ')
+    block += (',\n  "initial": ', ids[srg.initial])
+    block += (',\n  "mode": ', json_string(srg.mode), ',\n  "states": ')
     first, sep = '[\n    {\n      "data": ', '\n    },\n    {\n      "data": '
     states = srg.states
     for lo in range(0, len(states), BLOCK):

@@ -3,7 +3,9 @@ back to an equal net."""
 
 from __future__ import annotations
 
-from .model import UNDEF, Predicate, WftcNet
+import re
+
+from .model import UNDEF, ModelError, Predicate, WftcNet
 from .textio import BOT_TOKEN
 
 
@@ -20,8 +22,7 @@ def serialize_model(net: WftcNet) -> str:
         out.append("[DATA] " + " ".join(net.data_items))
     if net.schema is not None:
         out.append(f"[TABLE] {net.schema.name}({', '.join(net.schema.attributes)})")
-        for rec in net.initial_records:
-            out.append("  " + ", ".join(BOT_TOKEN if v is UNDEF else v for v in rec))
+        out.extend(map(_record_text, net.initial_records))
     op_lines = _serialize_ops(net)
     if op_lines:
         out.append("[OPS]")
@@ -51,6 +52,23 @@ def serialize_model(net: WftcNet) -> str:
     out.append("[INITIAL] " + net.start)
     out.append("[FINAL] " + net.end)
     return "\n".join(out) + "\n"
+
+
+def _record_text(rec: tuple) -> str:
+    """The line of a table record, which ``parse_model`` reads back as
+    ``rec``; a cell it would read otherwise is a ``ModelError``."""
+    for i, cell in enumerate(rec):
+        if cell is not UNDEF and (
+            cell == BOT_TOKEN  # read back as undefined
+            or cell != cell.strip()  # the reader strips each cell
+            or len(cell.splitlines()) > 1  # a line break ends the record
+            or "#" in cell  # a comment
+            or "," in cell  # the next cell
+            or (i == 0 and re.match(r"\[\w+\]", cell))  # a section header
+            or (not cell and len(rec) == 1)  # a blank line, which is skipped
+        ):
+            raise ModelError(f"table cell {cell!r} would not read back from the model text")
+    return "  " + ", ".join(BOT_TOKEN if v is UNDEF else v for v in rec)
 
 
 def _serialize_ops(net: WftcNet):

@@ -1,7 +1,8 @@
-"""The model reader. The format is line oriented with bracketed section
-headers; ``#`` starts a comment. The formula parser (``dctlparse``) and the
-writers (``export`` for graphs, ``modeltext`` for the model text) load only
-with the calls that run them."""
+"""The model reader, and the JSON text writer that the ``--output json``
+report and the graph export share. The format is line oriented with
+bracketed section headers; ``#`` starts a comment. The formula parser
+(``dctlparse``) and the writers (``export`` for graphs, ``modeltext`` for
+the model text) load only with the calls that run them."""
 
 from __future__ import annotations
 
@@ -47,6 +48,65 @@ class ParseError(Exception):
         where = f" at line {line}" if line else ""
         where += f", column {column}" if column else ""
         super().__init__(message + where)
+
+
+# ---------------------------------------------------------------------------
+# JSON text: what ``json.dumps(value, indent=2, sort_keys=True)`` prints,
+# written without the ``json`` module, which would load on every call
+
+# every ASCII character ``json`` escapes, and its escape
+_ESCAPES = {chr(code): f"\\u{code:04x}" for code in (*range(0x20), 0x7F)}
+_ESCAPES |= {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(char: str) -> str:
+    code = ord(char)
+    if code < 0x80:
+        return _ESCAPES.get(char, char)
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    code -= 0x10000  # a UTF-16 surrogate pair
+    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+
+
+def json_string(text: str) -> str:
+    """``text`` as a JSON string in ASCII, as ``json.dumps`` writes it."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
+def json_object(texts: dict, pad: str) -> str:
+    """The object of ``texts``, whose values are JSON texts, keys sorted;
+    ``pad`` indents its closing brace."""
+    if not texts:
+        return "{}"
+    inner = ",\n".join(f"{pad}  {json_string(key)}: {text}" for key, text in sorted(texts.items()))
+    return f"{{\n{inner}\n{pad}}}"
+
+
+def json_array(texts, pad: str) -> str:
+    """The array of the JSON ``texts``; ``pad`` indents its closing bracket."""
+    if not texts:
+        return "[]"
+    inner = ",\n".join(f"{pad}  {text}" for text in texts)
+    return f"[\n{inner}\n{pad}]"
+
+
+def json_text(value, pad: str = "") -> str:
+    """``value`` made of dicts with string keys, lists or tuples, strings,
+    booleans, ``None`` and finite numbers as JSON text."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json_string(value)
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, dict):
+        return json_object({key: json_text(item, pad + "  ") for key, item in value.items()}, pad)
+    if isinstance(value, (list, tuple)):
+        return json_array([json_text(item, pad + "  ") for item in value], pad)
+    return repr(value)
 
 
 # ---------------------------------------------------------------------------

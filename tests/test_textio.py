@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,7 @@ from wftc.model import (
     canonical_table,
 )
 from wftc.srg import CONSTRAINED, UNCONSTRAINED, Arcs, Srg, StateC
+from wftc.textio import json_string, json_text
 
 
 def test_parse_motivating_counts(motivating_net):
@@ -115,6 +117,47 @@ def test_long_guard_chains_round_trip():
     text = serialize_model(parse_model(text.replace("g2 = !pi1", f"g2 = {disjuncts}")))
     assert f"  g1 = {conjuncts}\n" in text and f"  g2 = {disjuncts}\n" in text
     assert serialize_model(parse_model(text)) == text
+
+
+def net_with_records(*records, attributes=("A", "B")) -> WftcNet:
+    return WftcNet(
+        places=["p", "q"],
+        transitions=["t"],
+        arcs={("p", "t"), ("t", "q")},
+        schema=TableSchema("T", attributes),
+        initial_records=canonical_table(records),
+        start="p",
+        end="q",
+    )
+
+
+@pytest.mark.parametrize(
+    "records, attributes, cell",
+    [
+        ((("a#b", "y"),), ("A", "B"), "a#b"),
+        ((("x", "a,b"),), ("A", "B"), "a,b"),
+        ((("a\nb", "y"),), ("A", "B"), "a\nb"),
+        ((("x", "a\u2028b"),), ("A", "B"), "a\u2028b"),
+        ((("x", " a"),), ("A", "B"), " a"),
+        ((("a\t", "y"),), ("A", "B"), "a\t"),
+        ((("-", "y"),), ("A", "B"), "-"),
+        ((("[x]", "y"),), ("A", "B"), "[x]"),
+        ((("[Name] rest", "y"),), ("A", "B"), "[Name] rest"),
+        ((("",),), ("A",), ""),
+    ],
+    ids=["comment", "comma", "newline", "line-separator", "leading-space", "trailing-tab", "bottom", "header",
+         "header-and-text", "blank-line"],
+)
+def test_a_cell_the_reader_would_change_is_a_model_error(records, attributes, cell):
+    with pytest.raises(ModelError, match=re.escape(f"table cell {cell!r} would not read back")):
+        serialize_model(net_with_records(*records, attributes=attributes))
+
+
+def test_cells_the_reader_keeps_round_trip():
+    # brackets after the first cell, an empty cell beside another, inner
+    # spaces and an undefined cell
+    net = net_with_records(("a", "[x]"), ("", "b c"), ("x[y]", None))
+    assert parse_model(serialize_model(net)) == net
 
 
 def test_net_without_data_items_has_no_data_section(tiny_net):
@@ -777,3 +820,53 @@ def test_json_export_escapes_like_the_json_module():
     for edges in (Arcs(net.transitions, [0], [1], [0]), Arcs(net.transitions)):
         srg = Srg(net, UNCONSTRAINED, states, edges, 0, [False, True])
         assert export_json(srg) == json_module_export(srg)
+
+
+# characters the escaper treats each its own way: controls, the short
+# escapes, DEL, the quote and backslash, Latin-1, the BMP, lone
+# surrogates and characters beyond the BMP
+ESCAPER_ALPHABET = [
+    *map(chr, range(0x20)), "\x7f", '"', "\\", "/", " ", "a", "~", "\x80", "\xa0", "\xe9", "\xff", "\u2028",
+    "\ud800", "\udfff", "\ufffd", "\uffff", "\U00010000", "\U0001f600", "\U0010ffff",
+]
+
+
+def random_strings(rng: random.Random, count: int):
+    for _ in range(count):
+        length = rng.choice([0, 1, 2, 5, 20])
+        if rng.random() < 0.3:  # printable ASCII, the writer's fast path
+            yield "".join(chr(rng.randint(0x20, 0x7E)) for _ in range(length))
+        else:
+            yield "".join(rng.choice(ESCAPER_ALPHABET) if rng.random() < 0.7 else chr(rng.randint(0, 0x10FFFF))
+                          for _ in range(length))
+
+
+def test_json_string_escapes_like_the_json_module():
+    rng = random.Random(34)
+    for text in random_strings(rng, 4000):
+        assert json_string(text) == json.dumps(text), repr(text)
+
+
+def test_json_text_writes_what_json_dumps_writes():
+    rng = random.Random(35)
+    strings = random_strings(rng, 10**6)
+
+    def value(depth: int):
+        kind = rng.randrange(8 if depth < 3 else 5)
+        if kind == 0:
+            return next(strings)
+        if kind == 1:
+            return rng.choice([None, True, False])
+        if kind == 2:
+            return rng.randint(-(10**20), 10**20)
+        if kind == 3:
+            return rng.choice([0.0, -0.0, 1.5, 1e-7, 1e22, 123.456, round(rng.random() * 1000, 3)])
+        if kind == 4:
+            return rng.choice([[], {}, ()])
+        if kind in (5, 6):
+            return {next(strings): value(depth + 1) for _ in range(rng.randint(1, 4))}
+        return [value(depth + 1) for _ in range(rng.randint(1, 4))]
+
+    for _ in range(500):
+        payload = value(0)
+        assert json_text(payload) == json.dumps(payload, indent=2, sort_keys=True), payload
