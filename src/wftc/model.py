@@ -145,7 +145,7 @@ def column_of(table, col: int) -> list[str]:
 class Predicate(Frozen):
     """Condition over a data item and the table, true or false once the
     item is written; a guard over an unwritten item is undetermined
-    (``srg._sigma_after``).
+    (``srg._sigma_after``). Its key in ``net.predicates`` names it.
 
     kinds:
       in   -- item value occurs in a table column      in(id, User.Id)
@@ -153,12 +153,9 @@ class Predicate(Frozen):
       def  -- item carries a value                     def(id)
     """
 
-    __slots__ = _fields = ("name", "kind", "item", "table", "column", "const")
+    __slots__ = _fields = ("kind", "item", "table", "column", "const")
 
-    def __init__(
-        self, name: str, kind: str, item: str, table: str = "", column: str = "", const: str = ""
-    ):
-        self.name = name
+    def __init__(self, kind: str, item: str, table: str = "", column: str = "", const: str = ""):
         self.kind = kind  # "in" | "eq" | "def"
         self.item = item
         self.table = table
@@ -188,21 +185,25 @@ class Predicate(Frozen):
 # the two as one chain, which parses back as one node.
 
 
-class Guard(Frozen):
-    __slots__ = ("name", "expr", "_predicates")
-    _fields = ("name", "expr")
+def _nodes(expr: tuple):
+    """Every node of a guard expression, walked without recursion."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node[0] != "pi":
+            stack.extend(node[1:])
 
-    def __init__(self, name: str, expr: tuple):
-        self.name = name
+
+class Guard(Frozen):
+    """A guard expression; its key in ``net.guards`` names it."""
+
+    __slots__ = ("expr", "_predicates")
+    _fields = ("expr",)
+
+    def __init__(self, expr: tuple):
         self.expr = expr
-        predicates, stack = set(), [expr]
-        while stack:
-            node = stack.pop()
-            if node[0] == "pi":
-                predicates.add(node[1])
-            else:
-                stack.extend(node[1:])
-        self._predicates = frozenset(predicates)
+        self._predicates = frozenset([node[1] for node in _nodes(expr) if node[0] == "pi"])
 
     def predicates(self) -> frozenset[str]:
         return self._predicates
@@ -238,9 +239,12 @@ def _bind(node: tuple, bound: dict):
     return chain
 
 
-# A constraint is a disjunction of conjunctions of guard literals,
-# stored as a tuple of disjuncts, each a tuple of (guard_name, positive).
-Constraint = tuple[tuple[tuple[str, bool], ...], ...]
+# A guard literal is (guard_name, positive): a negative one requires the
+# guard to be determinately false. A transition's guard (``guard_of``) is
+# one literal; a constraint is a disjunction of conjunctions of literals,
+# stored as a tuple of disjuncts, each a tuple of literals.
+Literal = tuple[str, bool]
+Constraint = tuple[tuple[Literal, ...], ...]
 
 
 def constraint_consistent(valuation: dict, constraints) -> bool:
@@ -334,17 +338,6 @@ class UpdateOp(Frozen):
         self.where_source = where_source
 
 
-class GuardRef(Frozen):
-    """Guard literal attached to a transition; negated refs require the
-    guard to be determinately false."""
-
-    __slots__ = _fields = ("guard", "positive")
-
-    def __init__(self, guard: str, positive: bool = True):
-        self.guard = guard
-        self.positive = positive
-
-
 # ---------------------------------------------------------------------------
 # the net
 
@@ -379,7 +372,7 @@ class WftcNet(Struct):
         ins: dict[str, tuple[InsertOp, ...]] | None = None,
         dele: dict[str, tuple[DeleteOp, ...]] | None = None,
         upd: dict[str, tuple[UpdateOp, ...]] | None = None,
-        guard_of: dict[str, GuardRef] | None = None,
+        guard_of: dict[str, Literal] | None = None,
         predicates: dict[str, Predicate] | None = None,
         guards: dict[str, Guard] | None = None,
         constraints: tuple[Constraint, ...] = (),
@@ -503,23 +496,31 @@ def validate_workflow_structure(net: WftcNet) -> list[str]:
                 check_column(t, op.table, attr)
                 check_source(t, source, "upd value")
 
-    for t, ref in net.guard_of.items():
+    for t, (guard, _) in net.guard_of.items():
         if t not in transition_names:
             error(f"guard attached to unknown transition {t}")
-        if ref.guard not in net.guards:
-            error(f"transition {t} references unknown guard {ref.guard}")
-    for guard in net.guards.values():
+        if guard not in net.guards:
+            error(f"transition {t} references unknown guard {guard}")
+    for name, guard in net.guards.items():
+        for node in _nodes(guard.expr):  # each a node the model text can write
+            op, arity = node[0], len(node) - 1
+            if op not in ("pi", "not", "and", "or"):
+                error(f"guard {name} has unknown operator {op!r}")
+            elif arity != 1 if op in ("pi", "not") else arity < 2:
+                error(f"guard {name} has {op!r} of {arity} operands")
         for pi in sorted(guard.predicates()):
             if pi not in net.predicates:
-                error(f"guard {guard.name} references unknown predicate {pi}")
-    for pi in net.predicates.values():
+                error(f"guard {name} references unknown predicate {pi}")
+    for name, pi in net.predicates.items():
+        if pi.kind not in ("in", "eq", "def"):
+            error(f"predicate {name} has unknown kind {pi.kind!r}")
         if pi.item not in items:
-            error(f"predicate {pi.name} references unknown data item {pi.item}")
+            error(f"predicate {name} references unknown data item {pi.item}")
         if pi.kind == "in":
             if net.schema is None:
-                error(f"predicate {pi.name} needs table {pi.table} which is not declared")
+                error(f"predicate {name} needs table {pi.table} which is not declared")
             elif net.schema.name != pi.table or pi.column not in net.schema.attributes:
-                error(f"predicate {pi.name} references unknown column {pi.table}.{pi.column}")
+                error(f"predicate {name} references unknown column {pi.table}.{pi.column}")
     for constraint in net.constraints:
         for disjunct in constraint:
             for guard_name, _ in disjunct:

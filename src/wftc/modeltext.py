@@ -29,22 +29,15 @@ def serialize_model(net: WftcNet) -> str:
         out.extend("  " + line for line in op_lines)
     if net.predicates:
         out.append("[PREDICATES]")
-        for pi in net.predicates.values():
-            out.append("  " + _serialize_predicate(pi))
+        for name, pi in net.predicates.items():
+            out.append(f"  {name} = {_predicate_text(pi)}")
     if net.guards:
         out.append("[GUARDS]")
-        for g in net.guards.values():
-            out.append(f"  {g.name} = {_expr_text(g.expr)}")
+        for name, g in net.guards.items():
+            out.append(f"  {name} = {_expr_text(g.expr)}")
     if net.guard_of:
-        out.append(
-            "[GUARDMAP] "
-            + " ".join(
-                f"{t}:{'' if ref.positive else '!'}{ref.guard}"
-                for t, ref in sorted(
-                    net.guard_of.items(), key=lambda kv: order.get(kv[0], (2, kv[0]))
-                )
-            )
-        )
+        literals = sorted(net.guard_of.items(), key=lambda kv: order.get(kv[0], (2, kv[0])))
+        out.append("[GUARDMAP] " + " ".join(f"{t}:{_literal_text(literal)}" for t, literal in literals))
     if net.constraints:
         out.append("[CONSTRAINTS]")
         for constraint in net.constraints:
@@ -99,12 +92,12 @@ def _serialize_ops(net: WftcNet):
     return lines
 
 
-def _serialize_predicate(pi: Predicate) -> str:
+def _predicate_text(pi: Predicate) -> str:
     if pi.kind == "in":
-        return f"{pi.name} = in({pi.item}, {pi.table}.{pi.column})"
+        return f"in({pi.item}, {pi.table}.{pi.column})"
     if pi.kind == "eq":
-        return f"{pi.name} = eq({pi.item}, {pi.const})"
-    return f"{pi.name} = def({pi.item})"
+        return f"eq({pi.item}, {pi.const})"
+    return f"def({pi.item})"
 
 
 def _expr_text(expr) -> str:
@@ -121,8 +114,10 @@ def _expr_text(expr) -> str:
     return (" & " if op == "and" else " | ").join(parts)
 
 
+def _literal_text(literal) -> str:
+    guard, positive = literal
+    return guard if positive else f"!{guard}"
+
+
 def _constraint_text(constraint) -> str:
-    return " | ".join(
-        "(" + " & ".join(("" if pos else "!") + g for g, pos in disjunct) + ")"
-        for disjunct in constraint
-    )
+    return " | ".join("(" + " & ".join(map(_literal_text, disjunct)) + ")" for disjunct in constraint)

@@ -184,24 +184,22 @@ class _Plan:
         # whether enabling asks more of a state than its marking and guards
         self.tests_data = bool(self.rd or self.assigns or self.edits)
         self.width = len(net.schema.attributes) if net.schema is not None else 0
-        ref = net.guard_of.get(t)
-        self.guard = None
-        if ref is not None:
-            self.guard = (guards[ref.guard][0], TRUE if ref.positive else FALSE)
+        # the guard literal as (its position in a valuation, the value it needs)
+        literal = net.guard_of.get(t)
+        self.guard = None if literal is None else (guards[literal[0]][0], TRUE if literal[1] else FALSE)
         # the guards the firing settles (those over an item it writes or
         # deletes; items filled by a select assignment do not count), with
         # the positions of the items their predicates read and their bound
         # functions; every other guard keeps its value, which is
-        # undetermined while one of its items is unwritten
+        # undetermined while one of its items is unwritten. Each guard a
+        # plain firing settles reads an item it deleted, so that firing
+        # leaves it undetermined.
         moved = set(written) | set(net.dt.get(t, ()))
         self.settle = tuple(
             (gi, _values_at(tuple(map(item, items))), settle)
             for gi, settle, items in guards.values()
             if items & moved
         )
-        # each guard a plain firing settles reads an item it deleted, so the
-        # firing leaves it undetermined
-        self.cleared = tuple(gi for gi, _, _ in self.settle) if self.plain else ()
 
 
 class _Compiled:
@@ -468,9 +466,9 @@ def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED, *, store=
         data = tuple(data)
     if plan.plain:  # the parent's table carries over
         sigma = state.sigma
-        if plan.cleared:
+        if plan.settle:
             sigma = list(sigma)
-            for gi in plan.cleared:
+            for gi, _, _ in plan.settle:
                 sigma[gi] = BOT
             sigma = tuple(sigma)
             sigma = store.tables.setdefault(sigma, sigma)

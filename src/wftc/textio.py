@@ -12,7 +12,6 @@ from .model import (
     UNDEF,
     DeleteOp,
     Guard,
-    GuardRef,
     InsertOp,
     Predicate,
     SelScope,
@@ -327,15 +326,15 @@ def _parse_predicates(lines) -> dict:
             raise ParseError(f"duplicate predicate {name}", lineno)
         m = re.match(rf"^in\s*\(\s*({_NAME})\s*,\s*({_NAME})\.({_NAME})\s*\)$", body)
         if m:
-            predicates[name] = Predicate(name, "in", m.group(1), table=m.group(2), column=m.group(3))
+            predicates[name] = Predicate("in", m.group(1), table=m.group(2), column=m.group(3))
             continue
         m = re.match(rf"^eq\s*\(\s*({_NAME})\s*,\s*({_NAME})\s*\)$", body)
         if m:
-            predicates[name] = Predicate(name, "eq", m.group(1), const=m.group(2))
+            predicates[name] = Predicate("eq", m.group(1), const=m.group(2))
             continue
         m = re.match(rf"^def\s*\(\s*({_NAME})\s*\)$", body)
         if m:
-            predicates[name] = Predicate(name, "def", m.group(1))
+            predicates[name] = Predicate("def", m.group(1))
             continue
         raise ParseError(f"malformed predicate {body!r}", lineno)
     return predicates
@@ -417,7 +416,7 @@ def _parse_guards(lines) -> dict:
     for lineno, name, body in _iter_defs(lines, "guard"):
         if name in guards:
             raise ParseError(f"duplicate guard {name}", lineno)
-        guards[name] = Guard(name, _BoolParser(body, lineno).parse())
+        guards[name] = Guard(_BoolParser(body, lineno).parse())
     return guards
 
 
@@ -431,7 +430,7 @@ def _parse_guardmap(lines) -> dict:
             t, neg, g = m.groups()
             if t in guard_of:
                 raise ParseError(f"transition {t} mapped to two guards", lineno)
-            guard_of[t] = GuardRef(g, positive=not neg)
+            guard_of[t] = (g, not neg)
     return guard_of
 
 

@@ -35,28 +35,37 @@ _COPIED_NAMES = re.compile(r"\b(p\d+|t\d+|pi\d+|g\d+|id|password|license|copy)\b
 
 
 def parallel_model(k: int) -> str:
-    """Net-k: ``k`` copies of ``motivating.wftc`` between a fork ``ps -> tf``
-    and a join ``tj -> pe``. Copy i names its nodes, items, predicates and
-    guards with the suffix ``_i``, and all copies share one ``User`` table."""
-    sections, body = {}, []
-    for line in fixture_text("motivating.wftc").splitlines():
-        line = line.split("#", 1)[0]
-        if line.startswith("["):
-            header, _, line = line.partition("]")
-            body = sections[header + "]"] = []
-        body.append(line)
-    forks = " ".join(f"tf->p0_{i} p13_{i}->tj" for i in range(1, k + 1))
+    """Net-k: ``k`` copies of ``motivating.wftc`` composed by ``parallel_nets``."""
+    return parallel_nets([fixture_text("motivating.wftc")] * k, _COPIED_NAMES)
+
+
+def parallel_nets(texts, names: re.Pattern) -> str:
+    """The nets of ``texts`` between a fork ``ps -> tf`` and a join ``tj -> pe``
+    that joins their final places. Copy i names what ``names`` matches with
+    the suffix ``_i``, and all copies share one table, declared by the first
+    copy that declares one and holding every copy's rows."""
+    sections, starts, ends = {}, [], []
+    for i, text in enumerate(texts, 1):
+        header = None  # the lines before the first section are comments
+        for line in text.splitlines():
+            line = line.split("#", 1)[0]
+            if line.startswith("["):
+                header, _, line = line.partition("]")
+                header += "]"
+                if header == "[TABLE]" and header in sections:
+                    continue  # the shared table's declaration
+            if header is None:
+                continue
+            if header != "[TABLE]":
+                line = names.sub(rf"\1_{i}", line)
+            if header in ("[INITIAL]", "[FINAL]"):
+                (starts if header == "[INITIAL]" else ends).append(line.strip())
+                line = ""
+            sections.setdefault(header, []).append(line)
+    forks = " ".join(f"tf->{start} {end}->tj" for start, end in zip(starts, ends))
     shared = {"[PLACES]": "ps pe", "[TRANSITIONS]": "tf tj", "[ARCS]": f"ps->tf tj->pe {forks}"}
     shared |= {"[INITIAL]": "ps", "[FINAL]": "pe"}
-    parts = []
-    for header, lines in sections.items():
-        if header == "[TABLE]":
-            copies = lines
-        elif header in ("[INITIAL]", "[FINAL]"):
-            copies = []
-        else:
-            copies = [_COPIED_NAMES.sub(rf"\1_{i}", line) for i in range(1, k + 1) for line in lines]
-        parts.append("\n".join([f"{header} {shared.get(header, '')}", *copies]))
+    parts = [f"{header} {shared.get(header, '')}\n" + "\n".join(lines) for header, lines in sections.items()]
     return "\n".join(parts) + "\n"
 
 

@@ -16,7 +16,6 @@ from wftc.model import (
     TRUE,
     DeleteOp,
     Guard,
-    GuardRef,
     InsertOp,
     ModelError,
     Predicate,
@@ -37,6 +36,37 @@ def test_labels_reference_declared_items(motivating_net):
     for mapping in (motivating_net.rd, motivating_net.wt, motivating_net.dt):
         for names in mapping.values():
             assert set(names) <= items
+
+
+def renamed(expr, old, new):
+    """A guard expression with predicate ``old`` renamed ``new``."""
+    if expr[0] == "pi":
+        return ("pi", new) if expr[1] == old else expr
+    return (expr[0], *[renamed(operand, old, new) for operand in expr[1:]])
+
+
+def test_a_guard_and_a_predicate_are_named_by_their_keys():
+    net = parse_model(fixture_text("motivating.wftc"))
+    # g1 moves to the key g9 and pi1 to pi7, each keeping its place in order
+    net.guards = {("g9" if g == "g1" else g): Guard(renamed(guard.expr, "pi1", "pi7")) for g, guard in net.guards.items()}
+    net.predicates = {("pi7" if pi == "pi1" else pi): predicate for pi, predicate in net.predicates.items()}
+    net.guard_of = {t: ("g9" if g == "g1" else g, positive) for t, (g, positive) in net.guard_of.items()}
+    net.constraints = tuple(
+        tuple(tuple(("g9" if g == "g1" else g, positive) for g, positive in disjunct) for disjunct in constraint)
+        for constraint in net.constraints
+    )
+    net = copy.copy(net)
+    text = serialize_model(net)
+    assert "  g9 = pi7" in text and "t1:g9" in text and "(g9 & !g2)" in text
+    assert "g1" not in text and "pi1" not in text
+    assert parse_model(text) == net
+    assert len(build_srg(net).states) == 54
+    net.predicates["pi7"] = Predicate("in", "idx", "User", "Id")
+    net.guards["g9"] = Guard(("and", ("pi", "pi7"), ("pi", "pi8")))
+    assert validate_workflow_structure(net) == [
+        "guard g9 references unknown predicate pi8",
+        "predicate pi7 references unknown data item idx",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +151,12 @@ def changed(value):
 
 FROZEN = [
     (TableSchema, ("User", ("Id", "License"))),
-    (Predicate, ("pi1", "in", "id", "User", "Id", "")),
-    (Guard, ("g1", ("not", ("pi", "pi1")))),
+    (Predicate, ("in", "id", "User", "Id", "")),
+    (Guard, (("not", ("pi", "pi1")),)),
     (SelScope, ("User", "License", "Id", ("item", "id"), "license")),
     (InsertOp, ("User", (("Id", ("item", "id")),))),
     (DeleteOp, ("User", "Id", ("item", "id"))),
     (UpdateOp, ("User", (("License", ("item", "license")),), "Id", ("item", "id"))),
-    (GuardRef, ("g1", True)),
     (StateC, ((1, 0), ("id1", None), (("id1", "license1"),), (BOT, TRUE))),
 ]
 
@@ -154,9 +183,9 @@ def test_classes_of_one_shape_are_unequal():
 
 
 def test_cached_fields_are_left_out():
-    guard = Guard("g", ("and", ("pi", "a"), ("pi", "b")))
+    guard = Guard(("and", ("pi", "a"), ("pi", "b")))
     assert guard.predicates() == {"a", "b"}
-    assert repr(guard) == "Guard(name='g', expr=('and', ('pi', 'a'), ('pi', 'b')))"
+    assert repr(guard) == "Guard(expr=('and', ('pi', 'a'), ('pi', 'b')))"
     state = StateC((1,), (None,), (("id1",),), (BOT,))
     assert repr(state) == "StateC(marking=(1,), data=(None,), table=(('id1',),), sigma=('U',))"
     # equal to a state whose table is another tuple of the same records
@@ -169,11 +198,11 @@ def test_guard_of_3000_conjuncts_prints_compares_and_hashes():
     net = parse_model(text)
     guard = net.guards["g1"]
     expr = "('and', " + ", ".join(["('pi', 'pi1')"] * 3000) + ")"
-    assert repr(guard) == f"Guard(name='g1', expr={expr})"
+    assert repr(guard) == f"Guard(expr={expr})"
     again = parse_model(serialize_model(net))
     assert again == net and again.guards["g1"] == guard and hash(again.guards["g1"]) == hash(guard)
-    assert guard != Guard("g1", ("and", ("pi", "pi1"), guard.expr))
-    assert Guard("g", ("pi", "and")) != Guard("g", ("and", ("pi", "a"), ("pi", "b")))
+    assert guard != Guard(("and", ("pi", "pi1"), guard.expr))
+    assert Guard(("pi", "and")) != Guard(("and", ("pi", "a"), ("pi", "b")))
 
 
 def test_net_with_a_guard_of_3000_conjuncts_pickles_and_deep_copies():

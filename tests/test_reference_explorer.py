@@ -11,12 +11,13 @@ on seeded random small nets and on grown tables of the bundled model.
 
 import random
 import re
+import statistics
 from collections import deque
 from itertools import product
 
 import pytest
 
-from conftest import fixture_text, parallel_model, table_model
+from conftest import fixture_text, parallel_model, parallel_nets, table_model
 from wftc import CONSTRAINED, UNCONSTRAINED, ResourceLimitError, build_srg, enabled, fire, parse_model
 
 T, F, U = "T", "F", "U"
@@ -155,8 +156,10 @@ class Reference:
         for op in net.dele.get(t, ()) + net.upd.get(t, ()):
             if not self.rows(table, op.where_attr, op.where_source, data):
                 return False
-        ref = net.guard_of.get(t)
-        return ref is None or sigma[self.guards.index(ref.guard)] == (T if ref.positive else F)
+        if t not in net.guard_of:
+            return True
+        guard, positive = net.guard_of[t]
+        return sigma[self.guards.index(guard)] == (T if positive else F)
 
     def successors(self, state, t):
         marking, data, table, sigma = state
@@ -390,6 +393,26 @@ def test_random_nets_agree_with_the_reference(mode):
         compared += assert_agrees(parse_model(random_model(rng)), mode, limit=300) is not None
     # a few looping nets grow their table forever
     assert compared >= 280
+
+
+# the names each copy of a ``random_model`` net renames in ``parallel_nets``:
+# places, transitions, data items, predicates and guards
+_RANDOM_NAMES = re.compile(r"\b(p\d+|t\d+|d\d+|pi\d+|g\d+)\b")
+
+
+@pytest.mark.parametrize("mode, median", [(CONSTRAINED, 10.5), (UNCONSTRAINED, 44)])
+def test_two_random_nets_between_a_fork_and_a_join_agree_with_the_reference(mode, median):
+    # a random net alone has a median of 3 states; two of them interleave
+    # over one shared table, so their graphs are deeper and wider
+    rng = random.Random(3535)
+    sizes = []
+    for _ in range(100):
+        text = parallel_nets([random_model(rng), random_model(rng)], _RANDOM_NAMES)
+        srg = assert_agrees(parse_model(text), mode, limit=2000)
+        if srg is not None:
+            sizes.append(len(srg.states))
+    assert len(sizes) >= 90
+    assert statistics.median(sizes) == median
 
 
 @pytest.mark.parametrize("mode, states", [(CONSTRAINED, 120), (UNCONSTRAINED, 4341)])

@@ -37,7 +37,6 @@ from wftc.model import (
     UNDEF,
     DeleteOp,
     Guard,
-    GuardRef,
     InsertOp,
     ModelError,
     Predicate,
@@ -199,13 +198,13 @@ def test_bound_guard_agrees_with_a_naive_evaluation(motivating_net):
     # true/false combination can be fed to the bound guard
     bound = {name: (lambda data, table, rows, name=name: data[name]) for name in motivating_net.predicates}
     nested = ("or", ("not", ("and", ("pi", "pi1"), ("or", ("pi", "pi2"), ("not", ("pi", "pi3"))))), ("pi", "pi4"))
-    for guard in [*motivating_net.guards.values(), Guard("nested", nested)]:
+    for name, guard in [*motivating_net.guards.items(), ("nested", Guard(nested))]:
         holds = guard.bind(bound)
         names = sorted(guard.predicates())
         combos = [dict(zip(names, values)) for values in itertools.product((True, False), repeat=len(names))]
         assert len(combos) == 2 ** len(names) >= 2
         for values in combos:
-            assert holds(values, (), None) is naive_holds(guard.expr, values), (guard.name, values)
+            assert holds(values, (), None) is naive_holds(guard.expr, values), (name, values)
 
 
 def test_unconstrained_build_never_settles_a_guard(monkeypatch):
@@ -218,7 +217,7 @@ def test_unconstrained_build_never_settles_a_guard(monkeypatch):
         holds = bind(guard, bound)
 
         def counted(*args):
-            calls.append(guard.name)
+            calls.append(guard.expr)
             return holds(*args)
 
         return counted
@@ -245,17 +244,33 @@ NO_TABLE = "; ".join(
 )
 INVALID_NETS = {
     "guard-over-undeclared-predicate": (
-        lambda net: net.guards.update(g1=Guard("g1", ("and", ("pi", "pi1"), ("pi", "pi9")))),
+        lambda net: net.guards.update(g1=Guard(("and", ("pi", "pi1"), ("pi", "pi9")))),
         "guard g1 references unknown predicate pi9",
     ),
     "membership-without-table": (lambda net: setattr(net, "schema", None), NO_TABLE),
     "eq-over-undeclared-item": (
-        lambda net: net.predicates.update(pi4=Predicate("pi4", "eq", "idx", const="id2")),
+        lambda net: net.predicates.update(pi4=Predicate("eq", "idx", const="id2")),
         "predicate pi4 references unknown data item idx",
     ),
     "undeclared-guard": (
-        lambda net: net.guard_of.update(t1=GuardRef("g9")),
+        lambda net: net.guard_of.update(t1=("g9", True)),
         "transition t1 references unknown guard g9",
+    ),
+    # the model text has no such kind or node: a ``member`` predicate would
+    # be bound as membership but refined as if unbound, an ``xor`` guard
+    # evaluated as ``and`` but written as ``|``, and a two-operand ``not``
+    # undetermined over both predicates but evaluated and written over one
+    "unknown-predicate-kind": (
+        lambda net: net.predicates.update(pi1=Predicate("member", "id", "User", "Id")),
+        "predicate pi1 has unknown kind 'member'",
+    ),
+    "unknown-guard-operator": (
+        lambda net: net.guards.update(g1=Guard(("xor", ("pi", "pi1"), ("pi", "pi2")))),
+        "guard g1 has unknown operator 'xor'",
+    ),
+    "negation-of-two-operands": (
+        lambda net: net.guards.update(g1=Guard(("not", ("pi", "pi1"), ("pi", "pi2")))),
+        "guard g1 has 'not' of 2 operands",
     ),
     "write-undeclared-item": (
         lambda net: net.wt.update(t1=("idx",)),

@@ -27,7 +27,6 @@ from wftc import dctl as ast
 from conftest import PREFIX_SHAPES, TINY_CHAIN, deepest_prefix, fixture_text, formula_seeds, formula_text, on_fresh_stack
 from wftc.model import (
     Guard,
-    GuardRef,
     ModelError,
     Predicate,
     SelScope,
@@ -272,11 +271,14 @@ def random_net(rng: random.Random) -> WftcNet:
             t = rng.choice(transitions)
             net.wt[t] = (items[0],)
             net.sel[t] = net.sel.get(t, ()) + (SelScope("T", "A"),)
-        net.predicates["pi1"] = Predicate("pi1", "in", items[0], table="T", column="A")
-        net.guards["g1"] = Guard("g1", ("pi", "pi1"))
-        net.guards["g2"] = Guard("g2", ("not", ("pi", "pi1")))
-        net.guard_of[transitions[0]] = GuardRef("g1", positive=rng.random() < 0.8)
-        net.constraints = (((("g1", True), ("g2", False)), (("g1", False), ("g2", True))),)
+        # a guard or predicate is named by its key alone, whatever it is
+        pi = rng.choice(["pi1", "pi7", "member", "p_x'"])
+        g1, g2 = rng.sample(["g1", "g2", "g9", "ok", "G_2'"], 2)
+        net.predicates[pi] = Predicate("in", items[0], table="T", column="A")
+        net.guards[g1] = Guard(("pi", pi))
+        net.guards[g2] = Guard(("not", ("pi", pi)))
+        net.guard_of[transitions[0]] = (g1, rng.random() < 0.8)
+        net.constraints = ((((g1, True), (g2, False)), ((g1, False), (g2, True))),)
     for t in transitions:
         if items and rng.random() < 0.4:
             net.dt[t] = (rng.choice(items),)
@@ -808,7 +810,7 @@ def test_json_export_escapes_like_the_json_module():
         transitions=["t\\1"],
         data_items=["d ", "b"],
         schema=TableSchema("T", ("A", "B")),
-        guards={"gÿ": Guard("gÿ", ("pi", "pi"))},
+        guards={"gÿ": Guard(("pi", "pi"))},
         start="zz",
         end='q"',
     )
