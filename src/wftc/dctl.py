@@ -178,24 +178,14 @@ class _Evaluation:
         return lifted
 
     def partition(self, marking: bool, table: bool) -> tuple[list[tuple], bytes | list[int]]:
-        """States grouped by marking, table, both or neither: the marking
+        """States grouped by marking, table object, both or neither: the marking
         and table of each group's first state, groups in order of first
         state, and the group number of each state."""
         key = (marking, table)
         if key not in self.groups:
-            # states reached over arcs without table operations share their
-            # parent's table object, so tables are numbered by value once
-            # per object, not hashed once per state
-            numbers: dict[int, int] = {}  # id of a table -> number of its value
-            values: dict[tuple, int] = {}
-            keys = []
-            for state in self.states:
-                number = None
-                if table:
-                    number = numbers.get(id(state.table))
-                    if number is None:
-                        number = numbers[id(state.table)] = values.setdefault(state.table, len(values))
-                keys.append((state.marking if marking else None, number))
+            # a build keeps one object per distinct table, so tables are told apart by
+            # identity; equal tables held apart, as in a hand-built graph, make more groups
+            keys = ((state.marking if marking else None, id(state.table) if table else None) for state in self.states)
             firsts, group = _groups(*_numbered(keys))
             self.groups[key] = [(self.states[i].marking, self.states[i].table) for i in firsts], group
         return self.groups[key]
@@ -294,7 +284,7 @@ class _Evaluation:
         return _from_flags(result)
 
 
-def _numbered(keys: list) -> tuple[list[int], int]:
+def _numbered(keys) -> tuple[list[int], int]:
     """Each key's number in order of first occurrence, and how many distinct keys there are."""
     numbers: dict = {}
     return [numbers.setdefault(key, len(numbers)) for key in keys], len(numbers)

@@ -179,10 +179,6 @@ class Predicate(Frozen):
 
 # Guard expressions are trees over predicate names:
 #   ("pi", name) | ("not", e) | ("and", e, e, ...) | ("or", e, e, ...)
-# The parser gives a chain of one operator one node, so an expression nests
-# only as deep as its text's brackets. A hand-built "and"/"or" chain must not
-# sit directly inside a chain of the same operator: ``serialize_model`` writes
-# the two as one chain, which parses back as one node.
 
 
 def _nodes(expr: tuple):
@@ -508,12 +504,18 @@ def validate_workflow_structure(net: WftcNet) -> list[str]:
                 error(f"guard {name} has unknown operator {op!r}")
             elif arity != 1 if op in ("pi", "not") else arity < 2:
                 error(f"guard {name} has {op!r} of {arity} operands")
+            elif op in ("and", "or") and any(operand[0] == op for operand in node[1:]):
+                # the text writes the two as one chain, which reads back as one node
+                error(f"guard {name} has {op!r} directly inside {op!r}")
         for pi in sorted(guard.predicates()):
             if pi not in net.predicates:
                 error(f"guard {name} references unknown predicate {pi}")
+    unread = {"in": ("const",), "eq": ("table", "column"), "def": ("table", "column", "const")}
     for name, pi in net.predicates.items():
-        if pi.kind not in ("in", "eq", "def"):
+        if pi.kind not in unread:
             error(f"predicate {name} has unknown kind {pi.kind!r}")
+        for field in [field for field in unread.get(pi.kind, ()) if getattr(pi, field)]:
+            error(f"predicate {name} of kind {pi.kind!r} has a {field}")  # its text has no place for it
         if pi.item not in items:
             error(f"predicate {name} references unknown data item {pi.item}")
         if pi.kind == "in":

@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 
 from .model import UNDEF, ModelError, Predicate, WftcNet
-from .textio import BOT_TOKEN
+from .textio import _NAME, BOT_TOKEN
 
 
 def serialize_model(net: WftcNet) -> str:
@@ -30,7 +30,7 @@ def serialize_model(net: WftcNet) -> str:
     if net.predicates:
         out.append("[PREDICATES]")
         for name, pi in net.predicates.items():
-            out.append(f"  {name} = {_predicate_text(pi)}")
+            out.append(f"  {name} = {_predicate_text(name, pi)}")
     if net.guards:
         out.append("[GUARDS]")
         for name, g in net.guards.items():
@@ -92,10 +92,12 @@ def _serialize_ops(net: WftcNet):
     return lines
 
 
-def _predicate_text(pi: Predicate) -> str:
+def _predicate_text(name: str, pi: Predicate) -> str:
     if pi.kind == "in":
         return f"in({pi.item}, {pi.table}.{pi.column})"
     if pi.kind == "eq":
+        if not re.fullmatch(_NAME, pi.const):
+            raise ModelError(f"predicate {name} constant {pi.const!r} would not read back from the model text")
         return f"eq({pi.item}, {pi.const})"
     return f"def({pi.item})"
 

@@ -103,13 +103,14 @@ def initial_state(net: WftcNet) -> StateC:
 def _item_scope(net: WftcNet, item: str, scopes=()):
     """The scope a written item refines over, compiled by ``_scope``: the
     first of ``scopes`` on the column its membership predicate is bound to,
-    else that whole column; ``None`` for an item without a membership binding."""
+    else that whole column; ``()`` for an item without a membership binding,
+    which refines to its own name."""
     binding = next(
         ((pi.table, pi.column) for pi in net.predicates.values() if pi.kind == "in" and pi.item == item),
         None,
     )
     if binding is None:
-        return None
+        return ()
     for scope in scopes:
         if not scope.assign_item and (scope.table, scope.column) == binding:
             return _scope(net, scope)
@@ -324,8 +325,8 @@ def refine(net: WftcNet, state: StateC, item: str, scope=None, *, store=None) ->
 
     The domain is the scoped column content plus one fresh token. Without
     any column binding the item has no comparable peers and the written
-    value is just the item name itself. ``scope`` is compiled by
-    ``_scope`` and defaults to the item's ``_item_scope``.
+    value is just the item name itself. ``scope`` is the item's
+    ``_item_scope``, which a firing takes from its plan; it is derived here if not given.
     """
     if scope is None:
         # a plan's items were validated with its net; a caller's are checked here
@@ -333,7 +334,7 @@ def refine(net: WftcNet, state: StateC, item: str, scope=None, *, store=None) ->
             raise ModelError(f"unknown data item {item}")
         _compiled(net)  # a net that cannot be built is a ``ModelError``
         scope = _item_scope(net, item)
-    if scope is None:
+    if not scope:
         return [item]
     store = _Store() if store is None else store
     table = store.intern(state.table)
@@ -505,27 +506,16 @@ def fire(net: WftcNet, state: StateC, t: str, mode: str = CONSTRAINED, *, store=
 
 class Arcs(Struct):
     """A graph's arcs as three int columns, in arc order: source state,
-    target state and transition number, the transition's position in
-    ``names``, the net's ``transitions``. Iterating and ``append`` take
-    ``(src, name, dst)``; the build appends to the columns."""
+    target state and transition number, the transition's position in the
+    net's ``transitions``."""
 
-    _fields = __slots__ = ("names", "src", "dst", "label")
+    _fields = __slots__ = ("src", "dst", "label")
 
-    def __init__(self, names: list[str], src=(), dst=(), label=()):
-        self.names = names
+    def __init__(self, src=(), dst=(), label=()):
         self.src, self.dst, self.label = array("i", src), array("i", dst), array("i", label)
 
     def __len__(self) -> int:
         return len(self.src)
-
-    def __iter__(self):
-        return zip(self.src, map(self.names.__getitem__, self.label), self.dst)
-
-    def append(self, arc: tuple[int, str, int]):
-        src, name, dst = arc
-        self.label.append(self.names.index(name))  # first: an unknown name adds no arc
-        self.src.append(src)
-        self.dst.append(dst)
 
 
 class Srg(Struct):
@@ -576,7 +566,7 @@ def build_srg(net: WftcNet, mode: str = CONSTRAINED, limit: int = DEFAULT_STATE_
     store = _Store()
     root = initial_state(net)
     states, index = [root], {root: 0}
-    edges = Arcs(net.transitions)
+    edges = Arcs()
     add_src, add_dst, add_label = edges.src.append, edges.dst.append, edges.label.append
 
     # the states not yet expanded are always the end of ``states``, in the

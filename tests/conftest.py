@@ -136,11 +136,15 @@ def term_text(term) -> str:
 
 def arcs_of(net: WftcNet, arcs) -> Arcs:
     """A graph's arc store over ``net`` holding the ``(src, name, dst)``
-    triples of ``arcs``, in order."""
-    store = Arcs(net.transitions)
-    for arc in arcs:
-        store.append(arc)
-    return store
+    triples of ``arcs``, in order; an unknown name is a ``ValueError``."""
+    arcs = list(arcs)
+    return Arcs([src for src, _, _ in arcs], [dst for _, _, dst in arcs], [net.transitions.index(t) for _, t, _ in arcs])
+
+
+def arc_triples(srg: Srg) -> list[tuple[int, str, int]]:
+    """The arcs of ``srg`` as ``(src, name, dst)`` triples, in arc order."""
+    arcs = srg.edges
+    return list(zip(arcs.src, map(srg.net.transitions.__getitem__, arcs.label), arcs.dst))
 
 
 def arc_lists(srg: Srg) -> tuple[list[list[int]], list[list[int]]]:
@@ -148,7 +152,7 @@ def arc_lists(srg: Srg) -> tuple[list[list[int]], list[list[int]]]:
     it, one entry per arc of ``srg.edges``, in edge order."""
     post: list[list[int]] = [[] for _ in srg.states]
     pre: list[list[int]] = [[] for _ in srg.states]
-    for src, _, dst in srg.edges:
+    for src, dst in zip(srg.edges.src, srg.edges.dst):
         post[src].append(dst)
         pre[dst].append(src)
     return post, pre

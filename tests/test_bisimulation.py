@@ -37,7 +37,7 @@ def bisimilar_pairs(succ: list[set[int]], labels: list) -> set[tuple[int, int]]:
 
 def successors(srg) -> list[set[int]]:
     succ = [set() for _ in srg.states]
-    for src, _, dst in srg.edges:
+    for src, dst in zip(srg.edges.src, srg.edges.dst):
         succ[src].add(dst)
     return succ
 

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import METRIC_TEXTS, arcs_of, bitset, fixture_text, make_random_srg, requirement_texts, table_model
+from conftest import METRIC_TEXTS, arc_triples, arcs_of, bitset, fixture_text, make_random_srg, requirement_texts, table_model
 from wftc import (
     CONSTRAINED,
     UNCONSTRAINED,
@@ -36,7 +36,7 @@ from wftc.srg import Srg, StateC
 
 def successor_sets(srg):
     succ = [set() for _ in srg.states]
-    for src, _, dst in srg.edges:
+    for src, dst in zip(srg.edges.src, srg.edges.dst):
         succ[src].add(dst)
     return succ
 
@@ -124,8 +124,8 @@ def test_fixed_points_agree_with_path_oracles_over_parallel_arcs():
     rng = random.Random(4321)
     for _ in range(60):
         srg = make_random_srg(rng)
-        for arc in [(src, "u", dst) for src, _, dst in srg.edges if rng.random() < 0.5]:
-            srg.edges.append(arc)
+        arcs = arc_triples(srg)
+        srg.edges = arcs_of(srg.net, arcs + [(src, "u", dst) for src, _, dst in arcs if rng.random() < 0.5])
         srg = copy.copy(srg)
         lhs, rhs = random_sets(rng, len(srg.states))
         a, b = bitset(lhs), bitset(rhs)
@@ -417,7 +417,7 @@ def test_pm2_matches_record_pair_scan(motivating_net, motivating_srg):
 def with_rows(srg, rows: int):
     """The graph with every state's table cut to its first ``rows`` rows."""
     states = [StateC(s.marking, s.data, s.table[:rows], s.sigma) for s in srg.states]
-    return Srg(srg.net, srg.mode, states, arcs_of(srg.net, srg.edges), srg.initial, list(srg.pseudo))
+    return Srg(srg.net, srg.mode, states, srg.edges, srg.initial, list(srg.pseudo))
 
 
 def test_ordered_record_comparison_raises_where_reached(motivating_net, motivating_srg):
@@ -553,10 +553,10 @@ def test_quantifier_free_operand_without_arcs_skips_the_quotient():
     assert "quotient" not in srg.evaluation.__dict__
 
 
-def test_state_groups_follow_values_in_order_of_first_state():
+def test_state_groups_follow_table_objects_in_order_of_first_state():
     # a build keeps one object per distinct table; copying every other
     # state's table makes equal tables that are distinct objects, and
-    # groups are by value either way
+    # groups are by object, so those only make more groups
     srg = build_srg(parse_model(table_model(8)), CONSTRAINED)
     assert len({id(s.table) for s in srg.states}) == len({s.table for s in srg.states})
     srg.states = [StateC(s.marking, s.data, tuple(list(s.table)) if i % 2 else s.table, s.sigma) for i, s in enumerate(srg.states)]
@@ -566,12 +566,25 @@ def test_state_groups_follow_values_in_order_of_first_state():
         for table in (False, True):
             members: dict = {}
             for i, s in enumerate(states):
-                members.setdefault((s.marking if marking else None, s.table if table else None), set()).add(i)
+                members.setdefault((s.marking if marking else None, id(s.table) if table else None), set()).add(i)
             want = [(states[min(ids)].marking, states[min(ids)].table, ids) for ids in members.values()]
             groups, number = _Evaluation(srg.net, states, ()).partition(marking, table)
             assert len(number) == len(states)
             got = [(m, t, {i for i, g in enumerate(number) if g == k}) for k, (m, t) in enumerate(groups)]
             assert got == want
+
+
+@pytest.mark.parametrize("mode", [CONSTRAINED, UNCONSTRAINED])
+def test_equal_tables_held_apart_verify_alike(mode):
+    # a graph whose states hold equal but distinct table objects gets the
+    # bitsets of the built original, though its states fall in more groups
+    net = parse_model(fixture_text("motivating.wftc"))
+    built = build_srg(net, mode)
+    copied = Srg(net, mode, [StateC(s.marking, s.data, tuple(list(s.table)), s.sigma) for s in built.states], built.edges, 0, list(built.pseudo))
+    assert len({id(s.table) for s in copied.states}) > len({s.table for s in copied.states})
+    for text in [*requirement_texts(), *METRIC_TEXTS.values()]:
+        formula = parse_dctl(text, net)
+        assert verify(copied, formula) == verify(built, formula), text
 
 
 def test_evaluator_memory_grows_linearly_with_the_graph():

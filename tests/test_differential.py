@@ -31,7 +31,7 @@ class Naive:
         self.net = srg.net
         self.n = len(srg.states)
         self.succ = [set() for _ in range(self.n)]
-        for src, _, dst in srg.edges:
+        for src, dst in zip(srg.edges.src, srg.edges.dst):
             self.succ[src].add(dst)
 
     def sat(self, node) -> set:

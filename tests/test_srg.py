@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import wftc
-from conftest import arc_lists, arcs_of, fixture_text, marked_places, parallel_model, retained_bytes, sigma_map, table_model
+from conftest import arc_lists, arc_triples, arcs_of, fixture_text, marked_places, parallel_model, retained_bytes, sigma_map, table_model
 from wftc import (
     CONSTRAINED,
     UNCONSTRAINED,
@@ -268,9 +268,23 @@ INVALID_NETS = {
         lambda net: net.guards.update(g1=Guard(("xor", ("pi", "pi1"), ("pi", "pi2")))),
         "guard g1 has unknown operator 'xor'",
     ),
+    # the model text writes the two chains as one, which reads back as one node
+    "and-directly-inside-and": (
+        lambda net: net.guards.update(g1=Guard(("and", ("pi", "pi1"), ("and", ("pi", "pi2"), ("pi", "pi3"))))),
+        "guard g1 has 'and' directly inside 'and'",
+    ),
+    "or-directly-inside-or": (
+        lambda net: net.guards.update(g2=Guard(("not", ("or", ("or", ("pi", "pi1"), ("pi", "pi2")), ("pi", "pi3"))))),
+        "guard g2 has 'or' directly inside 'or'",
+    ),
     "negation-of-two-operands": (
         lambda net: net.guards.update(g1=Guard(("not", ("pi", "pi1"), ("pi", "pi2")))),
         "guard g1 has 'not' of 2 operands",
+    ),
+    # the model text writes each kind with its own fields only
+    "field-the-kind-does-not-read": (
+        lambda net: net.predicates.update(pi4=Predicate("eq", "id", column="Id", const="id2")),
+        "predicate pi4 of kind 'eq' has a column",
     ),
     "write-undeclared-item": (
         lambda net: net.wt.update(t1=("idx",)),
@@ -423,7 +437,7 @@ def test_twelve_row_table_graph_is_pinned():
 def test_two_place_chain(tiny_net):
     srg = build_srg(tiny_net)
     assert len(srg.states) == 2
-    assert list(srg.edges) == [(0, "t0", 1)]
+    assert arc_triples(srg) == [(0, "t0", 1)]
 
 
 def test_stats_on_initial_only():
@@ -473,6 +487,34 @@ def test_built_state_equals_a_state_with_a_copied_table(motivating_srg):
         assert hash(copy) == hash(state)
 
 
+@pytest.mark.parametrize("mode", [CONSTRAINED, UNCONSTRAINED])
+@pytest.mark.parametrize("name", ["motivating.wftc", "motivating-wfd.wftc", "table-4", "table-8"])
+def test_a_build_keeps_one_object_per_distinct_table(name, mode):
+    # the evaluator groups states by table object, so equal tables must be
+    # one object
+    srg = build_srg(parse_model(model_text(name)), mode)
+    assert len({id(state.table) for state in srg.states}) == len({state.table for state in srg.states})
+
+
+def test_a_written_item_scope_is_derived_once_per_plan(monkeypatch):
+    # unconstrained ``motivating-wfd`` writes 7 items over all its
+    # transitions; each firing takes its items' scopes from the plan
+    calls = []
+    item_scope = wftc.srg._item_scope
+
+    def counted(net, item, scopes=()):
+        calls.append(item)
+        return item_scope(net, item, scopes)
+
+    monkeypatch.setattr(wftc.srg, "_item_scope", counted)
+    net = parse_model(fixture_text("motivating-wfd.wftc"))
+    assert len(build_srg(net, UNCONSTRAINED).states) == 147
+    assert len(calls) == sum(map(len, net.wt.values())) == 7
+    # ``refine`` called without a scope derives it
+    assert refine(net, initial_state(net), "id") == ["id"]
+    assert len(calls) == 8
+
+
 def test_unpickled_state_hashes_in_its_new_process(motivating_srg):
     # a state caches its hash, and string hashes differ between processes
     state = motivating_srg.states[-1]
@@ -504,7 +546,7 @@ def test_mode_relationship(wfd_net, wfd_srg):
 
 def test_token_conservation(motivating_net, motivating_srg):
     net = motivating_net
-    for src, t, dst in motivating_srg.edges:
+    for src, t, dst in arc_triples(motivating_srg):
         before = motivating_srg.states[src].marking
         after = motivating_srg.states[dst].marking
         pre = {p for p, q in net.arcs if q == t}
@@ -530,7 +572,7 @@ def test_random_walks_stay_inside_the_graph(text, mode):
     net = parse_model(text)
     srg = build_srg(net, mode)
     index = {state: i for i, state in enumerate(srg.states)}
-    arcs = set(srg.edges)
+    arcs = set(arc_triples(srg))
     rng = random.Random(7)
     for _ in range(20):
         state = initial_state(net)
@@ -546,7 +588,7 @@ def test_random_walks_stay_inside_the_graph(text, mode):
 
 
 def test_update_preserves_record_count(motivating_srg):
-    for src, t, dst in motivating_srg.edges:
+    for src, t, dst in arc_triples(motivating_srg):
         if t == "t13":  # update only
             assert len(motivating_srg.states[src].table) == len(
                 motivating_srg.states[dst].table
@@ -636,7 +678,7 @@ def test_adjacency_is_built_on_first_use(name, mode):
     # of each state after those of the states before it
     block = list(evaluation.block)
     first = [block.index(b) for b in range(len(quotient.states))]
-    arcs = [(block[src], t, block[dst]) for src, t, dst in srg.edges if first[block[src]] == src]
+    arcs = [(block[src], t, block[dst]) for src, t, dst in arc_triples(srg) if first[block[src]] == src]
     blocks = Srg(srg.net, srg.mode, quotient.states, arcs_of(srg.net, arcs), 0, [False] * len(quotient.states))
     assert (quotient.post, quotient.pre) == arc_lists(blocks)
 
@@ -650,18 +692,18 @@ def test_a_copied_graph_drops_stale_adjacency(motivating_net):
 
     srg = build_srg(motivating_net, CONSTRAINED)
     assert lists()[0][0] and 0 not in lists()[0][0]
-    srg.edges = arcs_of(srg.net, [*srg.edges, (0, "t0", 0)])
+    srg.edges = arcs_of(srg.net, [*arc_triples(srg), (0, "t0", 0)])
     srg = copy.copy(srg)
     assert srg.evaluation is None
     assert 0 in lists()[0][0] and 0 in lists()[1][0]
     assert lists() == arc_lists(srg)
-    srg.edges = arcs_of(srg.net, list(srg.edges)[:-1])
+    srg.edges = arcs_of(srg.net, arc_triples(srg)[:-1])
     srg = copy.copy(srg)
     assert 0 not in lists()[0][0]
     assert lists() == arc_lists(srg)
     # a second transition between the same two states is a second arc
-    src, _, dst = next(iter(srg.edges))
-    srg.edges = arcs_of(srg.net, [*srg.edges, (src, "t9", dst)])
+    src, _, dst = arc_triples(srg)[0]
+    srg.edges = arcs_of(srg.net, [*arc_triples(srg), (src, "t9", dst)])
     srg = copy.copy(srg)
     assert lists()[0][src].count(dst) == 2
     assert lists() == arc_lists(srg)
@@ -673,43 +715,41 @@ def test_a_copied_graph_drops_stale_adjacency(motivating_net):
 
 def test_arcs_are_three_int_columns(motivating_net, motivating_srg):
     arcs = motivating_srg.edges
-    assert type(arcs) is Arcs and arcs.names is motivating_net.transitions
+    assert type(arcs) is Arcs and Arcs._fields == ("src", "dst", "label")
     assert [column.typecode for column in (arcs.src, arcs.dst, arcs.label)] == ["i", "i", "i"]
     assert len(arcs) == len(arcs.src) == len(arcs.dst) == len(arcs.label) == 73
-    # the build numbers transitions by their place in the net's list
-    names = motivating_net.transitions
-    assert list(arcs) == [(s, names[t], d) for s, t, d in zip(arcs.src, arcs.label, arcs.dst)]
+    # the build numbers transitions by their place in the net's list, which
+    # alone names them
+    assert set(arcs.label) == set(range(len(motivating_net.transitions)))
+    assert not hasattr(arcs, "names") and not hasattr(arcs, "append") and not hasattr(arcs, "__iter__")
     # the states are numbered breadth first, so the sources never fall
     assert list(arcs.src) == sorted(arcs.src)
 
 
-def test_arcs_append_compare_and_pickle(motivating_net):
-    arcs = Arcs(motivating_net.transitions)
-    # hand-built arcs keep the order they are appended in
-    for arc in [(3, "t1", 0), (0, "t18", 2), (3, "t0", 3)]:
-        arcs.append(arc)
-    assert list(arcs) == [(3, "t1", 0), (0, "t18", 2), (3, "t0", 3)]
-    assert list(arcs.label) == [1, 18, 0]
+def test_arcs_compare_and_pickle(motivating_net):
+    # hand-built arcs keep the order they are given in
+    arcs = arcs_of(motivating_net, [(3, "t1", 0), (0, "t18", 2), (3, "t0", 3)])
+    assert arcs == Arcs([3, 0, 3], [0, 2, 3], [1, 18, 0])
     with pytest.raises(ValueError):
-        arcs.append((0, "t99", 1))  # no such transition
-    assert len(arcs) == 3
-    assert arcs == arcs_of(motivating_net, list(arcs))
-    assert arcs != arcs_of(motivating_net, list(arcs)[:2])
-    assert arcs != list(arcs)  # a store equals a store, not a list
+        arcs_of(motivating_net, [(0, "t99", 1)])  # no such transition
+    assert len(arcs) == 3 and len(Arcs()) == 0 and not Arcs()
+    assert arcs != Arcs([3, 0], [0, 2], [1, 18])
+    assert arcs != Arcs([3, 0, 3], [0, 2, 3], [1, 18, 1])
+    assert arcs != [(3, "t1", 0), (0, "t18", 2), (3, "t0", 3)]  # a store equals a store, not a list
     with pytest.raises(TypeError):
         hash(arcs)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(arcs, protocol))
-        assert back == arcs and back.names == arcs.names
-        assert back.src == array("i", [3, 0, 3])
+        assert back == arcs
+        assert (back.src, back.dst, back.label) == (array("i", [3, 0, 3]), array("i", [0, 2, 3]), array("i", [1, 18, 0]))
 
 
 def test_a_pickled_graph_keeps_its_arcs_on_its_net(motivating_srg):
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(motivating_srg, protocol))
-        assert back == motivating_srg and list(back.edges) == list(motivating_srg.edges)
-        # one list of names, the unpickled net's
-        assert back.edges.names is back.net.transitions
+        assert back == motivating_srg and back.edges == motivating_srg.edges
+        # the transitions are named by the unpickled net alone
+        assert arc_triples(back) == arc_triples(motivating_srg)
 
 
 def test_evaluator_lists_share_one_int_per_state():

@@ -24,7 +24,7 @@ from wftc import (
     serialize_model,
 )
 from wftc import dctl as ast
-from conftest import PREFIX_SHAPES, TINY_CHAIN, deepest_prefix, fixture_text, formula_seeds, formula_text, on_fresh_stack
+from conftest import PREFIX_SHAPES, TINY_CHAIN, arc_triples, deepest_prefix, fixture_text, formula_seeds, formula_text, on_fresh_stack
 from wftc.model import (
     Guard,
     ModelError,
@@ -150,6 +150,13 @@ def net_with_records(*records, attributes=("A", "B")) -> WftcNet:
 def test_a_cell_the_reader_would_change_is_a_model_error(records, attributes, cell):
     with pytest.raises(ModelError, match=re.escape(f"table cell {cell!r} would not read back")):
         serialize_model(net_with_records(*records, attributes=attributes))
+
+
+def test_a_constant_the_reader_would_not_read_is_a_model_error(motivating_net):
+    net = copy.copy(motivating_net)
+    net.predicates = {**net.predicates, "pi4": Predicate("eq", "id", const="id 2")}
+    with pytest.raises(ModelError, match="^predicate pi4 constant 'id 2' would not read back from the model text$"):
+        serialize_model(net)
 
 
 def test_cells_the_reader_keeps_round_trip():
@@ -293,6 +300,106 @@ def test_random_net_roundtrip():
         net = random_net(rng)
         text = serialize_model(net)
         assert parse_model(text) == net, text
+
+
+# ---------------------------------------------------------------------------
+# nets built from constructors: guards and predicates the parser would not
+# make, each refused by one ``ModelError`` or read back as itself
+
+PREDICATE_KEYS = ["pi1", "pi7", "member", "p_x'", "G"]
+# constants of ``eq`` predicates: names the text can hold, and a few others
+CONSTANTS = ["yes", "id2", "license1", "x_1'", "copy2", "password", "id1", "_", "2", "a b", ""]
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+
+
+def random_expr(rng: random.Random, keys: list[str], depth: int, parent: str = "") -> tuple:
+    """A guard expression over predicate ``keys``: any operator directly
+    under any other, double negation included; a chain directly under a
+    ``parent`` chain of its operator is drawn rarely."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return ("pi", rng.choice(keys))
+    if roll < 0.4:
+        return ("not", ("not", random_expr(rng, keys, depth - 1)))
+    if roll < 0.55:
+        return ("not", random_expr(rng, keys, depth - 1))
+    op = rng.choice(["and", "or"])
+    if op == parent and rng.random() < 0.9:
+        op = "or" if op == "and" else "and"
+    return (op, *[random_expr(rng, keys, depth - 1, op) for _ in range(rng.randint(2, 3))])
+
+
+def random_predicate(rng: random.Random, net: WftcNet) -> Predicate:
+    """A predicate of each kind over an item of ``net``, now and then with
+    a field its kind does not read."""
+    kind, item = rng.choice(["in", "eq", "def"]), rng.choice(net.data_items)
+    fields = {
+        "in": {"table": net.schema.name, "column": rng.choice(net.schema.attributes)},
+        "eq": {"const": rng.choice(CONSTANTS)},
+        "def": {},
+    }[kind]
+    if rng.random() < 0.1:
+        fields[rng.choice([field for field in ("table", "column", "const") if field not in fields])] = "stray"
+    return Predicate(kind, item, **fields)
+
+
+def structural_net(rng: random.Random) -> WftcNet:
+    """``motivating.wftc`` with random predicates under new keys and random
+    guards under the keys its guard map and constraints use."""
+    net = parse_model(fixture_text("motivating.wftc"))
+    keys = rng.sample(PREDICATE_KEYS, rng.randint(1, 4))
+    net.predicates = {key: random_predicate(rng, net) for key in keys}
+    net.guards = {name: Guard(random_expr(rng, keys, 3)) for name in net.guards}
+    return copy.copy(net)
+
+
+def unwritable_parts(net: WftcNet) -> set[str]:
+    """The guards and predicates that the model text cannot express: a
+    chain directly inside a chain of its operator, a field the kind does not
+    read, or an ``eq`` constant that is not a name."""
+    bad = set()
+    for name, guard in net.guards.items():
+        stack = [guard.expr]
+        while stack:
+            node = stack.pop()
+            if node[0] != "pi":
+                stack.extend(node[1:])
+                if node[0] in ("and", "or") and any(child[0] == node[0] for child in node[1:]):
+                    bad.add(name)
+    read = {"in": ("table", "column"), "eq": ("const",), "def": ()}
+    for name, pi in net.predicates.items():
+        if any(getattr(pi, field) for field in ("table", "column", "const") if field not in read[pi.kind]):
+            bad.add(name)
+        if pi.kind == "eq" and not NAME.fullmatch(pi.const):
+            bad.add(name)
+    return bad
+
+
+def test_structural_nets_are_refused_or_read_back():
+    rng = random.Random(36)
+    outcomes = {"refused": 0, "read back": 0}
+    kinds, doubled = set(), 0  # predicate kinds, and double negations, of the nets read back
+    for _ in range(200):
+        net = structural_net(rng)
+        bad = unwritable_parts(net)
+        if bad:
+            with pytest.raises(ModelError) as err:
+                build_srg(net)
+                serialize_model(net)
+            named = set(re.findall(r"(?:guard|predicate) (\S+?)(?:[ ;]|$)", str(err.value)))
+            assert named and named <= bad, (str(err.value), bad)
+            outcomes["refused"] += 1
+            continue
+        text = serialize_model(net)
+        back = parse_model(text)
+        assert back == net, text
+        for mode in (CONSTRAINED, UNCONSTRAINED):
+            assert len(build_srg(back, mode).states) == len(build_srg(net, mode).states), text
+        outcomes["read back"] += 1
+        kinds |= {pi.kind for pi in net.predicates.values()}
+        doubled += "!(!" in text
+    assert min(outcomes.values()) >= 40, outcomes
+    assert kinds == {"in", "eq", "def"} and doubled
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +874,7 @@ def test_json_roundtrip(motivating_net, motivating_srg):
             t,
             motivating_srg.state_id(b),
         )
-        for a, t, b in motivating_srg.edges
+        for a, t, b in arc_triples(motivating_srg)
     )
     # re-exporting the same graph is byte-identical
     assert export_json(motivating_srg) == export_json(motivating_srg)
@@ -793,7 +900,7 @@ def json_module_export(srg) -> str:
         ],
         "edges": [
             {"from": srg.state_id(a), "transition": t, "to": srg.state_id(b)}
-            for a, t, b in srg.edges
+            for a, t, b in arc_triples(srg)
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -819,7 +926,7 @@ def test_json_export_escapes_like_the_json_module():
         StateC((0, 2, 1), ("\U0001f600", None), ((None, "bé"), ("a1", "</>")), ("T",)),
     ]
     # one arc from c0 to c1, then none
-    for edges in (Arcs(net.transitions, [0], [1], [0]), Arcs(net.transitions)):
+    for edges in (Arcs([0], [1], [0]), Arcs()):
         srg = Srg(net, UNCONSTRAINED, states, edges, 0, [False, True])
         assert export_json(srg) == json_module_export(srg)
 
